@@ -197,32 +197,89 @@ def save_index(index, path):
         json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
 
 
+# top-level and analyzer keys of a saved index, with the JSON types they hold
+_PAYLOAD_TYPES = {
+    "lang": str,
+    "num_docs": int,
+    "analyzer": dict,
+    "postings": dict,
+    "df": dict,
+    "max_tf": dict,
+    "doc_norms": dict,
+}
+_ANALYZER_TYPES = {
+    "lang": str,
+    "lowercase": bool,
+    "stopword_list": list,
+    "tokenizer_kind": str,
+    "min_token_len": int,
+}
+
+
+def _check_types(record, types, path, prefix=""):
+    for key, kind in types.items():
+        if not isinstance(record.get(key), kind):
+            raise IntegrityError(f"{path}: {prefix}{key!r} missing or not a JSON {kind.__name__}")
+
+
 def load_index(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != INDEX_FORMAT:
+    """Read an index written by ``save_index``.
+
+    The structure is checked before use: a file that is not such an index,
+    misses a key, holds a value of the wrong type, or lacks the ``max_tf`` or
+    ``doc_norms`` entry of a posted document raises IntegrityError naming it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise IntegrityError(f"{path}: not a {INDEX_FORMAT} file: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
         raise IntegrityError(f"{path}: not a {INDEX_FORMAT} file")
-    cfg = AnalyzerConfig(
-        lang=payload["analyzer"]["lang"],
-        lowercase=payload["analyzer"]["lowercase"],
-        stopword_list=frozenset(payload["analyzer"]["stopword_list"]),
-        tokenizer_kind=payload["analyzer"]["tokenizer_kind"],
-        min_token_len=payload["analyzer"]["min_token_len"],
-    )
-    postings = {
-        t: [Posting(doc_id, tf) for doc_id, tf in plist]
-        for t, plist in payload["postings"].items()
-    }
+    _check_types(payload, _PAYLOAD_TYPES, path)
+    if payload["num_docs"] < 1:
+        raise IntegrityError(f"{path}: 'num_docs' must be positive")
+    analyzer = payload["analyzer"]
+    _check_types(analyzer, _ANALYZER_TYPES, path, prefix="analyzer ")
+    try:
+        cfg = AnalyzerConfig(
+            lang=analyzer["lang"],
+            lowercase=analyzer["lowercase"],
+            stopword_list=frozenset(analyzer["stopword_list"]),
+            tokenizer_kind=analyzer["tokenizer_kind"],
+            min_token_len=analyzer["min_token_len"],
+        )
+    except (ConfigError, TypeError) as exc:
+        raise IntegrityError(f"{path}: bad analyzer settings: {exc}") from None
     df = payload["df"]
-    for term, plist in postings.items():
-        if df.get(term) != len(plist):
+    max_tf = payload["max_tf"]
+    doc_norms = payload["doc_norms"]
+    postings = {}
+    posted = set()
+    for term, plist in payload["postings"].items():
+        try:
+            entries = postings[term] = [Posting(doc_id, tf) for doc_id, tf in plist]
+            posted.update(p.doc_id for p in entries)
+        except (TypeError, ValueError):
+            raise IntegrityError(f"{path}: malformed postings of {term!r}") from None
+        if not all(type(p.tf) is int for p in entries):
+            raise IntegrityError(f"{path}: non-integer term frequency in postings of {term!r}")
+        if df.get(term) != len(entries):
             raise IntegrityError(f"{path}: document frequency of {term!r} disagrees with postings")
+    if len(df) != len(postings):
+        raise IntegrityError(f"{path}: document frequencies listed for terms without postings")
+    for name, table, kinds in (("max_tf", max_tf, (int,)), ("doc_norms", doc_norms, (int, float))):
+        missing = posted.difference(table)
+        if missing:
+            raise IntegrityError(f"{path}: {name} lacks posted document {min(map(str, missing))!r}")
+        if not all(type(v) in kinds for v in table.values()):
+            raise IntegrityError(f"{path}: {name} holds a non-numeric value")
     return InvertedIndex(
         postings=postings,
         df=df,
         num_docs=payload["num_docs"],
-        max_tf=payload["max_tf"],
-        doc_norms=payload["doc_norms"],
+        max_tf=max_tf,
+        doc_norms=doc_norms,
         lang=payload["lang"],
         analyzer=cfg,
     )

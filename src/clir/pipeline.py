@@ -6,12 +6,14 @@ cost/accuracy knob the whole design revolves around.
 """
 
 import logging
+import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from clir.corpus import TermVector
 from clir.errors import ConfigError, NoPairError, ParseError, TranslationError
 from clir.index import RankedList, ScoredDoc, search
-from clir.rerank import CombineParams, rerank
+from clir.rerank import CombineParams, document_vector, rerank
 from clir.translate import (
     CHANNEL_MT,
     COMBINED,
@@ -31,6 +33,33 @@ logger = logging.getLogger(__name__)
 TAIL_DROP = "drop"
 TAIL_KEEP = "keep"
 
+# "#" opens a comment at the start of a line or after whitespace only
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+class DocumentMemo:
+    """Analysed term vectors of translated documents, reused across queries.
+
+    A vector depends on the document, the channel, the document adapter, the
+    target language and the source analyzer's settings; ``bucket`` returns the
+    doc_id -> TermVector map for one such combination. Term strings are
+    interned through one vocabulary, so a term shared by many stored vectors
+    is held once. Only successful translations are stored.
+    """
+
+    def __init__(self):
+        self.buckets = {}
+        self.vocab = {}
+
+    def bucket(self, channel, adapter, target_lang, analyzer):
+        settings = tuple(getattr(analyzer, f.name) for f in fields(analyzer))
+        return self.buckets.setdefault((channel, adapter, target_lang, settings), {})
+
+    def intern(self, vec):
+        vocab = self.vocab
+        counts = {vocab.setdefault(t, t): f for t, f in vec.counts.items()}
+        return TermVector(counts=counts, max_tf=vec.max_tf)
+
 
 @dataclass
 class PipelineConfig:
@@ -43,6 +72,11 @@ class PipelineConfig:
     ``doc_adapter`` translates retrieved documents and defaults to the query
     method's adapter; dictionary-only query translation combined with the
     machine document channel needs it set explicitly.
+
+    Each config carries a ``doc_memo`` of the documents its runs translated,
+    so a document retrieved again by a later query is neither translated nor
+    analysed again. It is not a setting: ``dataclasses.replace`` gives the new
+    config an empty memo.
     """
 
     n_intermediate: int
@@ -53,6 +87,9 @@ class PipelineConfig:
     tail_policy: str = TAIL_DROP
     doc_adapter: object = None
     use_idf: bool = True
+    doc_memo: DocumentMemo = field(
+        default_factory=DocumentMemo, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.n_intermediate < 1:
@@ -75,7 +112,12 @@ class PipelineConfig:
 @dataclass
 class TimingRecord:
     """Wall-clock seconds of the document-translation batch, the re-ranking
-    call, and the whole run."""
+    call, and the whole run.
+
+    ``translation_s`` covers fetching the head documents' vectors: translating
+    and analysing the documents missing from the config's memo, and looking up
+    the rest.
+    """
 
     translation_s: float
     rerank_s: float
@@ -123,9 +165,11 @@ def _rescaled_tail(tail, floor):
 def run_two_stage(query, index, corpus, cfg, cfg_src, cfg_tgt):
     """Full two-stage run for one query.
 
-    Returns the final ranked list and the per-phase timing. Documents whose
-    translation fails are logged and kept with a zero second-stage score; the
-    run never aborts over a single document.
+    Returns the final ranked list and the per-phase timing. Each head
+    document is translated and analysed once per ``cfg``: later runs take its
+    vector from ``cfg.doc_memo``. Documents whose translation fails are logged
+    and kept with a zero second-stage score, and are tried again by the next
+    run that retrieves them; the run never aborts over a single document.
     """
     _check_langs(index, cfg_tgt)
     t_run = time.perf_counter()
@@ -137,22 +181,28 @@ def run_two_stage(query, index, corpus, cfg, cfg_src, cfg_tgt):
     tail = stage_one.entries[cfg.n_intermediate :]
 
     adapter = cfg.resolve_doc_adapter()
-    translated_docs = {}
+    memo = cfg.doc_memo.bucket(cfg.doc_channel, adapter, query.lang, cfg_src)
+    doc_vectors = {}
     t0 = time.perf_counter()
     for entry in head:
-        doc = corpus.get(entry.doc_id)
-        try:
-            translated_docs[entry.doc_id] = translate_document(
-                doc, cfg.doc_channel, corpus=corpus, adapter=adapter, target_lang=query.lang
-            )
-        except (TranslationError, NoPairError) as exc:
-            logger.warning("query %s: document %s kept untranslated: %s", query.query_id, entry.doc_id, exc)
+        vec = memo.get(entry.doc_id)
+        if vec is None:
+            doc = corpus.get(entry.doc_id)
+            try:
+                translated = translate_document(
+                    doc, cfg.doc_channel, corpus=corpus, adapter=adapter, target_lang=query.lang
+                )
+            except (TranslationError, NoPairError) as exc:
+                logger.warning("query %s: document %s kept untranslated: %s", query.query_id, entry.doc_id, exc)
+                continue
+            vec = memo[entry.doc_id] = cfg.doc_memo.intern(document_vector(translated, cfg_src))
+        doc_vectors[entry.doc_id] = vec
     translation_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     reranked = rerank(
         RankedList(query_id=query.query_id, entries=head),
-        translated_docs,
+        doc_vectors,
         query,
         cfg_src,
         cfg.combine,
@@ -174,7 +224,7 @@ def read_config(path):
     values = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -12,7 +12,7 @@ zeros.
 import math
 from dataclasses import dataclass
 
-from clir.corpus import analyze, indexable_text
+from clir.corpus import TermVector, analyze, indexable_text
 from clir.index import RankedList
 
 
@@ -115,10 +115,16 @@ def combine_scores(esim, jsim, p):
     return e**p.alpha * j**p.beta
 
 
+def document_vector(doc, cfg):
+    """Term vector of a query-language rendition, as the second stage scores it."""
+    return analyze(indexable_text(doc), cfg)
+
+
 def rerank(first_stage, translated_docs, source_query, cfg, p, use_idf=True):
     """Re-order the first-stage retrieval by the combined score.
 
-    ``translated_docs`` maps doc_id to the query-language rendition; documents
+    ``translated_docs`` maps doc_id to the query-language rendition: the
+    translated Document, or its ``document_vector`` under ``cfg``. Documents
     missing from it (failed translations) score zero in the second stage but
     stay in the list. Ties break by ascending doc_id.
     """
@@ -129,8 +135,10 @@ def rerank(first_stage, translated_docs, source_query, cfg, p, use_idf=True):
     doc_vectors = {}
     for entry in entries:
         doc = translated_docs.get(entry.doc_id)
-        if doc is not None:
-            doc_vectors[entry.doc_id] = analyze(indexable_text(doc), cfg)
+        if isinstance(doc, TermVector):
+            doc_vectors[entry.doc_id] = doc
+        elif doc is not None:
+            doc_vectors[entry.doc_id] = document_vector(doc, cfg)
     stats = RerankStats.from_vectors(doc_vectors.values(), num_docs=len(entries))
     query_vec = analyze(source_query.description, cfg)
 

@@ -83,7 +83,9 @@ class MTAdapter:
     """Behavioral contract for translators.
 
     ``translate`` must be deterministic per input within one run and return
-    plain text in the requested target language.
+    plain text in the requested target language. The pipeline relies on that:
+    a retrieved document is translated once per pipeline configuration and
+    its analysed text reused for every later query that retrieves it.
     """
 
     def translate(self, text, src, tgt):
@@ -92,7 +94,8 @@ class MTAdapter:
 
 class CommandAdapter(MTAdapter):
     """External translator process: argv plus the two language tags as arguments,
-    source text on stdin, translation on stdout, exit status 0 on success."""
+    source text on stdin, translation on stdout, exit status 0 on success.
+    Both streams are UTF-8; output that does not decode is a failed call."""
 
     def __init__(self, command, timeout_s=60.0):
         self.argv = shlex.split(command) if isinstance(command, str) else list(command)
@@ -106,9 +109,13 @@ class CommandAdapter(MTAdapter):
                 self.argv + [src, tgt],
                 input=text,
                 capture_output=True,
-                text=True,
+                encoding="utf-8",
                 timeout=self.timeout_s,
             )
+        except UnicodeDecodeError as exc:
+            raise TranslationError(
+                f"translator output is not UTF-8 on input {text[:80]!r}: {exc.reason}"
+            ) from None
         except subprocess.TimeoutExpired:
             raise TranslationError(f"translator timed out on input {text[:80]!r}") from None
         except OSError as exc:

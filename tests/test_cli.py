@@ -2,6 +2,9 @@
 files, and output stability."""
 
 import json
+import logging
+import shlex
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -130,6 +133,17 @@ def test_corrupt_index_exits_two(ws, tmp_path, capsys):
     assert "clir:" in capsys.readouterr().err
 
 
+def test_index_missing_analyzer_exits_two(ws, tmp_path, capsys):
+    payload = json.loads(ws.index.read_text(encoding="utf-8"))
+    del payload["analyzer"]
+    bad = tmp_path / "bad.idx"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["search", "--index", str(bad),
+                 "--query-file", str(ws.queries)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "'analyzer'" in err
+
+
 def test_adapter_flags_are_mutually_exclusive(ws):
     assert main(["search", "--index", str(ws.index), "--query-file", str(ws.queries),
                  "--adapter-cmd", "x", "--mock-table", str(ws.table)]) == 1
@@ -210,6 +224,30 @@ def test_search2_run_and_timing(ws, tmp_path, capsys):
     run = read_run(out)
     assert run.tag == "mts+mt"
     assert [e.doc_id for e in run.rankings["q1"]][0] == "j1"
+
+
+def test_search2_survives_undecodable_translator_output(ws, tmp_path, caplog):
+    script = tmp_path / "mt.py"
+    table = {**WORDS, **JA_TO_EN}
+    script.write_text(
+        "import sys\n"
+        f"table = {table!r}\n"
+        "text = sys.stdin.read()\n"
+        "if 'netto' in text:\n"
+        "    sys.stdout.buffer.write(b'\\xff\\xfe')\n"
+        "else:\n"
+        "    print(' '.join(table.get(w, w) for w in text.split()))\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "run.txt"
+    with caplog.at_level(logging.WARNING, logger="clir.pipeline"):
+        assert main(["search2", "--index", str(ws.index), "--corpus", str(ws.corpus),
+                     "--query-file", str(ws.queries), "--method", "mts",
+                     "--adapter-cmd", shlex.join([sys.executable, str(script)]),
+                     "--n", "5", "--out", str(out)]) == 0
+    assert "j3 kept untranslated" in caplog.text
+    run = read_run(out)
+    assert "j3" in [e.doc_id for e in run.rankings["q1"]]
 
 
 def test_search2_human_channel_needs_no_adapter_for_documents(ws, tmp_path):

@@ -255,7 +255,37 @@ def test_load_index_rejects_inconsistent_df(tmp_path):
     path = tmp_path / "idx.json"
     save_index(index, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
+    good_df = dict(payload["df"])
     payload["df"]["a"] = 7
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(IntegrityError, match="'a'"):
         load_index(path)
+    payload["df"] = {**good_df, "zz": 1}  # a term with no postings
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(IntegrityError, match="without postings"):
+        load_index(path)
+
+
+def _saved_payload(tmp_path):
+    index = build_index(_corpus_from_texts({"d1": "a", "d2": "a b", "d3": "c"}), CFG)
+    path = tmp_path / "idx.json"
+    save_index(index, path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_load_index_rejects_missing_analyzer(tmp_path):
+    path, payload = _saved_payload(tmp_path)
+    del payload["analyzer"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(IntegrityError, match="'analyzer'") as exc_info:
+        load_index(path)
+    assert str(path) in str(exc_info.value)
+
+
+def test_load_index_rejects_truncated_doc_norms(tmp_path):
+    path, payload = _saved_payload(tmp_path)
+    del payload["doc_norms"]["d2"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(IntegrityError, match="doc_norms.*'d2'") as exc_info:
+        load_index(path)
+    assert str(path) in str(exc_info.value)

@@ -3,8 +3,13 @@ translate-back -> re-rank flow, tail handling, timing, and settings files."""
 
 import logging
 import random
+import sys
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clir.corpus import AnalyzerConfig, Corpus, Document, Query, analyze
 from clir.errors import ConfigError, ParseError, TranslationError
@@ -26,6 +31,7 @@ from clir.translate import (
     MT_PHRASE,
     MT_SENTENCE,
     BilingualDictionary,
+    CommandAdapter,
     IdentityAdapter,
     TableAdapter,
     TranslationMethod,
@@ -239,28 +245,60 @@ def test_tail_keep_with_short_retrieval_is_harmless(ja_index):
     assert len(final.entries) <= 4
 
 
-def test_failed_document_translation_logged_and_kept(caplog):
-    class FussyAdapter:
-        def translate(self, text, src, tgt):
-            if "kinshi" in text:
-                raise TranslationError("refused")
-            return " ".join(JA_TO_EN.get(t, t) for t in text.split())
+class CountingAdapter:
+    """Document adapter that records every text it is asked to translate and
+    refuses the texts containing ``fail_on``."""
 
+    def __init__(self, fail_on=None):
+        self.inner = TableAdapter(JA_TO_EN)
+        self.fail_on = fail_on
+        self.texts = Counter()
+
+    def translate(self, text, src, tgt):
+        self.texts[text] += 1
+        if self.fail_on is not None and self.fail_on in text:
+            raise TranslationError("refused")
+        return self.inner.translate(text, src, tgt)
+
+
+def _undecodable_command(tmp_path):
+    """Translator process whose reply to a text containing 'kinshi' is not UTF-8."""
+    script = tmp_path / "mt.py"
+    script.write_text(
+        "import sys\n"
+        f"table = {JA_TO_EN!r}\n"
+        "text = sys.stdin.read()\n"
+        "if 'kinshi' in text:\n"
+        "    sys.stdout.buffer.write(b'\\xff\\xfe')\n"
+        "else:\n"
+        "    print(' '.join(table.get(w, w) for w in text.split()))\n",
+        encoding="utf-8",
+    )
+    return CommandAdapter([sys.executable, str(script)])
+
+
+def _corpus_with_bad_document():
     docs = [
         Document(doc_id="j1", lang="ja", abstract="toshokan kensaku"),
         Document(doc_id="j2", lang="ja", abstract="toshokan kinshi"),
         Document(doc_id="j8", lang="ja", abstract="zatsuon"),
     ]
     corpus = Corpus(docs, ["ja"])
-    index = build_index(corpus, JA)
-    cfg = _cfg(n=2, doc_adapter=FussyAdapter())
-    with caplog.at_level(logging.WARNING, logger="clir.pipeline"):
-        final, _ = run_two_stage(_query("library search"), index, corpus, cfg, EN, JA)
-    assert "kept untranslated" in caplog.text
-    by_id = {e.doc_id: e for e in final.entries}
-    assert set(by_id) == {"j1", "j2"}
-    assert by_id["j2"].jsim == 0.0
-    assert by_id["j1"].jsim > 0.0
+    return corpus, build_index(corpus, JA)
+
+
+def test_failed_document_translation_logged_and_kept(caplog, tmp_path):
+    corpus, index = _corpus_with_bad_document()
+    for adapter in (CountingAdapter(fail_on="kinshi"), _undecodable_command(tmp_path)):
+        caplog.clear()
+        cfg = _cfg(n=2, doc_adapter=adapter)
+        with caplog.at_level(logging.WARNING, logger="clir.pipeline"):
+            final, _ = run_two_stage(_query("library search"), index, corpus, cfg, EN, JA)
+        assert "kept untranslated" in caplog.text
+        by_id = {e.doc_id: e for e in final.entries}
+        assert set(by_id) == {"j1", "j2"}
+        assert by_id["j2"].jsim == 0.0
+        assert by_id["j1"].jsim > 0.0
 
 
 def test_timing_record_is_coherent(ja_index):
@@ -285,16 +323,107 @@ def test_two_stage_runs_are_reproducible(ja_index):
     ]
 
 
+# ------------------------------------------------------- document memo
+
+
+def _fielded_corpus():
+    # every document has a title, two keywords and an abstract, each a
+    # distinct text, so adapter calls can be told apart by field
+    docs = []
+    for i, words in enumerate(["toshokan kensaku", "toshokan deta", "keisanki netto",
+                               "toshokan keisanki", "deta netto kensaku"]):
+        did = f"j{i}"
+        docs.append(Document(doc_id=did, lang="ja", title=f"{words} t{i}",
+                             keywords=[f"k{i}a", f"k{i}b"], abstract=f"{words} {did}"))
+    return Corpus(docs, ["ja"])
+
+
+def test_each_document_field_is_translated_once_across_queries():
+    corpus = _fielded_corpus()
+    index = build_index(corpus, JA)
+    adapter = CountingAdapter()
+    cfg = _cfg(n=3, doc_adapter=adapter)
+    seen = set()
+    for qid, text in [("q1", "library search"), ("q2", "library data")]:
+        final, _ = run_two_stage(_query(text, qid), index, corpus, cfg, EN, JA)
+        seen.update(e.doc_id for e in final.entries)
+    assert len(seen) < 6  # the two top-3 sets overlap
+    want = Counter()
+    for did in seen:
+        doc = corpus.get(did)
+        want.update([doc.title, *doc.keywords, doc.abstract])
+    assert adapter.texts == want
+
+
+def _entries(ranked):
+    return [(e.doc_id, e.esim, e.jsim, e.sim) for e in ranked.entries]
+
+
+_MEMO_QUERIES = ["library search", "library data", "computer network",
+                 "data network search", "library computer", "network"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(texts=st.lists(st.sampled_from(_MEMO_QUERIES), min_size=1, max_size=8),
+       n=st.integers(min_value=1, max_value=5))
+def test_shared_config_runs_equal_fresh_config_runs(texts, n):
+    corpus = _fielded_corpus()
+    index = build_index(corpus, JA)
+    shared = _cfg(n=n)
+    for i, text in enumerate(texts):
+        q = _query(text, f"q{i}")
+        got, _ = run_two_stage(q, index, corpus, shared, EN, JA)
+        want, _ = run_two_stage(q, index, corpus, _cfg(n=n), EN, JA)
+        assert _entries(got) == _entries(want)
+
+
+def test_replaced_config_starts_with_an_empty_memo(ja_index):
+    cfg = _cfg(n=4)
+    run_two_stage(_query("library data"), ja_index, _bilingual_corpus(), cfg, EN, JA)
+    assert cfg.doc_memo.buckets
+    deeper = replace(cfg, n_intermediate=2)
+    assert not deeper.doc_memo.buckets
+    assert deeper.doc_memo is not cfg.doc_memo
+    assert replace(cfg) == cfg  # the memo is not a setting
+
+
+def test_failed_document_is_retried_on_the_next_query(caplog):
+    corpus, index = _corpus_with_bad_document()
+    adapter = CountingAdapter(fail_on="kinshi")
+    cfg = _cfg(n=2, doc_adapter=adapter)
+    with caplog.at_level(logging.WARNING, logger="clir.pipeline"):
+        for qid in ("q1", "q2"):
+            run_two_stage(_query("library search", qid), index, corpus, cfg, EN, JA)
+    failures = [r.getMessage() for r in caplog.records if "j2 kept untranslated" in r.getMessage()]
+    assert len(failures) == 2
+    assert adapter.texts["toshokan kinshi"] == 2
+    assert adapter.texts["toshokan kensaku"] == 1
+
+
+def test_analyzers_differing_in_stopwords_do_not_share_vectors(ja_index):
+    corpus = _bilingual_corpus()
+    stop = AnalyzerConfig(lang="en", stopword_list={"library"})
+    q = _query("library data")
+    shared = _cfg(n=4)
+    for cfg_src in (stop, EN):
+        got, _ = run_two_stage(q, ja_index, corpus, shared, cfg_src, JA)
+        want, _ = run_two_stage(q, ja_index, corpus, _cfg(n=4), cfg_src, JA)
+        assert _entries(got) == _entries(want)
+    with_stop, _ = run_two_stage(q, ja_index, corpus, _cfg(n=4), stop, JA)
+    plain, _ = run_two_stage(q, ja_index, corpus, _cfg(n=4), EN, JA)
+    assert _entries(with_stop) != _entries(plain)
+
+
 # ------------------------------------------------------------ settings file
 
 
 def test_read_config_parses_keys_comments_and_blanks(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
-        "# run settings\nn = 200\nmethod=mpbt\n\nalpha = 1.5  # exponent\n",
+        "# run settings\nn = 200\nmethod=mpbt\n\nalpha = 1.5  # exponent\ntag = run#1\n",
         encoding="utf-8",
     )
-    assert read_config(path) == {"n": "200", "method": "mpbt", "alpha": "1.5"}
+    assert read_config(path) == {"n": "200", "method": "mpbt", "alpha": "1.5", "tag": "run#1"}
 
 
 def test_read_config_rejects_malformed_lines(tmp_path):

@@ -199,6 +199,14 @@ def test_command_adapter_nonzero_exit(tmp_path):
         CommandAdapter(argv).translate("some input text", "en", "ja")
 
 
+def test_command_adapter_undecodable_output(tmp_path):
+    argv = _write_script(
+        tmp_path, "import sys\nsys.stdin.read()\nsys.stdout.buffer.write(b'\\xff\\xfe')\n"
+    )
+    with pytest.raises(TranslationError, match="not UTF-8"):
+        CommandAdapter(argv).translate("some input text", "en", "ja")
+
+
 def test_command_adapter_missing_binary():
     adapter = CommandAdapter(["/no/such/translator"])
     with pytest.raises(TranslationError):
