@@ -42,7 +42,6 @@ from clir.index import (
     RankedList,
     ScoredDoc,
     build_index,
-    cosine_similarity,
     load_index,
     save_index,
     search,

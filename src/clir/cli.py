@@ -6,6 +6,7 @@ Results go to stdout or the --out file; diagnostics and timing to stderr.
 """
 
 import argparse
+import contextlib
 import logging
 import sys
 
@@ -30,7 +31,6 @@ from clir.evaluation import (
     sign_test,
     sweep_n,
     wilcoxon_signed_test,
-    write_run,
 )
 from clir.index import build_index, load_index, save_index, search
 from clir.pipeline import (
@@ -77,6 +77,17 @@ _CONFIG_KEYS = {
     "adapter-cmd": str,
     "dict": str,
     "mock-table": str,
+    "tag": str,
+}
+
+# values of flags left unset on the command line and in the --config file
+_DEFAULTS = {
+    "n": 1000,
+    "doc_channel": CHANNEL_MT,
+    "tail": TAIL_DROP,
+    "alpha": 1.0,
+    "beta": 1.0,
+    "epsilon": 0.0001,
 }
 
 
@@ -221,7 +232,7 @@ def build_parser() -> _Parser:
 
 def _merge_config(args):
     """Fill unset translation/pipeline flags from the --config file, then
-    apply the documented defaults and validate the merged values."""
+    apply the documented defaults."""
     if getattr(args, "config", None):
         for key, raw in read_config(args.config).items():
             if key not in _CONFIG_KEYS:
@@ -232,37 +243,24 @@ def _merge_config(args):
                     setattr(args, dest, _CONFIG_KEYS[key](raw))
                 except ValueError:
                     raise ConfigError(f"bad value for configuration key {key!r}: {raw!r}") from None
-    if hasattr(args, "method"):
-        if args.method is not None and args.method not in METHOD_FLAGS:
-            raise ConfigError(f"unknown method {args.method!r}")
-        if args.n is None:
-            args.n = 1000
-        if args.n < 1:
-            _usage_error("--n must be at least 1")
-        if args.adapter_cmd and args.mock_table:
-            _usage_error("--adapter-cmd and --mock-table are mutually exclusive")
-    if hasattr(args, "doc_channel"):
-        if args.doc_channel is None:
-            args.doc_channel = CHANNEL_MT
-        elif args.doc_channel not in (CHANNEL_MT, CHANNEL_HT):
-            raise ConfigError(f"unknown document channel {args.doc_channel!r}")
-        if args.tail is None:
-            args.tail = TAIL_DROP
-        elif args.tail not in (TAIL_DROP, TAIL_KEEP):
-            raise ConfigError(f"unknown tail policy {args.tail!r}")
-        if args.alpha is None:
-            args.alpha = 1.0
-        if args.beta is None:
-            args.beta = 1.0
-        if args.epsilon is None:
-            args.epsilon = 0.0001
-        if args.alpha < 0 or args.beta < 0:
-            _usage_error("--alpha and --beta must be non-negative")
-        if args.epsilon <= 0:
-            _usage_error("--epsilon must be positive")
+    for dest, value in _DEFAULTS.items():
+        if hasattr(args, dest) and getattr(args, dest) is None:
+            setattr(args, dest, value)
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """Around the construction of the library's config objects: a value they
+    reject is a usage error."""
+    try:
+        yield
+    except (ConfigError, ValueError) as exc:
+        _usage_error(str(exc))
 
 
 def _build_adapter(args):
+    if args.adapter_cmd and args.mock_table:
+        _usage_error("--adapter-cmd and --mock-table are mutually exclusive")
     if args.adapter_cmd:
         return CommandAdapter(args.adapter_cmd)
     if args.mock_table:
@@ -278,13 +276,29 @@ def _build_method(args, adapter):
     """
     if args.method is None:
         return TranslationMethod(kind=MT_SENTENCE, adapter=adapter or IdentityAdapter())
-    kind = METHOD_FLAGS[args.method]
+    if args.method not in METHOD_FLAGS:
+        _usage_error(f"unknown method {args.method!r}")
     dictionary = BilingualDictionary.from_file(args.dict) if args.dict else None
-    if kind in (MT_SENTENCE, MT_PHRASE, COMBINED) and adapter is None:
-        _usage_error(f"--method {args.method} requires --adapter-cmd or --mock-table")
-    if kind in (DICT_PHRASE, COMBINED) and dictionary is None:
-        _usage_error(f"--method {args.method} requires --dict")
-    return TranslationMethod(kind=kind, adapter=adapter, dictionary=dictionary)
+    with _usage_errors():
+        return TranslationMethod(kind=METHOD_FLAGS[args.method], adapter=adapter,
+                                 dictionary=dictionary)
+
+
+def _pipeline_config(args, n, doc_channel):
+    """The two-stage settings the flags describe, checked before any
+    collection file is loaded."""
+    adapter = _build_adapter(args)
+    method = _build_method(args, adapter)
+    with _usage_errors():
+        return PipelineConfig(
+            n_intermediate=n,
+            translation_method=method,
+            doc_channel=doc_channel,
+            combine=CombineParams(alpha=args.alpha, beta=args.beta, epsilon=args.epsilon),
+            output_depth=args.depth,
+            tail_policy=args.tail,
+            doc_adapter=adapter,
+        )
 
 
 def _default_tag(args, suffix=""):
@@ -325,10 +339,11 @@ def cmd_index(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.n < 1:
+        _usage_error("--n must be at least 1")
+    method = _build_method(args, _build_adapter(args))
     index = load_index(args.index)
     queries = load_queries(args.query_file)
-    adapter = _build_adapter(args)
-    method = _build_method(args, adapter)
     ranked_lists = []
     for query in queries:
         cfg_src = AnalyzerConfig(lang=query.lang)
@@ -342,22 +357,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_search2(args) -> int:
+    cfg = _pipeline_config(args, args.n, args.doc_channel)
     index = load_index(args.index)
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.query_file)
-    adapter = _build_adapter(args)
-    method = _build_method(args, adapter)
-    if args.doc_channel == CHANNEL_MT and adapter is None and method.adapter is None:
-        _usage_error("--doc-channel mt requires --adapter-cmd or --mock-table")
-    cfg = PipelineConfig(
-        n_intermediate=args.n,
-        translation_method=method,
-        doc_channel=args.doc_channel,
-        combine=CombineParams(alpha=args.alpha, beta=args.beta, epsilon=args.epsilon),
-        output_depth=args.depth,
-        tail_policy=args.tail,
-        doc_adapter=adapter,
-    )
     ranked_lists = []
     for query in queries:
         cfg_src = AnalyzerConfig(lang=query.lang)
@@ -365,19 +368,18 @@ def cmd_search2(args) -> int:
         print(f"timing {query.query_id} translation_s={timing.translation_s:.3f} "
               f"rerank_s={timing.rerank_s:.3f} total_s={timing.total_s:.3f}", file=sys.stderr)
         ranked_lists.append(ranked)
-    tag = _default_tag(args, "+" + args.doc_channel)
-    run = run_from_ranked(ranked_lists, tag)
-    text = format_run(run)
+    text = format_run(run_from_ranked(ranked_lists, _default_tag(args, "+" + args.doc_channel)))
     if args.verbose:
-        # same run lines, but each re-ranked document is preceded by a
-        # comment carrying its component scores
+        # the same run lines, each re-ranked document preceded by a comment
+        # carrying its component scores
+        run_lines = iter(text.splitlines(keepends=True))
         lines = []
         for ranked in ranked_lists:
-            for rank, entry in enumerate(ranked.entries, 1):
+            for entry in ranked.entries:
                 if hasattr(entry, "esim"):
                     lines.append(f"# {ranked.query_id} {entry.doc_id} esim={entry.esim!r} "
                                  f"jsim={entry.jsim!r} sim={entry.sim!r}\n")
-                lines.append(f"{ranked.query_id} Q0 {entry.doc_id} {rank} {entry.score!r} {tag}\n")
+                lines.append(next(run_lines))
         text = "".join(lines)
     _emit(text, args.out)
     return 0
@@ -412,35 +414,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    index = load_index(args.index)
-    corpus = load_corpus(args.corpus)
-    queries = load_queries(args.query_file)
-    qrels = load_qrels(args.qrels)
     try:
         ns = [int(x) for x in args.ns.split(",") if x.strip()]
     except ValueError:
         _usage_error(f"--ns must be a comma-separated list of integers, got {args.ns!r}")
     if not ns or ns != sorted(set(ns)) or ns[0] < 1:
         _usage_error("--ns values must be positive, ascending and distinct")
-    adapter = _build_adapter(args)
-    method = _build_method(args, adapter)
     two_stage = args.stage == 2
-    doc_channel = args.doc_channel
-    if two_stage and doc_channel == CHANNEL_MT and adapter is None and method.adapter is None:
-        _usage_error("--doc-channel mt requires --adapter-cmd or --mock-table")
-    if not two_stage:
-        # stage 1 never translates documents; lift the channel's adapter requirement
-        doc_channel = CHANNEL_HT
-    cfg = PipelineConfig(
-        n_intermediate=ns[0],
-        translation_method=method,
-        doc_channel=doc_channel,
-        combine=CombineParams(alpha=args.alpha, beta=args.beta, epsilon=args.epsilon),
-        output_depth=args.depth,
-        tail_policy=args.tail,
-        doc_adapter=adapter,
-    )
-    name = _default_tag(args, "" if not two_stage else "+" + args.doc_channel)
+    # checked at the largest depth, so no per-depth config can fail later;
+    # stage 1 never translates documents, so its channel needs no adapter
+    cfg = _pipeline_config(args, ns[-1], args.doc_channel if two_stage else CHANNEL_HT)
+    index = load_index(args.index)
+    corpus = load_corpus(args.corpus)
+    queries = load_queries(args.query_file)
+    qrels = load_qrels(args.qrels)
+    name = _default_tag(args, "+" + args.doc_channel if two_stage else "")
     system = SweepSystem(name=name, cfg=cfg, two_stage=two_stage)
     points = sweep_n(
         queries, index, corpus, [system],

@@ -109,21 +109,6 @@ def build_index(corpus, cfg):
     )
 
 
-def cosine_similarity(v1, v2):
-    """Cosine of two weighted term vectors (dicts term -> weight); 0 if either is null."""
-    n1 = math.sqrt(sum(w * w for w in v1.values()))
-    n2 = math.sqrt(sum(w * w for w in v2.values()))
-    if n1 == 0.0 or n2 == 0.0:
-        return 0.0
-    if v1 == v2:
-        # self-similarity is exactly 1; the division can round just below it
-        return 1.0
-    if len(v2) < len(v1):
-        v1, v2 = v2, v1
-    dot = sum(w * v2[t] for t, w in v1.items() if t in v2)
-    return min(dot / (n1 * n2), 1.0)
-
-
 def weighted_query(index, query_terms):
     """Weight a query TermVector against the index statistics.
 

@@ -10,10 +10,13 @@ zeros.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from clir.corpus import TermVector, analyze, indexable_text
 from clir.index import RankedList
+
+_MAX_SCORE = sys.float_info.max
 
 
 @dataclass
@@ -25,6 +28,8 @@ class CombineParams:
     epsilon: float = 0.0001
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.epsilon))):
+            raise ValueError("alpha, beta and epsilon must be finite")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if self.alpha < 0.0 or self.beta < 0.0:
@@ -107,12 +112,17 @@ def combine_scores(esim, jsim, p):
     """Weighted geometric-mean combination of the two stage scores.
 
     A zero on either side would erase the other, so zeros are replaced by the
-    small positive floor ``p.epsilon`` first. The result is therefore always
-    strictly positive.
+    small positive floor ``p.epsilon`` first. The result is therefore
+    positive unless it underflows, and it is always finite: a product beyond
+    the float range saturates at the largest float.
     """
     e = esim if esim > 0.0 else p.epsilon
     j = jsim if jsim > 0.0 else p.epsilon
-    return e**p.alpha * j**p.beta
+    try:
+        score = e**p.alpha * j**p.beta
+    except OverflowError:
+        return _MAX_SCORE
+    return score if score < _MAX_SCORE else _MAX_SCORE
 
 
 def document_vector(doc, cfg):

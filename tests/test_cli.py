@@ -3,11 +3,14 @@ files, and output stability."""
 
 import json
 import logging
+import math
 import shlex
 import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clir.cli import main
 from clir.evaluation import read_run
@@ -163,6 +166,7 @@ def test_bad_depth_lists_rejected(ws):
     assert main(base + ["--ns", "5,2"]) == 1
     assert main(base + ["--ns", "abc"]) == 1
     assert main(base + ["--ns", "0,3"]) == 1
+    assert main(base + ["--tail", "keep", "--depth", "2", "--ns", "1,3"]) == 1
 
 
 # ------------------------------------------------------------------- verbs
@@ -380,13 +384,13 @@ def test_sweep_first_stage_only(ws, capsys):
 def test_config_file_fills_unset_flags(ws, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        f"n = 1\nmethod = mts\nmock-table = {ws.table}\n", encoding="utf-8"
+        f"n = 1\nmethod = mts\nmock-table = {ws.table}\ntag = mine\n", encoding="utf-8"
     )
     out = tmp_path / "run.txt"
     assert main(["search", "--index", str(ws.index), "--query-file", str(ws.queries),
                  "--config", str(cfg), "--out", str(out)]) == 0
     run = read_run(out)
-    assert run.tag == "mts"
+    assert run.tag == "mine"
     assert all(len(entries) == 1 for entries in run.rankings.values())
 
 
@@ -419,6 +423,32 @@ def test_flag_value_ranges_checked(ws):
     assert main(base + ["--n", "0"]) == 1
     assert main(base + ["--alpha", "-1"]) == 1
     assert main(base + ["--epsilon", "0"]) == 1
+    assert main(base + ["--epsilon", "nan"]) == 1
+    assert main(base + ["--tail", "keep", "--n", "10", "--depth", "5"]) == 1
+    assert main(base + ["--depth", "0"]) == 1
+
+
+_FLAG_FLOATS = st.floats() | st.sampled_from([0.0, -1.0, math.nan, math.inf])
+
+
+@settings(max_examples=50, deadline=None)
+@example(n=3, depth=5, tail="keep", alpha=1.0, beta=2.0, epsilon=1e300)  # overflows
+@given(n=st.integers(-2, 6), depth=st.integers(-2, 6), tail=st.sampled_from(["drop", "keep"]),
+       alpha=_FLAG_FLOATS, beta=_FLAG_FLOATS, epsilon=_FLAG_FLOATS)
+def test_search2_flag_values_are_usage_errors_or_finite_runs(ws, n, depth, tail,
+                                                              alpha, beta, epsilon):
+    out = ws.root / "prop.txt"
+    out.unlink(missing_ok=True)
+    status = main(["search2", "--index", str(ws.index), "--corpus", str(ws.corpus),
+                   "--query-file", str(ws.queries), "--method", "mts",
+                   "--mock-table", str(ws.table), "--n", str(n), "--depth", str(depth),
+                   "--tail", tail, f"--alpha={alpha!r}", f"--beta={beta!r}",
+                   f"--epsilon={epsilon!r}", "--out", str(out)])
+    assert status in (0, 1)
+    if status == 0:
+        run = read_run(out)
+        assert all(math.isfinite(e.score) for entries in run.rankings.values()
+                   for e in entries)
 
 
 def test_inputs_are_not_modified(ws, tmp_path):

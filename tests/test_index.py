@@ -16,7 +16,6 @@ from clir.corpus import AnalyzerConfig, Corpus, Document, TermVector, analyze
 from clir.errors import ConfigError, IntegrityError
 from clir.index import (
     build_index,
-    cosine_similarity,
     load_index,
     save_index,
     search,
@@ -81,25 +80,6 @@ def test_empty_document_counts_toward_num_docs_only():
     assert index.num_docs == 2
     assert "d2" not in index.max_tf
     assert "d2" not in index.doc_norms
-
-
-def test_cosine_identical_vectors():
-    v = {"a": 0.3, "b": 1.7}
-    assert cosine_similarity(v, v) == 1.0
-
-
-def test_cosine_disjoint_vectors():
-    assert cosine_similarity({"a": 1.0}, {"b": 2.0}) == 0.0
-
-
-def test_cosine_hand_value():
-    assert cosine_similarity({"a": 1.0}, {"a": 1.0, "b": 1.0}) == pytest.approx(
-        0.7071067811865475, abs=1e-12
-    )
-
-
-def test_cosine_null_vector():
-    assert cosine_similarity({}, {"a": 1.0}) == 0.0
 
 
 def test_search_single_match_ranks_first():

@@ -3,6 +3,7 @@ similarity, geometric-mean combination, and the full re-ranking pass."""
 
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -125,6 +126,13 @@ def test_combine_result_always_positive():
         assert combine_scores(rng.uniform(0, 2), rng.uniform(0, 9), p) > 0.0
 
 
+def test_combine_saturates_instead_of_overflowing():
+    big = sys.float_info.max
+    assert combine_scores(0.5, 30.0, CombineParams(beta=1000.0)) == big  # power overflows
+    assert combine_scores(0.0, 0.0, CombineParams(beta=2.0, epsilon=1e300)) == big
+    assert combine_scores(1e200, 1e200, CombineParams()) == big  # product overflows
+
+
 def test_combine_monotone_in_each_argument():
     rng = random.Random(9)
     p = CombineParams(alpha=1.5, beta=0.5)
@@ -146,6 +154,10 @@ def test_combine_params_validation():
         CombineParams(alpha=-0.1)
     with pytest.raises(ValueError):
         CombineParams(beta=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("alpha", "beta", "epsilon"):
+            with pytest.raises(ValueError):
+                CombineParams(**{name: bad})
     assert CombineParams().epsilon == 0.0001
 
 
