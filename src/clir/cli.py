@@ -20,6 +20,7 @@ from clir.corpus import (
 from clir.errors import ClirError, ConfigError
 from clir.evaluation import (
     SweepSystem,
+    check_depths,
     evaluate_run,
     format_comparison,
     format_report,
@@ -418,8 +419,8 @@ def cmd_sweep(args) -> int:
         ns = [int(x) for x in args.ns.split(",") if x.strip()]
     except ValueError:
         _usage_error(f"--ns must be a comma-separated list of integers, got {args.ns!r}")
-    if not ns or ns != sorted(set(ns)) or ns[0] < 1:
-        _usage_error("--ns values must be positive, ascending and distinct")
+    with _usage_errors():
+        check_depths(ns)
     two_stage = args.stage == 2
     # checked at the largest depth, so no per-depth config can fail later;
     # stage 1 never translates documents, so its channel needs no adapter

@@ -379,16 +379,25 @@ class SweepPoint:
     total_s: float
 
 
+def check_depths(n_values):
+    """The depths as a list; ValueError unless they are positive, ascending
+    and distinct, and there is at least one."""
+    n_values = list(n_values)
+    if not n_values or n_values != sorted(set(n_values)) or n_values[0] < 1:
+        raise ValueError("depths must be positive, ascending and distinct")
+    return n_values
+
+
 def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
             n_values, strict: bool = True) -> list[SweepPoint]:
     """Evaluate every system at every depth in ``n_values``.
 
-    ``cfg_src_for`` maps a query to its source-side analyzer settings.
-    Returns one point per (system, depth) with mean average precision and
-    per-phase time summed over the queries.
+    ``cfg_src_for`` maps a query to its source-side analyzer settings, and
+    ``n_values`` must pass ``check_depths``. Returns one point per (system,
+    depth) with mean average precision and per-phase time summed over the
+    queries.
     """
-    if list(n_values) != sorted(set(n_values)) or any(n < 1 for n in n_values):
-        raise ValueError("depths must be positive, ascending and distinct")
+    n_values = check_depths(n_values)
     points = []
     for system in systems:
         for n in n_values:

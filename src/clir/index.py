@@ -3,22 +3,24 @@
 Weighting is augmented term frequency times log inverse document frequency with
 cosine normalization, applied to queries and documents alike. Natural log
 throughout, so saved scores are bit-reproducible.
+
+A saved index (format ``clir-index-v2``) holds only the analyzer settings and
+each document's term counts in token order. Document frequencies, document
+norms and the weighted postings are derived from those counts by one function,
+on build and on load alike, so a loaded index equals the built one.
 """
 
 import json
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from clir.corpus import AnalyzerConfig, analyze, indexable_text
 from clir.errors import ConfigError, IntegrityError
 
-INDEX_FORMAT = "clir-index-v1"
-
-
-@dataclass
-class Posting:
-    doc_id: str
-    tf: int
+INDEX_FORMAT = "clir-index-v2"
 
 
 @dataclass
@@ -37,13 +39,21 @@ class RankedList:
 
 @dataclass
 class InvertedIndex:
-    postings: dict  # term -> [Posting], sorted by doc_id
-    df: dict  # term -> number of documents containing it
-    num_docs: int
-    max_tf: dict  # doc_id -> max term frequency in that document
-    doc_norms: dict  # doc_id -> Euclidean norm of its weighted vector
-    lang: str
+    """Term counts of the indexed documents and the tables derived from them."""
+
     analyzer: AnalyzerConfig
+    documents: dict  # doc_id -> {term: tf} in token order; empty documents included
+    df: dict  # term -> number of documents containing it
+    doc_norms: dict  # doc_id -> Euclidean norm of its weighted vector (non-empty documents)
+    postings: dict  # term -> (doc_ids ascending, array('d') of their weight_atc weights)
+
+    @property
+    def lang(self):
+        return self.analyzer.lang
+
+    @property
+    def num_docs(self):
+        return len(self.documents)
 
 
 def weight_atc(tf, max_tf, df, num_docs):
@@ -53,6 +63,39 @@ def weight_atc(tf, max_tf, df, num_docs):
     normalization is applied at vector level, not here.
     """
     return (0.5 + 0.5 * tf / max_tf) * math.log(num_docs / df)
+
+
+def _derive(documents, analyzer):
+    """The index over ``documents`` (doc_id -> {term: tf}, tf >= 1).
+
+    Each norm is summed in the document's own term order, so it does not
+    depend on how the index was obtained. Documents are visited in ascending
+    doc_id order, which leaves every posting list sorted by doc_id.
+    """
+    num_docs = len(documents)
+    df = dict(Counter(chain.from_iterable(documents.values())))
+    postings = {term: ([], array("d")) for term in df}
+    doc_norms = {}
+    for doc_id in sorted(documents):
+        counts = documents[doc_id]
+        if not counts:
+            continue
+        max_tf = max(counts.values())
+        sq = 0.0
+        for term, tf in counts.items():
+            w = weight_atc(tf, max_tf, df[term], num_docs)
+            doc_ids, weights = postings[term]
+            doc_ids.append(doc_id)
+            weights.append(w)
+            sq += w * w
+        doc_norms[doc_id] = math.sqrt(sq)
+    return InvertedIndex(
+        analyzer=analyzer,
+        documents=documents,
+        df=df,
+        doc_norms=doc_norms,
+        postings=postings,
+    )
 
 
 def build_index(corpus, cfg):
@@ -68,45 +111,7 @@ def build_index(corpus, cfg):
             raise ConfigError(
                 f"document {doc.doc_id!r} is {doc.lang!r} but the index language is {cfg.lang!r}"
             )
-
-    vectors = {doc.doc_id: analyze(indexable_text(doc), cfg) for doc in corpus}
-    num_docs = len(vectors)
-
-    by_term = {}
-    max_tf = {}
-    for doc_id, vec in vectors.items():
-        if not vec.counts:
-            continue
-        max_tf[doc_id] = vec.max_tf
-        for term, tf in vec.counts.items():
-            by_term.setdefault(term, []).append(Posting(doc_id, tf))
-
-    postings = {}
-    df = {}
-    for term, plist in by_term.items():
-        plist.sort(key=lambda p: p.doc_id)
-        postings[term] = plist
-        df[term] = len(plist)
-
-    doc_norms = {}
-    for doc_id, vec in vectors.items():
-        if not vec.counts:
-            continue
-        sq = 0.0
-        for term, tf in vec.counts.items():
-            w = weight_atc(tf, vec.max_tf, df[term], num_docs)
-            sq += w * w
-        doc_norms[doc_id] = math.sqrt(sq)
-
-    return InvertedIndex(
-        postings=postings,
-        df=df,
-        num_docs=num_docs,
-        max_tf=max_tf,
-        doc_norms=doc_norms,
-        lang=cfg.lang,
-        analyzer=cfg,
-    )
+    return _derive({doc.doc_id: analyze(indexable_text(doc), cfg).counts for doc in corpus}, cfg)
 
 
 def weighted_query(index, query_terms):
@@ -141,10 +146,9 @@ def search(index, query_terms, top_n, query_id=""):
 
     dots = {}
     for term, w in qw.items():
-        idf = math.log(index.num_docs / index.df[term])
-        for posting in index.postings[term]:
-            dw = (0.5 + 0.5 * posting.tf / index.max_tf[posting.doc_id]) * idf
-            dots[posting.doc_id] = dots.get(posting.doc_id, 0.0) + w * dw
+        doc_ids, weights = index.postings[term]
+        for doc_id, dw in zip(doc_ids, weights):
+            dots[doc_id] = dots.get(doc_id, 0.0) + w * dw
 
     scored = []
     for doc_id, dot in dots.items():
@@ -158,40 +162,7 @@ def search(index, query_terms, top_n, query_id=""):
     return RankedList(query_id=query_id, entries=scored[:top_n])
 
 
-def save_index(index, path):
-    """Persist an index as JSON. Loading it back reproduces searches exactly."""
-    if index.analyzer.stemmer is not None:
-        raise ConfigError("an index built with a custom stemmer cannot be persisted")
-    payload = {
-        "format": INDEX_FORMAT,
-        "lang": index.lang,
-        "num_docs": index.num_docs,
-        "analyzer": {
-            "lang": index.analyzer.lang,
-            "lowercase": index.analyzer.lowercase,
-            "stopword_list": sorted(index.analyzer.stopword_list),
-            "tokenizer_kind": index.analyzer.tokenizer_kind,
-            "min_token_len": index.analyzer.min_token_len,
-        },
-        "postings": {t: [[p.doc_id, p.tf] for p in plist] for t, plist in index.postings.items()},
-        "df": index.df,
-        "max_tf": index.max_tf,
-        "doc_norms": index.doc_norms,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
-
-
-# top-level and analyzer keys of a saved index, with the JSON types they hold
-_PAYLOAD_TYPES = {
-    "lang": str,
-    "num_docs": int,
-    "analyzer": dict,
-    "postings": dict,
-    "df": dict,
-    "max_tf": dict,
-    "doc_norms": dict,
-}
+# keys of a saved index's analyzer settings, with the JSON types they hold
 _ANALYZER_TYPES = {
     "lang": str,
     "lowercase": bool,
@@ -201,6 +172,21 @@ _ANALYZER_TYPES = {
 }
 
 
+def save_index(index, path):
+    """Persist an index as JSON. Loading it back reproduces searches exactly.
+
+    Keys are written in insertion order, never sorted: each document's term
+    counts keep their token order, which fixes the summation order of its norm.
+    """
+    if index.analyzer.stemmer is not None:
+        raise ConfigError("an index built with a custom stemmer cannot be persisted")
+    analyzer = {key: getattr(index.analyzer, key) for key in _ANALYZER_TYPES}
+    analyzer["stopword_list"] = sorted(analyzer["stopword_list"])
+    payload = {"format": INDEX_FORMAT, "analyzer": analyzer, "documents": index.documents}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, ensure_ascii=False))
+
+
 def _check_types(record, types, path, prefix=""):
     for key, kind in types.items():
         if not isinstance(record.get(key), kind):
@@ -208,11 +194,13 @@ def _check_types(record, types, path, prefix=""):
 
 
 def load_index(path):
-    """Read an index written by ``save_index``.
+    """Read an index written by ``save_index`` and derive its tables.
 
-    The structure is checked before use: a file that is not such an index,
-    misses a key, holds a value of the wrong type, or lacks the ``max_tf`` or
-    ``doc_norms`` entry of a posted document raises IntegrityError naming it.
+    The structure is checked before use: a file that is not a
+    ``clir-index-v2`` file (an older format among them; rebuild it with
+    ``clir index``), misses a key, holds a value of the wrong type, lists no
+    document, or holds a term count that is not a positive integer raises
+    IntegrityError naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -220,51 +208,23 @@ def load_index(path):
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IntegrityError(f"{path}: not a {INDEX_FORMAT} file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
-        raise IntegrityError(f"{path}: not a {INDEX_FORMAT} file")
-    _check_types(payload, _PAYLOAD_TYPES, path)
-    if payload["num_docs"] < 1:
-        raise IntegrityError(f"{path}: 'num_docs' must be positive")
+        raise IntegrityError(f"{path}: not a {INDEX_FORMAT} file; rebuild it with `clir index`")
+    _check_types(payload, {"analyzer": dict, "documents": dict}, path)
     analyzer = payload["analyzer"]
     _check_types(analyzer, _ANALYZER_TYPES, path, prefix="analyzer ")
     try:
-        cfg = AnalyzerConfig(
-            lang=analyzer["lang"],
-            lowercase=analyzer["lowercase"],
-            stopword_list=frozenset(analyzer["stopword_list"]),
-            tokenizer_kind=analyzer["tokenizer_kind"],
-            min_token_len=analyzer["min_token_len"],
-        )
+        cfg = AnalyzerConfig(**{key: analyzer[key] for key in _ANALYZER_TYPES})
     except (ConfigError, TypeError) as exc:
         raise IntegrityError(f"{path}: bad analyzer settings: {exc}") from None
-    df = payload["df"]
-    max_tf = payload["max_tf"]
-    doc_norms = payload["doc_norms"]
-    postings = {}
-    posted = set()
-    for term, plist in payload["postings"].items():
-        try:
-            entries = postings[term] = [Posting(doc_id, tf) for doc_id, tf in plist]
-            posted.update(p.doc_id for p in entries)
-        except (TypeError, ValueError):
-            raise IntegrityError(f"{path}: malformed postings of {term!r}") from None
-        if not all(type(p.tf) is int for p in entries):
-            raise IntegrityError(f"{path}: non-integer term frequency in postings of {term!r}")
-        if df.get(term) != len(entries):
-            raise IntegrityError(f"{path}: document frequency of {term!r} disagrees with postings")
-    if len(df) != len(postings):
-        raise IntegrityError(f"{path}: document frequencies listed for terms without postings")
-    for name, table, kinds in (("max_tf", max_tf, (int,)), ("doc_norms", doc_norms, (int, float))):
-        missing = posted.difference(table)
-        if missing:
-            raise IntegrityError(f"{path}: {name} lacks posted document {min(map(str, missing))!r}")
-        if not all(type(v) in kinds for v in table.values()):
-            raise IntegrityError(f"{path}: {name} holds a non-numeric value")
-    return InvertedIndex(
-        postings=postings,
-        df=df,
-        num_docs=payload["num_docs"],
-        max_tf=max_tf,
-        doc_norms=doc_norms,
-        lang=payload["lang"],
-        analyzer=cfg,
-    )
+    documents = payload["documents"]
+    if not documents:
+        raise IntegrityError(f"{path}: 'documents' lists no document")
+    for doc_id, counts in documents.items():
+        if not isinstance(counts, dict) or not all(
+            type(tf) is int and tf > 0 for tf in counts.values()
+        ):
+            raise IntegrityError(
+                f"{path}: term counts of document {doc_id!r} are not a JSON object "
+                "of positive integers"
+            )
+    return _derive(documents, cfg)

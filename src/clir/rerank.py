@@ -108,21 +108,30 @@ def score_inner_product(query_terms, doc_terms, stats, use_idf=True):
     return total
 
 
+def _floored(score, p):
+    return score if score > 0.0 else p.epsilon
+
+
 def combine_scores(esim, jsim, p):
     """Weighted geometric-mean combination of the two stage scores.
 
     A zero on either side would erase the other, so zeros are replaced by the
-    small positive floor ``p.epsilon`` first. The result is therefore
-    positive unless it underflows, and it is always finite: a product beyond
-    the float range saturates at the largest float.
+    small positive floor ``p.epsilon`` first. The result is always finite: a
+    product beyond the float range saturates at the largest float. With large
+    exponents it can underflow to 0.0 or saturate for several documents at
+    once; ``rerank`` orders such ties by the combination's logarithm.
     """
-    e = esim if esim > 0.0 else p.epsilon
-    j = jsim if jsim > 0.0 else p.epsilon
     try:
-        score = e**p.alpha * j**p.beta
+        score = _floored(esim, p) ** p.alpha * _floored(jsim, p) ** p.beta
     except OverflowError:
         return _MAX_SCORE
     return score if score < _MAX_SCORE else _MAX_SCORE
+
+
+def _log_combined(entry, p):
+    """alpha ln e + beta ln j with the floors of ``combine_scores``: the same
+    order as the combination, without its underflow and saturation."""
+    return p.alpha * math.log(_floored(entry.esim, p)) + p.beta * math.log(_floored(entry.jsim, p))
 
 
 def document_vector(doc, cfg):
@@ -136,7 +145,8 @@ def rerank(first_stage, translated_docs, source_query, cfg, p, use_idf=True):
     ``translated_docs`` maps doc_id to the query-language rendition: the
     translated Document, or its ``document_vector`` under ``cfg``. Documents
     missing from it (failed translations) score zero in the second stage but
-    stay in the list. Ties break by ascending doc_id.
+    stay in the list. Exact ties of the combined score break by its
+    logarithm (see ``combine_scores``), then by ascending doc_id.
     """
     entries = first_stage.entries
     if not entries:
@@ -166,5 +176,5 @@ def rerank(first_stage, translated_docs, source_query, cfg, p, use_idf=True):
                 sim=combine_scores(entry.score, jsim, p),
             )
         )
-    reranked.sort(key=lambda r: (-r.sim, r.doc_id))
+    reranked.sort(key=lambda r: (-r.sim, -_log_combined(r, p), r.doc_id))
     return RankedList(query_id=first_stage.query_id, entries=reranked)

@@ -130,10 +130,17 @@ def test_missing_data_file_exits_two(ws, capsys):
 
 def test_corrupt_index_exits_two(ws, tmp_path, capsys):
     bad = tmp_path / "bad.idx"
-    bad.write_text("{}", encoding="utf-8")
-    assert main(["search", "--index", str(bad),
-                 "--query-file", str(ws.queries)]) == 2
-    assert "clir:" in capsys.readouterr().err
+    v1 = {"format": "clir-index-v1", "lang": "ja", "num_docs": 1,
+          "analyzer": {"lang": "ja", "lowercase": True, "min_token_len": 1,
+                       "stopword_list": [], "tokenizer_kind": "whitespace-word"},
+          "postings": {"deta": [["j1", 1]]}, "df": {"deta": 1},
+          "max_tf": {"j1": 1}, "doc_norms": {"j1": 0.0}}
+    for text in ("{}", json.dumps(v1)):
+        bad.write_text(text, encoding="utf-8")
+        assert main(["search", "--index", str(bad),
+                     "--query-file", str(ws.queries)]) == 2
+        err = capsys.readouterr().err
+        assert "clir:" in err and str(bad) in err and "rebuild it with `clir index`" in err
 
 
 def test_index_missing_analyzer_exits_two(ws, tmp_path, capsys):

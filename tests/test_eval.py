@@ -446,10 +446,11 @@ def test_sweep_first_stage_system_spends_no_translation_time():
 def test_sweep_grid_is_system_major():
     corpus, index, queries, qrels, cfg = _sweep_setup()
     systems = [SweepSystem("a", cfg), SweepSystem("b", cfg, two_stage=False)]
-    points = sweep_n(queries, index, corpus, systems, lambda q: EN, JA, qrels, [1, 2, 3])
-    assert [(p.system, p.n) for p in points] == [
-        ("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2), ("b", 3)
-    ]
+    for depths in ([1, 2, 3], iter([1, 2, 3])):  # any iterable of depths
+        points = sweep_n(queries, index, corpus, systems, lambda q: EN, JA, qrels, depths)
+        assert [(p.system, p.n) for p in points] == [
+            ("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2), ("b", 3)
+        ]
 
 
 def test_sweep_rejects_bad_depths():

@@ -11,8 +11,18 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clir.corpus import AnalyzerConfig, Corpus, Document, TermVector, analyze
+from clir.corpus import (
+    CHARACTER_BIGRAM,
+    WHITESPACE_WORD,
+    AnalyzerConfig,
+    Corpus,
+    Document,
+    TermVector,
+    analyze,
+)
 from clir.errors import ConfigError, IntegrityError
 from clir.index import (
     build_index,
@@ -54,14 +64,16 @@ def test_build_index_counts():
         _corpus_from_texts({"d1": "a a b", "d2": "b c", "d3": "c"}), CFG
     )
     assert index.num_docs == 3
-    assert [(p.doc_id, p.tf) for p in index.postings["a"]] == [("d1", 2)]
+    assert index.documents == {"d1": {"a": 2, "b": 1}, "d2": {"b": 1, "c": 1}, "d3": {"c": 1}}
+    doc_ids, weights = index.postings["a"]
+    assert doc_ids == ["d1"]
+    assert list(weights) == [weight_atc(2, 2, 1, 3)]
     assert index.df == {"a": 1, "b": 2, "c": 2}
-    for term, plist in index.postings.items():
-        assert index.df[term] == len(plist)
-        assert [p.doc_id for p in plist] == sorted(p.doc_id for p in plist)
-        for p in plist:
-            assert p.doc_id in index.max_tf
-            assert p.doc_id in index.doc_norms
+    for term, (doc_ids, weights) in index.postings.items():
+        assert index.df[term] == len(doc_ids) == len(weights)
+        assert doc_ids == sorted(doc_ids)
+        for doc_id in doc_ids:
+            assert doc_id in index.doc_norms
 
 
 def test_build_index_rejects_empty_collection():
@@ -78,8 +90,9 @@ def test_build_index_rejects_language_mismatch():
 def test_empty_document_counts_toward_num_docs_only():
     index = build_index(_corpus_from_texts({"d1": "a", "d2": ""}), CFG)
     assert index.num_docs == 2
-    assert "d2" not in index.max_tf
+    assert index.documents["d2"] == {}
     assert "d2" not in index.doc_norms
+    assert all("d2" not in doc_ids for doc_ids, _ in index.postings.values())
 
 
 def test_search_single_match_ranks_first():
@@ -223,26 +236,42 @@ def test_save_index_rejects_stemmer():
         save_index(index, "/dev/null")
 
 
+# an index file of the first format: postings and the tables derived from them
+_V1_PAYLOAD = {
+    "format": "clir-index-v1",
+    "lang": "en",
+    "num_docs": 2,
+    "analyzer": {"lang": "en", "lowercase": True, "min_token_len": 1,
+                 "stopword_list": [], "tokenizer_kind": "whitespace-word"},
+    "postings": {"a": [["d1", 1]], "b": [["d2", 1]]},
+    "df": {"a": 1, "b": 1},
+    "max_tf": {"d1": 1, "d2": 1},
+    "doc_norms": {"d1": 0.6931471805599453, "d2": 0.6931471805599453},
+}
+
+
 def test_load_index_rejects_wrong_format(tmp_path):
     path = tmp_path / "idx.json"
-    path.write_text(json.dumps({"format": "something-else"}), encoding="utf-8")
-    with pytest.raises(IntegrityError):
-        load_index(path)
+    for payload in ({"format": "something-else"}, _V1_PAYLOAD, []):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(IntegrityError, match="rebuild it with `clir index`") as exc_info:
+            load_index(path)
+        assert str(path) in str(exc_info.value)
 
 
 def test_load_index_rejects_inconsistent_df(tmp_path):
+    # document frequencies are not stored: they follow the term counts, and a
+    # count no frequency can follow from is rejected
     index = build_index(_corpus_from_texts({"d1": "a", "d2": "a b"}), CFG)
     path = tmp_path / "idx.json"
     save_index(index, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    good_df = dict(payload["df"])
-    payload["df"]["a"] = 7
+    del payload["documents"]["d2"]["a"]
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(IntegrityError, match="'a'"):
-        load_index(path)
-    payload["df"] = {**good_df, "zz": 1}  # a term with no postings
+    assert load_index(path).df == {"a": 1, "b": 1}
+    payload["documents"]["d2"]["a"] = 0
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(IntegrityError, match="without postings"):
+    with pytest.raises(IntegrityError, match="'d2'"):
         load_index(path)
 
 
@@ -255,17 +284,67 @@ def _saved_payload(tmp_path):
 
 def test_load_index_rejects_missing_analyzer(tmp_path):
     path, payload = _saved_payload(tmp_path)
-    del payload["analyzer"]
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(IntegrityError, match="'analyzer'") as exc_info:
-        load_index(path)
-    assert str(path) in str(exc_info.value)
+    cases = [({k: v for k, v in payload.items() if k != key}, repr(key))
+             for key in ("analyzer", "documents")]
+    cases.append(({**payload, "documents": {}}, "'documents'"))
+    for broken, message in cases:
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        with pytest.raises(IntegrityError, match=message) as exc_info:
+            load_index(path)
+        assert str(path) in str(exc_info.value)
 
 
 def test_load_index_rejects_truncated_doc_norms(tmp_path):
+    # every norm is derived from its document's term counts, so damaged
+    # counts are rejected rather than yielding a wrong or missing norm
     path, payload = _saved_payload(tmp_path)
-    del payload["doc_norms"]["d2"]
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(IntegrityError, match="doc_norms.*'d2'") as exc_info:
-        load_index(path)
-    assert str(path) in str(exc_info.value)
+    assert set(load_index(path).doc_norms) == {"d1", "d2", "d3"}
+    for counts in (None, ["a", "b"], "a b", {"a": 0}, {"a": -1}, {"a": 1.5},
+                   {"a": True}, {"a": 1, "b": "2"}):
+        payload["documents"]["d2"] = counts
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(IntegrityError, match="'d2'") as exc_info:
+            load_index(path)
+        assert str(path) in str(exc_info.value)
+
+
+_WORDS = st.text(alphabet="abcde", min_size=1, max_size=3)
+_WORD_TEXT = st.lists(_WORDS, max_size=8).map(" ".join)
+_BIGRAM_TEXT = st.text(alphabet="あいうえお ", max_size=10)
+
+
+@st.composite
+def _corpora(draw):
+    """A small corpus (empty documents allowed, doc_ids in no particular
+    order), its analyzer, and a few queries in the same alphabet."""
+    kind = draw(st.sampled_from([WHITESPACE_WORD, CHARACTER_BIGRAM]))
+    texts = _WORD_TEXT if kind == WHITESPACE_WORD else _BIGRAM_TEXT
+    docs = draw(st.dictionaries(st.text(alphabet="dxz019", min_size=1, max_size=3), texts,
+                                min_size=1, max_size=12))
+    queries = draw(st.lists(texts, min_size=1, max_size=3))
+    return AnalyzerConfig(lang="xx", tokenizer_kind=kind), docs, queries
+
+
+def _postings_bytes(index):
+    return {t: (doc_ids, weights.tobytes()) for t, (doc_ids, weights) in index.postings.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_corpora())
+def test_save_and_load_give_identical_searches(tmp_path_factory, case):
+    cfg, docs, queries = case
+    built = build_index(_corpus_from_texts(docs, lang="xx"), cfg)
+    first = tmp_path_factory.mktemp("idx") / "first.json"
+    save_index(built, first)
+    loaded = load_index(first)
+
+    assert _postings_bytes(loaded) == _postings_bytes(built)
+    assert loaded.df == built.df
+    assert loaded.doc_norms == built.doc_norms
+    for text in queries:
+        terms = analyze(text, cfg)
+        for depth in (1, 3, 100):
+            assert search(loaded, terms, depth) == search(built, terms, depth)
+    again = first.with_name("again.json")
+    save_index(loaded, again)
+    assert again.read_bytes() == first.read_bytes()

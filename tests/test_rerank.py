@@ -287,6 +287,17 @@ def test_rerank_ties_break_by_doc_id():
     assert [e.doc_id for e in got.entries] == ["da", "dm", "dz"]
 
 
+def test_rerank_orders_underflowed_scores_by_their_logarithm():
+    # with beta = 1000 every combined score underflows to 0.0; the documents
+    # still rank by esim * jsim**1000: db (0.9, 0.28) above da (0.8, 0.16),
+    # and dc, with no second-stage match, last
+    entries = [("da", 0.8), ("db", 0.9), ("dc", 0.5)]
+    texts = {"da": "t", "db": "t t", "dc": "u"}
+    got = _run_engine(entries, texts, "t", CombineParams(beta=1000.0))
+    assert [e.sim for e in got.entries] == [0.0, 0.0, 0.0]
+    assert [e.doc_id for e in got.entries] == ["db", "da", "dc"]
+
+
 def test_rerank_empty_input():
     first = RankedList(query_id="q7", entries=[])
     out = rerank(first, {}, Query(query_id="q7", lang="en", description="x"),
