@@ -134,8 +134,13 @@ def weighted_query(index, query_terms):
 def search(index, query_terms, top_n, query_id=""):
     """First-stage retrieval: top ``top_n`` documents by cosine similarity.
 
-    Zero-scoring documents are omitted, so the result may be shorter than
-    ``top_n``. Ties break by ascending doc_id for deterministic runs.
+    Scores accumulate term at a time into one dot product per document. Every
+    positive score becomes a plain ``(-score, doc_id)`` pair; the pairs are
+    sorted as they are, with no key function, and only the ``top_n`` kept
+    become ``ScoredDoc`` entries. A heap selection was slower than this sort
+    at depth 1000. Zero-scoring documents are omitted, so the result may be
+    shorter than ``top_n``. Ties break by ascending doc_id for deterministic
+    runs, so a shallower search is a prefix of a deeper one.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
@@ -150,16 +155,21 @@ def search(index, query_terms, top_n, query_id=""):
         for doc_id, dw in zip(doc_ids, weights):
             dots[doc_id] = dots.get(doc_id, 0.0) + w * dw
 
-    scored = []
+    doc_norms = index.doc_norms
+    ranked = []
+    append = ranked.append
     for doc_id, dot in dots.items():
-        denom = qnorm * index.doc_norms[doc_id]
+        denom = qnorm * doc_norms[doc_id]
         if denom == 0.0:
             continue
         score = min(dot / denom, 1.0)
         if score > 0.0:
-            scored.append(ScoredDoc(doc_id, score))
-    scored.sort(key=lambda s: (-s.score, s.doc_id))
-    return RankedList(query_id=query_id, entries=scored[:top_n])
+            append((-score, doc_id))
+    ranked.sort()
+    return RankedList(
+        query_id=query_id,
+        entries=[ScoredDoc(doc_id, -neg) for neg, doc_id in ranked[:top_n]],
+    )
 
 
 # keys of a saved index's analyzer settings, with the JSON types they hold

@@ -3,15 +3,20 @@
 The second stage works on a handful of documents, so scoring is direct pattern
 matching over term vectors, no index. Term weights are 1 + ln(tf) times
 ln(N/n_t) where N is the size of the retrieved set and n_t counts, within that
-set, the translated documents containing the term. Similarity is the plain
-inner product; length normalization is deliberately absent. The two stages'
-scores then combine as a weighted geometric mean with a small floor replacing
-zeros.
+set, the translated documents containing the term. Only a query term can
+contribute to the inner product, so n_t is counted for the query's terms
+alone, and each query term's weight is computed once per query, not once per
+document. Similarity is the plain inner product; length normalization is
+deliberately absent. The two stages' scores then combine as a weighted
+geometric mean with a small floor replacing zeros.
 """
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import attrgetter
 
 from clir.corpus import TermVector, analyze, indexable_text
 from clir.index import RankedList
@@ -44,15 +49,14 @@ class RerankStats:
     df: dict  # term -> documents among those containing it
 
     @classmethod
-    def from_vectors(cls, vectors, num_docs):
+    def from_vectors(cls, vectors, num_docs, terms):
+        """Count, for each of ``terms`` (a set or a dict's keys), the
+        ``vectors`` containing it; terms in none of them are left out."""
         vectors = list(vectors)
         if len(vectors) > num_docs:
             raise ValueError("more translated vectors than retrieved documents")
-        df = {}
-        for vec in vectors:
-            for term in vec.counts:
-                df[term] = df.get(term, 0) + 1
-        return cls(num_docs=num_docs, df=df)
+        df = Counter(chain.from_iterable(vec.counts.keys() & terms for vec in vectors))
+        return cls(num_docs=num_docs, df=dict(df))
 
 
 @dataclass
@@ -84,27 +88,42 @@ def rerank_idf(stats, term):
     return math.log(stats.num_docs / n)
 
 
-def score_inner_product(query_terms, doc_terms, stats, use_idf=True):
-    """Inner product of the weighted query and document vectors.
+def query_weights(query_terms, stats, use_idf=True):
+    """Each scorable query term's (weight, idf), in query order.
 
-    Only shared terms contribute. Terms with no support in the retrieved set
-    are skipped (they cannot match any counted document). ``use_idf=False``
-    drops the IDF factor to measure its effect.
+    The weight is ``rerank_tf(tf) * idf``. Terms with no support in the
+    retrieved set are left out: they cannot match any counted document.
+    ``use_idf=False`` sets every idf to 1 to measure its effect.
     """
-    q = query_terms.counts
-    d = doc_terms.counts
-    small, other = (q, d) if len(q) <= len(d) else (d, q)
-    total = 0.0
-    for term in small:
-        if term not in other:
-            continue
+    weights = {}
+    for term, tf in query_terms.counts.items():
         if use_idf:
             if stats.df.get(term, 0) < 1:
                 continue
             idf = rerank_idf(stats, term)
         else:
             idf = 1.0
-        total += (rerank_tf(q[term]) * idf) * (rerank_tf(d[term]) * idf)
+        weights[term] = (rerank_tf(tf) * idf, idf)
+    return weights
+
+
+def score_inner_product(query_terms, doc_terms, stats, use_idf=True, weights=None):
+    """Inner product of the weighted query and document vectors.
+
+    Only shared terms with a ``query_weights`` entry contribute, summed in
+    the order of the smaller of the two vectors. ``weights``, the
+    ``query_weights`` of ``query_terms`` under ``stats`` and ``use_idf``,
+    spares recomputing them for every document of one query.
+    """
+    if weights is None:
+        weights = query_weights(query_terms, stats, use_idf)
+    d = doc_terms.counts
+    total = 0.0
+    # ``weights`` keeps the query's term order, so iterating it sums in that order
+    for term in weights if len(query_terms.counts) <= len(d) else d:
+        if term in weights and term in d:
+            weight, idf = weights[term]
+            total += weight * (rerank_tf(d[term]) * idf)
     return total
 
 
@@ -134,6 +153,18 @@ def _log_combined(entry, p):
     return p.alpha * math.log(_floored(entry.esim, p)) + p.beta * math.log(_floored(entry.jsim, p))
 
 
+def _order_ties(ranked, p):
+    """Re-order each run of exactly equal combined scores by the logarithm,
+    then doc_id; the logarithm is computed for tied entries only."""
+    ordered = []
+    for _, run in groupby(ranked, key=attrgetter("sim")):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda r: (-_log_combined(r, p), r.doc_id))
+        ordered.extend(run)
+    return ordered
+
+
 def document_vector(doc, cfg):
     """Term vector of a query-language rendition, as the second stage scores it."""
     return analyze(indexable_text(doc), cfg)
@@ -159,15 +190,18 @@ def rerank(first_stage, translated_docs, source_query, cfg, p, use_idf=True):
             doc_vectors[entry.doc_id] = doc
         elif doc is not None:
             doc_vectors[entry.doc_id] = document_vector(doc, cfg)
-    stats = RerankStats.from_vectors(doc_vectors.values(), num_docs=len(entries))
     query_vec = analyze(source_query.description, cfg)
+    stats = RerankStats.from_vectors(
+        doc_vectors.values(), num_docs=len(entries), terms=query_vec.counts.keys()
+    )
+    weights = query_weights(query_vec, stats, use_idf)
 
     reranked = []
     for entry in entries:
         vec = doc_vectors.get(entry.doc_id)
         jsim = 0.0
         if vec is not None:
-            jsim = score_inner_product(query_vec, vec, stats, use_idf=use_idf)
+            jsim = score_inner_product(query_vec, vec, stats, use_idf, weights)
         reranked.append(
             RerankedEntry(
                 doc_id=entry.doc_id,
@@ -176,5 +210,7 @@ def rerank(first_stage, translated_docs, source_query, cfg, p, use_idf=True):
                 sim=combine_scores(entry.score, jsim, p),
             )
         )
-    reranked.sort(key=lambda r: (-r.sim, -_log_combined(r, p), r.doc_id))
+    reranked.sort(key=lambda r: (-r.sim, r.doc_id))
+    if len({r.sim for r in reranked}) < len(reranked):
+        reranked = _order_ties(reranked, p)
     return RankedList(query_id=first_stage.query_id, entries=reranked)

@@ -11,7 +11,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clir.corpus import (
@@ -30,6 +30,7 @@ from clir.index import (
     save_index,
     search,
     weight_atc,
+    weighted_query,
 )
 
 CFG = AnalyzerConfig(lang="en")
@@ -348,3 +349,46 @@ def test_save_and_load_give_identical_searches(tmp_path_factory, case):
     again = first.with_name("again.json")
     save_index(loaded, again)
     assert again.read_bytes() == first.read_bytes()
+
+
+def _exhaustive_ranking(index, terms):
+    """Every document with a positive cosine, each scored on its own in the
+    engine's summation order, sorted by (-score, doc_id)."""
+    qw = weighted_query(index, terms)
+    if not qw:
+        return []
+    qnorm = math.sqrt(sum(w * w for w in qw.values()))
+    ranked = []
+    for doc_id, counts in index.documents.items():
+        if not counts:
+            continue
+        max_tf = max(counts.values())
+        dot = 0.0
+        for term, w in qw.items():
+            if term in counts:
+                dot += w * weight_atc(counts[term], max_tf, index.df[term], index.num_docs)
+        denom = qnorm * index.doc_norms[doc_id]
+        score = min(dot / denom, 1.0) if denom else 0.0
+        if score > 0.0:
+            ranked.append((-score, doc_id))
+    return [(doc_id, -neg) for neg, doc_id in sorted(ranked)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_corpora(), depths=st.lists(st.integers(1, 15), min_size=2, max_size=2))
+# x and d tie; x is scored first, through the query's first term
+@example(case=(AnalyzerConfig(lang="xx"), {"x": "a", "d": "b"}, ["a b"]), depths=[1, 2])
+def test_search_is_a_prefix_of_the_exhaustive_ranking(case, depths):
+    # ties are frequent: the alphabet is small and documents may repeat
+    cfg, docs, queries = case
+    k, k2 = sorted(depths)
+    index = build_index(_corpus_from_texts(docs, lang="xx"), cfg)
+    for text in queries:
+        terms = analyze(text, cfg)
+        shallow = search(index, terms, k).entries
+        deep = search(index, terms, k2).entries
+        assert shallow == deep[:k]
+        pairs = [(e.doc_id, e.score) for e in deep]
+        assert pairs == _exhaustive_ranking(index, terms)[:k2]
+        assert len({doc_id for doc_id, _ in pairs}) == len(pairs)
+        assert all(a >= b for (_, a), (_, b) in zip(pairs, pairs[1:]))

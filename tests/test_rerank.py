@@ -7,14 +7,17 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from clir.corpus import AnalyzerConfig, Document, Query, TermVector
+from clir.corpus import AnalyzerConfig, Document, Query, TermVector, analyze
 from clir.index import RankedList, ScoredDoc
 from clir.rerank import (
     CombineParams,
     RerankedEntry,
     RerankStats,
     combine_scores,
+    document_vector,
     rerank,
     rerank_idf,
     rerank_tf,
@@ -65,15 +68,17 @@ def test_stats_from_vectors_counts_documents_not_occurrences():
         TermVector.from_counts({"a": 5, "b": 1}),
         TermVector.from_counts({"a": 1}),
     ]
-    stats = RerankStats.from_vectors(vecs, num_docs=4)
+    stats = RerankStats.from_vectors(vecs, num_docs=4, terms={"a", "b", "c"})
     assert stats.df == {"a": 2, "b": 1}
     assert stats.num_docs == 4
+    # only the given terms are counted
+    assert RerankStats.from_vectors(vecs, num_docs=4, terms={"b"}).df == {"b": 1}
 
 
 def test_stats_reject_more_vectors_than_documents():
     vecs = [TermVector.from_counts({"a": 1})] * 3
     with pytest.raises(ValueError):
-        RerankStats.from_vectors(vecs, num_docs=2)
+        RerankStats.from_vectors(vecs, num_docs=2, terms={"a"})
 
 
 def test_inner_product_single_shared_term():
@@ -297,6 +302,17 @@ def test_rerank_orders_underflowed_scores_by_their_logarithm():
     assert [e.sim for e in got.entries] == [0.0, 0.0, 0.0]
     assert [e.doc_id for e in got.entries] == ["db", "da", "dc"]
 
+    # tied and untied scores mixed: dd and db saturate (dd has the larger
+    # jsim), da and de stay distinct and finite, dc and dg underflow to 0.0
+    # and rank by esim
+    entries = [("da", 0.8), ("db", 0.9), ("dc", 0.5), ("dd", 0.7), ("de", 0.6), ("dg", 0.4)]
+    texts = {"da": "t", "db": "t t", "dc": "x", "dd": "u u u u u u u u", "de": "u", "dg": "y"}
+    got = _run_engine(entries, texts, "t u", CombineParams(beta=1000.0))
+    sims = [e.sim for e in got.entries]
+    assert sims[0] == sims[1] == sys.float_info.max
+    assert sims[1] > sims[2] > sims[3] > sims[4] == sims[5] == 0.0
+    assert [e.doc_id for e in got.entries] == ["dd", "db", "da", "de", "dc", "dg"]
+
 
 def test_rerank_empty_input():
     first = RankedList(query_id="q7", entries=[])
@@ -304,3 +320,74 @@ def test_rerank_empty_input():
                  CFG, CombineParams())
     assert out.query_id == "q7"
     assert out.entries == []
+
+
+_VOCAB = ["a", "b", "c", "d", "e"]
+
+
+@st.composite
+def _rerank_cases(draw):
+    """First-stage entries (esim ties likely), translations that may be
+    missing, empty or shorter than the query, a query, and parameters."""
+    n = draw(st.integers(1, 12))
+    esims = sorted(draw(st.lists(st.sampled_from([0.2, 0.5, 0.9, 1.0]), min_size=n, max_size=n)),
+                   reverse=True)
+    entries = [(f"d{i:02d}", esim) for i, esim in enumerate(esims)]
+    texts = {
+        doc_id: draw(st.none() | st.lists(st.sampled_from(_VOCAB), max_size=6).map(" ".join))
+        for doc_id, _ in entries
+    }
+    query = " ".join(draw(st.lists(st.sampled_from(_VOCAB + ["z"]), min_size=1, max_size=8)))
+    p = CombineParams(alpha=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+                      beta=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1000.0])))
+    return entries, texts, query, p, draw(st.booleans()), draw(st.booleans())
+
+
+def _defined_jsim(q, d, df, num_docs, use_idf):
+    # the weights written out, summed in the order of the smaller vector
+    total = 0.0
+    for t in q if len(q) <= len(d) else d:
+        if t in q and t in d and (df.get(t, 0) >= 1 or not use_idf):
+            idf = math.log(num_docs / df[t]) if use_idf else 1.0
+            total += ((1.0 + math.log(q[t])) * idf) * ((1.0 + math.log(d[t])) * idf)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_rerank_cases())
+# d03 is shorter than the query, so its terms are summed in its own order,
+# which here gives a different last bit than the query's order
+@example(case=([("d00", 0.9), ("d01", 0.9), ("d02", 0.5), ("d03", 0.2)],
+               {"d00": "", "d01": "b d d", "d02": "c", "d03": "e c b"},
+               "z z z d c b e", CombineParams(), True, False))
+def test_rerank_equals_its_definition_bit_for_bit(case):
+    # the definition: df counted over every term of every translated vector,
+    # score_inner_product without precomputed weights (checked against the
+    # weights written out), then the order by combined score, its logarithm
+    # and doc_id
+    entries, texts, query_text, p, use_idf, as_vectors = case
+    docs = {d: Document(doc_id=d, lang="en", abstract=t) for d, t in texts.items() if t is not None}
+    vecs = {d: document_vector(doc, CFG) for d, doc in docs.items()}
+    df = Counter()
+    for vec in vecs.values():
+        df.update(vec.counts.keys())
+    stats = RerankStats(num_docs=len(entries), df=dict(df))
+    query_vec = analyze(query_text, CFG)
+    rows = []
+    for doc_id, esim in entries:
+        jsim = 0.0
+        if doc_id in vecs:
+            jsim = score_inner_product(query_vec, vecs[doc_id], stats, use_idf)
+            assert jsim == _defined_jsim(query_vec.counts, vecs[doc_id].counts, df,
+                                         len(entries), use_idf)
+        sim = combine_scores(esim, jsim, p)
+        log = p.alpha * math.log(esim if esim > 0.0 else p.epsilon) + p.beta * math.log(
+            jsim if jsim > 0.0 else p.epsilon)
+        rows.append((-sim, -log, doc_id, esim, jsim, sim))
+    rows.sort()
+
+    first = RankedList("q", [ScoredDoc(d, s) for d, s in entries])
+    query = Query(query_id="q", lang="en", description=query_text)
+    got = rerank(first, vecs if as_vectors else docs, query, CFG, p, use_idf=use_idf)
+    assert [(e.doc_id, e.esim, e.jsim, e.sim) for e in got.entries] == [r[2:] for r in rows]
+    assert {e.doc_id for e in got.entries} == {d for d, _ in entries}
