@@ -21,6 +21,7 @@ from clir.errors import ClirError, ConfigError
 from clir.evaluation import (
     SweepSystem,
     check_depths,
+    check_level,
     evaluate_run,
     format_comparison,
     format_report,
@@ -329,8 +330,9 @@ def _load_stopwords(path):
 def cmd_index(args) -> int:
     stopwords = _load_stopwords(args.stopwords) if args.stopwords else frozenset()
     kind = CHARACTER_BIGRAM if args.tokenizer == "bigram" else WHITESPACE_WORD
-    cfg = AnalyzerConfig(lang=args.lang, stopword_list=stopwords,
-                         tokenizer_kind=kind, min_token_len=args.min_token_len)
+    with _usage_errors():
+        cfg = AnalyzerConfig(lang=args.lang, stopword_list=stopwords,
+                             tokenizer_kind=kind, min_token_len=args.min_token_len)
     corpus = load_corpus(args.corpus).filter_lang(args.lang)
     index = build_index(corpus, cfg)
     save_index(index, args.out)
@@ -387,6 +389,8 @@ def cmd_search2(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    with _usage_errors():
+        check_level(args.level)
     qrels = load_qrels(args.qrels)
     run = read_run(args.run)
     strict = not args.lenient

@@ -9,11 +9,13 @@ File formats follow the TREC conventions: judgments as
 import logging
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from clir.errors import IntegrityError, ParseError
-from clir.index import ScoredDoc
-from clir.pipeline import run_first_stage, run_two_stage
+from clir.index import RankedList, ScoredDoc
+from clir.pipeline import analyzer_settings, first_stage_depth, run_first_stage, run_second_stage
+from clir.pipeline import run_two_stage  # noqa: F401  perfbench's tracer wraps this name
 
 logger = logging.getLogger(__name__)
 
@@ -122,20 +124,24 @@ class EvalReport:
 
 @dataclass
 class RunFile:
-    """Ranked results per query plus the tag naming the producing system."""
+    """Ranked results per query plus the tag naming the producing system.
+
+    Each ranking is a sequence of entries in rank order; an entry is anything
+    with ``doc_id`` and ``score``, such as a ``ScoredDoc`` or a re-ranked
+    entry.
+    """
 
     tag: str
-    rankings: dict[str, list[ScoredDoc]] = field(default_factory=dict)
+    rankings: dict[str, Sequence] = field(default_factory=dict)
 
 
 def run_from_ranked(ranked_lists, tag: str) -> RunFile:
+    """A run holding each ranked list's entries as given, not copied."""
     run = RunFile(tag=tag)
     for ranked in ranked_lists:
         if ranked.query_id in run.rankings:
             raise IntegrityError(f"duplicate ranking for query {ranked.query_id!r}")
-        run.rankings[ranked.query_id] = [
-            ScoredDoc(doc_id=e.doc_id, score=e.score) for e in ranked.entries
-        ]
+        run.rankings[ranked.query_id] = ranked.entries
     return run
 
 
@@ -282,6 +288,14 @@ def _exact_two_sided_p(doubled_ranks, w_doubled):
     return min(1.0, hit / 2 ** len(doubled_ranks))
 
 
+def check_level(level):
+    """The significance level; ValueError unless it is finite and strictly
+    between 0 and 1."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"significance level must lie strictly between 0 and 1, got {level!r}")
+    return level
+
+
 def wilcoxon_signed_test(pairs, level: float = 0.05, exact_cutoff: int = 25) -> WilcoxonResult:
     """Two-sided matched-pairs signed-rank test on (score_a, score_b) pairs.
 
@@ -291,6 +305,7 @@ def wilcoxon_signed_test(pairs, level: float = 0.05, exact_cutoff: int = 25) -> 
     and tie corrections is used. All-zero differences yield a flagged
     no-information result rather than an exception.
     """
+    check_level(level)
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
@@ -342,6 +357,7 @@ class SignTestResult:
 
 def sign_test(pairs, level: float = 0.05) -> SignTestResult:
     """Two-sided sign test on (score_a, score_b) pairs, zero differences dropped."""
+    check_level(level)
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
@@ -369,7 +385,12 @@ class SweepSystem:
 
 @dataclass
 class SweepPoint:
-    """Outcome of one (system, depth) cell across all queries."""
+    """Outcome of one (system, depth) cell across all queries.
+
+    Times are summed over the queries. Stage one runs once per query and is
+    shared by the cells; its time is added to every cell's ``total_s``, so
+    the cells sum to more than the sweep's wall time.
+    """
 
     system: str
     n: int
@@ -392,29 +413,48 @@ def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
             n_values, strict: bool = True) -> list[SweepPoint]:
     """Evaluate every system at every depth in ``n_values``.
 
-    ``cfg_src_for`` maps a query to its source-side analyzer settings, and
-    ``n_values`` must pass ``check_depths``. Returns one point per (system,
-    depth) with mean average precision and per-phase time summed over the
-    queries.
+    ``cfg_src_for`` maps a query to its source-side analyzer settings; it is
+    called once per (system, depth, query), in that order. ``n_values`` must
+    pass ``check_depths``. Returns one point per (system, depth) with mean
+    average precision and per-phase time summed over the queries.
+
+    Stage one runs once per query for each translation method and source
+    analyzer settings, at the deepest depth any cell needs, in the first cell
+    that needs it; every cell takes an exact prefix of it. Each cell
+    translates and re-ranks its own head with an empty document memo, and
+    its ``total_s`` includes the shared stage-one time, so it is what a run
+    at that depth costs.
     """
     n_values = check_depths(n_values)
+    deepest = max((
+        first_stage_depth(replace(system.cfg, n_intermediate=n)) if system.two_stage else n
+        for system in systems for n in n_values
+    ), default=0)
+    stage_ones = {}
     points = []
     for system in systems:
         for n in n_values:
             cfg = replace(system.cfg, n_intermediate=n)
             ranked_lists = []
             translation_s = rerank_s = total_s = 0.0
-            for query in queries:
+            for pos, query in enumerate(queries):
                 cfg_src = cfg_src_for(query)
+                # the systems hold their methods, so ids stay distinct for the call
+                key = (pos, id(cfg.translation_method), analyzer_settings(cfg_src))
+                if key not in stage_ones:
+                    t0 = time.perf_counter()
+                    ranked = run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=deepest)
+                    stage_ones[key] = ranked.entries, time.perf_counter() - t0
+                stage_one, first_stage_s = stage_ones[key]
                 if system.two_stage:
-                    ranked, timing = run_two_stage(query, index, corpus, cfg, cfg_src, cfg_tgt)
+                    ranked, timing = run_second_stage(
+                        query, stage_one, corpus, cfg, cfg_src, first_stage_s)
                     translation_s += timing.translation_s
                     rerank_s += timing.rerank_s
                     total_s += timing.total_s
                 else:
-                    t0 = time.perf_counter()
-                    ranked = run_first_stage(query, index, cfg, cfg_src, cfg_tgt)
-                    total_s += time.perf_counter() - t0
+                    ranked = RankedList(query_id=query.query_id, entries=stage_one[:n])
+                    total_s += first_stage_s
                 ranked_lists.append(ranked)
             tag = f"{system.name}-n{n}"
             report = evaluate_run(run_from_ranked(ranked_lists, tag), qrels, strict)
@@ -461,7 +501,11 @@ def format_comparison(name_a: str, name_b: str, result: WilcoxonResult) -> str:
 
 
 def format_sweep(points) -> str:
-    """Aligned table of the sweep, then the same cells as tab-separated lines."""
+    """Aligned table of the sweep, then the same cells as tab-separated lines.
+
+    Each cell's ``total_s`` includes the stage-one time its queries share
+    with every other cell, so the column sums to more than the sweep took.
+    """
     header = f"{'system':<16} {'n':>6} {'map':>8} {'trans_s':>9} {'rerank_s':>9} {'total_s':>9}"
     rows = [header]
     for p in points:

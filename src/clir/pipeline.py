@@ -37,6 +37,12 @@ TAIL_KEEP = "keep"
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
+def analyzer_settings(analyzer):
+    """The analyzer's field values: equal settings give equal analyses, even
+    from two distinct ``AnalyzerConfig`` objects."""
+    return tuple(getattr(analyzer, f.name) for f in fields(analyzer))
+
+
 class DocumentMemo:
     """Analysed term vectors of translated documents, reused across queries.
 
@@ -52,8 +58,8 @@ class DocumentMemo:
         self.vocab = {}
 
     def bucket(self, channel, adapter, target_lang, analyzer):
-        settings = tuple(getattr(analyzer, f.name) for f in fields(analyzer))
-        return self.buckets.setdefault((channel, adapter, target_lang, settings), {})
+        key = (channel, adapter, target_lang, analyzer_settings(analyzer))
+        return self.buckets.setdefault(key, {})
 
     def intern(self, vec):
         vocab = self.vocab
@@ -148,11 +154,29 @@ def _check_langs(index, cfg_tgt):
         )
 
 
-def run_first_stage(query, index, cfg, cfg_src, cfg_tgt):
-    """Translate the query and retrieve the top ``cfg.n_intermediate`` documents."""
+def first_stage_depth(cfg):
+    """How deep the first stage must rank: the whole output under tail
+    "keep", else the head that reaches the second stage."""
+    return cfg.output_depth if cfg.tail_policy == TAIL_KEEP else cfg.n_intermediate
+
+
+def run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=None):
+    """Translate the query and retrieve its top ``depth`` documents, by
+    default ``first_stage_depth(cfg)``.
+
+    The ranking at a smaller depth is an exact prefix of this one, because
+    ties break on doc_id.
+    """
     _check_langs(index, cfg_tgt)
     translated = translate_query(query, cfg.translation_method, index, cfg_src, cfg_tgt)
-    return search(index, translated.terms, cfg.n_intermediate, query_id=query.query_id)
+    depth = first_stage_depth(cfg) if depth is None else depth
+    return search(index, translated.terms, depth, query_id=query.query_id)
+
+
+# run_two_stage calls stage one by this private name, so that a tracer which
+# wraps both public names (perfbench's does) times one run per query, not two
+# nested ones
+_run_first_stage = run_first_stage
 
 
 def _rescaled_tail(tail, floor):
@@ -162,23 +186,22 @@ def _rescaled_tail(tail, floor):
     return [ScoredDoc(e.doc_id, floor * e.score / (2.0 * top)) for e in tail]
 
 
-def run_two_stage(query, index, corpus, cfg, cfg_src, cfg_tgt):
-    """Full two-stage run for one query.
+def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
+    """Translate the head of a first-stage ranking, re-rank it and, under
+    tail "keep", append the rest of the first ``first_stage_depth(cfg)``
+    entries of ``stage_one`` below it.
 
-    Returns the final ranked list and the per-phase timing. Each head
-    document is translated and analysed once per ``cfg``: later runs take its
-    vector from ``cfg.doc_memo``. Documents whose translation fails are logged
-    and kept with a zero second-stage score, and are tried again by the next
-    run that retrieves them; the run never aborts over a single document.
+    ``stage_one`` is the query's ranked first-stage entries, at least as
+    deep as the config needs. Each head document is translated and analysed
+    once per ``cfg``: later runs take its vector from ``cfg.doc_memo``.
+    Documents whose translation fails are logged and kept with a zero
+    second-stage score, and are tried again by the next run that retrieves
+    them. The timing's ``total_s`` is this stage's time plus
+    ``first_stage_s``, the time spent producing ``stage_one``.
     """
-    _check_langs(index, cfg_tgt)
     t_run = time.perf_counter()
-
-    translated_query = translate_query(query, cfg.translation_method, index, cfg_src, cfg_tgt)
-    depth = cfg.output_depth if cfg.tail_policy == TAIL_KEEP else cfg.n_intermediate
-    stage_one = search(index, translated_query.terms, depth, query_id=query.query_id)
-    head = stage_one.entries[: cfg.n_intermediate]
-    tail = stage_one.entries[cfg.n_intermediate :]
+    head = stage_one[: cfg.n_intermediate]
+    tail = stage_one[cfg.n_intermediate : first_stage_depth(cfg)]
 
     adapter = cfg.resolve_doc_adapter()
     memo = cfg.doc_memo.bucket(cfg.doc_channel, adapter, query.lang, cfg_src)
@@ -213,9 +236,24 @@ def run_two_stage(query, index, corpus, cfg, cfg_src, cfg_tgt):
     entries = list(reranked.entries)
     if cfg.tail_policy == TAIL_KEEP and tail and entries:
         entries.extend(_rescaled_tail(tail, entries[-1].sim))
-    total_s = time.perf_counter() - t_run
+    total_s = first_stage_s + time.perf_counter() - t_run
     return RankedList(query_id=query.query_id, entries=entries), TimingRecord(
         translation_s=translation_s, rerank_s=rerank_s, total_s=total_s
+    )
+
+
+def run_two_stage(query, index, corpus, cfg, cfg_src, cfg_tgt):
+    """Full two-stage run for one query: ``run_first_stage`` then
+    ``run_second_stage``.
+
+    Returns the final ranked list and the per-phase timing, whose
+    ``total_s`` covers both stages. The run never aborts over a single
+    document whose translation fails.
+    """
+    t_run = time.perf_counter()
+    stage_one = _run_first_stage(query, index, cfg, cfg_src, cfg_tgt)
+    return run_second_stage(
+        query, stage_one.entries, corpus, cfg, cfg_src, time.perf_counter() - t_run
     )
 
 

@@ -176,6 +176,30 @@ def test_bad_depth_lists_rejected(ws):
     assert main(base + ["--tail", "keep", "--depth", "2", "--ns", "1,3"]) == 1
 
 
+@pytest.mark.parametrize("flags", [["--min-token-len", "0"],
+                                   ["--tokenizer", "bigram", "--min-token-len", "2"]])
+def test_index_flag_values_are_usage_errors(ws, tmp_path, capsys, flags):
+    # checked before the corpus is read: an absent corpus is not reached
+    for corpus in (ws.corpus, ws.root / "absent.jsonl"):
+        assert main(["index", "--corpus", str(corpus), "--lang", "ja",
+                     "--out", str(tmp_path / "x.idx"), *flags]) == 1
+        assert "min_token_len" in capsys.readouterr().err
+    assert not (tmp_path / "x.idx").exists()
+
+
+@pytest.mark.parametrize("level", ["nan", "0", "1", "2", "-0.1"])
+def test_eval_level_is_checked(ws, tmp_path, capsys, level):
+    better, worse = _make_runs(ws, tmp_path)
+    capsys.readouterr()
+    # checked before any file is read: an absent run file is not reached
+    for run in (better, ws.root / "absent.txt"):
+        assert main(["eval", "--run", str(run), "--qrels", str(ws.qrels),
+                     "--compare", str(worse), "--sign-test", "--level", level]) == 1
+        captured = capsys.readouterr()
+        assert "significance level" in captured.err
+        assert captured.out == ""
+
+
 # ------------------------------------------------------------------- verbs
 
 

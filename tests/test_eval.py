@@ -3,17 +3,21 @@ paired significance tests, and the depth sweep."""
 
 import itertools
 import logging
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
+import synth
 from clir.corpus import AnalyzerConfig, Corpus, Document, Query
-from clir.errors import IntegrityError, ParseError
+from clir.errors import IntegrityError, ParseError, TranslationError
 from clir.evaluation import (
     Qrels,
     RunFile,
     SweepSystem,
     average_precision,
+    check_level,
     evaluate_run,
     format_comparison,
     format_report,
@@ -28,7 +32,7 @@ from clir.evaluation import (
     write_run,
 )
 from clir.index import RankedList, ScoredDoc, build_index
-from clir.pipeline import PipelineConfig, run_first_stage, run_two_stage
+from clir.pipeline import TAIL_DROP, TAIL_KEEP, PipelineConfig, run_first_stage, run_two_stage
 from clir.translate import MT_SENTENCE, TableAdapter, TranslationMethod
 
 EN = AnalyzerConfig(lang="en")
@@ -378,6 +382,17 @@ def test_sign_test_degenerate_inputs():
         sign_test([])
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, 1.0, 2.0, -0.1])
+def test_significance_level_must_lie_strictly_between_0_and_1(level):
+    pairs = [(1.0, 0.0)] * 6
+    for test in (wilcoxon_signed_test, sign_test):
+        with pytest.raises(ValueError, match="significance level"):
+            test(pairs, level=level)
+    with pytest.raises(ValueError):
+        check_level(level)
+    assert check_level(0.01) == 0.01
+
+
 # -------------------------------------------------------------- depth sweep
 
 
@@ -451,6 +466,106 @@ def test_sweep_grid_is_system_major():
         assert [(p.system, p.n) for p in points] == [
             ("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2), ("b", 3)
         ]
+
+
+# two query translation methods over synth's ambiguity collection: one takes
+# each topic's true candidate, the other the misleading one for odd topics.
+# A filler word in each query makes stage one rank many documents.
+_TRUE_TABLE = {**{f"sa{k}": f"a{k}" for k in range(10)}, **{f"sb{k}": f"b{k}" for k in range(10)},
+               **{f"sf{i:02d}": f"f{i:02d}" for i in range(60)}}
+_SKEW_TABLE = {**_TRUE_TABLE, **{f"sa{k}": f"c{k}" for k in range(1, 10, 2)}}
+
+
+class _LoggedTable(TableAdapter):
+    """A mock translator that appends each text it translates to ``log``."""
+
+    def __init__(self, table, log, fail_on=None):
+        super().__init__(table)
+        self.log = log
+        self.fail_on = fail_on
+
+    def translate(self, text, src, tgt):
+        self.log.append(("translate", text))
+        if text == self.fail_on:
+            raise TranslationError("translator refused")
+        return super().translate(text, src, tgt)
+
+
+def _two_method_sweep(tail, log, fail_on=None):
+    s = synth.build_ambiguity_setup()
+    s.queries = [Query(q.query_id, q.lang, f"{q.description} sf{7 * k % 60:02d}")
+                 for k, q in enumerate(s.queries)]
+    methods = [
+        TranslationMethod(kind=MT_SENTENCE, adapter=_LoggedTable(table, log, fail_on))
+        for table in (_TRUE_TABLE, _SKEW_TABLE)
+    ]
+    # under tail keep the skew system needs a shorter prefix than the deepest
+    cfgs = [PipelineConfig(n_intermediate=1, translation_method=m, doc_adapter=s.mt_back_table,
+                           output_depth=depth, tail_policy=tail)
+            for m, depth in zip(methods, (10, 8))]
+    systems = [SweepSystem("true", cfgs[0]), SweepSystem("first", cfgs[0], two_stage=False),
+               SweepSystem("skew", cfgs[1])]
+    return s, systems
+
+
+@pytest.mark.parametrize("tail", [TAIL_DROP, TAIL_KEEP])
+def test_sweep_cells_equal_runs_with_a_fresh_config_per_cell(tail, monkeypatch):
+    s, systems = _two_method_sweep(tail, [])
+    depths = [2, 4, 7]
+    runs = {}
+
+    def kept_run(ranked_lists, tag):
+        run = runs[tag] = run_from_ranked(ranked_lists, tag)
+        return run
+
+    monkeypatch.setattr("clir.evaluation.run_from_ranked", kept_run)
+    points = sweep_n(s.queries, s.index, s.corpus, systems,
+                     lambda q: AnalyzerConfig(lang=q.lang), s.tgt_cfg, s.qrels, depths)
+    assert [(p.system, p.n) for p in points] == [
+        (system.name, n) for system in systems for n in depths]
+    for point, (system, n) in zip(points, itertools.product(systems, depths)):
+        cfg = replace(system.cfg, n_intermediate=n)
+        if system.two_stage:
+            want = [run_two_stage(q, s.index, s.corpus, cfg, s.src_cfg, s.tgt_cfg)[0]
+                    for q in s.queries]
+        else:
+            want = [run_first_stage(q, s.index, cfg, s.src_cfg, s.tgt_cfg, depth=n)
+                    for q in s.queries]
+        tag = f"{system.name}-n{n}"
+        assert runs[tag].rankings == {r.query_id: r.entries for r in want}
+        assert point.mean_ap == evaluate_run(run_from_ranked(want, tag), s.qrels).mean_ap
+        assert point.total_s >= point.translation_s + point.rerank_s
+    # the cells differ, so the comparison above is not vacuous
+    assert len({p.mean_ap for p in points}) > 3
+    if tail == TAIL_KEEP:
+        assert max(len(e) for e in runs["true-n2"].rankings.values()) == 10
+        assert max(len(e) for e in runs["skew-n2"].rankings.values()) == 8
+
+
+def test_sweep_translates_each_query_once_per_method_in_hook_order():
+    log = []
+    s, systems = _two_method_sweep(TAIL_DROP, log)
+    depths = [3, 8, 20]
+
+    def cfg_src_for(query):
+        log.append(("hook", query.description))
+        return AnalyzerConfig(lang=query.lang)  # a new object on every call
+
+    sweep_n(s.queries, s.index, s.corpus, systems, cfg_src_for, s.tgt_cfg, s.qrels, depths)
+    texts = [q.description for q in s.queries]
+    hooks = [("hook", text) for text in texts]
+    first_cell = [event for text in texts for event in (("hook", text), ("translate", text))]
+    # true: stage one in its first cell; first: every prefix reused; skew: its own stage one
+    assert log == first_cell + hooks * 2 + hooks * 3 + first_cell + hooks * 2
+
+
+def test_sweep_propagates_a_failed_query_translation():
+    log = []
+    s, systems = _two_method_sweep(TAIL_DROP, log, fail_on="sa1 sb1 sf07")
+    with pytest.raises(TranslationError, match="refused"):
+        sweep_n(s.queries, s.index, s.corpus, systems,
+                lambda q: s.src_cfg, s.tgt_cfg, s.qrels, [3, 8])
+    assert log == [("translate", "sa0 sb0 sf00"), ("translate", "sa1 sb1 sf07")]
 
 
 def test_sweep_rejects_bad_depths():

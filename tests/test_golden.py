@@ -20,6 +20,8 @@ GOLDEN = {
     "search2-verbose": "08cecacc6d4feff467963940f37d37096e646be7745d640bb56a1b40b12c7ae6",
     "search2-tail-keep": "3ca1aefd1239219e759a120c90e704662e9179876caf447f83e4813fd63d7aea",
     "sweep": "681fbab961af40b89473cb7386849f437add5ccb798a29b708726c5e7b5b39cf",
+    "sweep-stage1": "74290f50a8f814a22dafe63b1b828da2786e0a1c869508211b3b8fb6506e63a3",
+    "sweep-tail-keep": "ffdf5971171b7a5a739b16959df82def911ee1df941d185a6144a073a080712d",
 }
 
 # query-side entries of the mock table; the document side is synth's
@@ -95,6 +97,11 @@ def _commands(f):
                               "--depth", "50", "--beta", "2"],
         "sweep": ["sweep", *query, "--corpus", f["corpus"], "--qrels", f["qrels"],
                   "--method", "mpbt", "--ns", "5,10,20,101"],
+        "sweep-stage1": ["sweep", *query, "--corpus", f["corpus"], "--qrels", f["qrels"],
+                         "--method", "mpbt", "--stage", "1", "--ns", "3,10,40,101"],
+        "sweep-tail-keep": ["sweep", *query, "--corpus", f["corpus"], "--qrels", f["qrels"],
+                            "--method", "mtp", "--tail", "keep", "--depth", "60",
+                            "--beta", "2", "--ns", "5,15,30"],
     }
 
 
@@ -106,7 +113,7 @@ def _masked_sweep(text):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_match_recorded_hashes(files, tmp_path, name):
     text = _output(_commands(files)[name], tmp_path)
-    if name == "sweep":
+    if name.startswith("sweep"):
         text = _masked_sweep(text)
     assert text.strip()
     assert _sha256(text) == GOLDEN[name]
