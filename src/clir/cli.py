@@ -34,6 +34,7 @@ from clir.evaluation import (
     sweep_n,
     wilcoxon_signed_test,
 )
+from clir.files import read_lines
 from clir.index import build_index, load_index, save_index, search
 from clir.pipeline import (
     TAIL_DROP,
@@ -238,13 +239,15 @@ def _merge_config(args):
     if getattr(args, "config", None):
         for key, raw in read_config(args.config).items():
             if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown configuration key {key!r}")
+                raise ConfigError(f"{args.config}: unknown configuration key {key!r}")
             dest = key.replace("-", "_")
             if getattr(args, dest, None) is None:
                 try:
                     setattr(args, dest, _CONFIG_KEYS[key](raw))
                 except ValueError:
-                    raise ConfigError(f"bad value for configuration key {key!r}: {raw!r}") from None
+                    raise ConfigError(
+                        f"{args.config}: bad value for configuration key {key!r}: {raw!r}"
+                    ) from None
     for dest, value in _DEFAULTS.items():
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
@@ -318,13 +321,8 @@ def _emit(text, out_path):
 
 
 def _load_stopwords(path):
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word and not word.startswith("#"):
-                words.add(word)
-    return frozenset(words)
+    words = (line.strip().lower() for _, line in read_lines(path))
+    return frozenset(word for word in words if not word.startswith("#"))
 
 
 def cmd_index(args) -> int:
@@ -405,7 +403,6 @@ def cmd_eval(args) -> int:
             for q in sorted(report.per_query_ap)
         ]
         result = wilcoxon_signed_test(pairs, level=args.level)
-        report.comparisons.append((run.tag, other.tag, result.statistic, result.significant))
         blocks.append(format_comparison(run.tag or "run-a", other.tag or "run-b", result))
         if args.sign_test:
             s = sign_test(pairs, level=args.level)

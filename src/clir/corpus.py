@@ -5,13 +5,13 @@ comparable document in the other language via ``pair_id``; those links are the
 human-translation channel used by the second retrieval stage.
 """
 
-import json
 import logging
 import string
 from collections import Counter
 from dataclasses import dataclass, field
 
 from clir.errors import ConfigError, IntegrityError, NoPairError, NotFoundError, ParseError
+from clir.files import read_json_lines
 
 logger = logging.getLogger(__name__)
 
@@ -233,41 +233,22 @@ def load_corpus(path, declared_langs=None):
     """
     documents = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", path, line_no) from None
-            if not isinstance(record, dict):
-                raise ParseError("record is not an object", path, line_no)
-            doc_id = _require_str(record, "id", path, line_no)
-            lang = _require_str(record, "lang", path, line_no)
-            title = _require_str(record, "title", path, line_no, allow_empty=True)
-            abstract = _require_str(record, "abstract", path, line_no, allow_empty=True)
-            keywords = record.get("keywords")
-            if not isinstance(keywords, list) or any(
-                not isinstance(k, str) for k in keywords
-            ):
-                raise ParseError("field 'keywords' must be an array of strings", path, line_no)
-            pair_id = record.get("pair_id")
-            if pair_id is not None and (not isinstance(pair_id, str) or not pair_id):
-                raise ParseError("field 'pair_id' must be a non-empty string", path, line_no)
-            if doc_id in seen:
-                raise IntegrityError(f"duplicate doc_id {doc_id!r} at {path}:{line_no}")
-            seen.add(doc_id)
-            documents.append(
-                Document(
-                    doc_id=doc_id,
-                    lang=lang,
-                    title=title,
-                    keywords=list(keywords),
-                    abstract=abstract,
-                    pair_id=pair_id,
-                )
-            )
+    for line_no, record in read_json_lines(path):
+        doc_id = _require_str(record, "id", path, line_no)
+        lang = _require_str(record, "lang", path, line_no)
+        title = _require_str(record, "title", path, line_no, allow_empty=True)
+        abstract = _require_str(record, "abstract", path, line_no, allow_empty=True)
+        keywords = record.get("keywords")
+        if not isinstance(keywords, list) or any(not isinstance(k, str) for k in keywords):
+            raise ParseError("field 'keywords' must be an array of strings", path, line_no)
+        pair_id = record.get("pair_id")
+        if pair_id is not None and (not isinstance(pair_id, str) or not pair_id):
+            raise ParseError("field 'pair_id' must be a non-empty string", path, line_no)
+        if doc_id in seen:
+            raise IntegrityError(f"duplicate doc_id {doc_id!r} at {path}:{line_no}")
+        seen.add(doc_id)
+        documents.append(Document(doc_id=doc_id, lang=lang, title=title, keywords=list(keywords),
+                                  abstract=abstract, pair_id=pair_id))
     corpus = Corpus(documents, declared_langs)
     dangling = corpus.dangling_pairs()
     if dangling:
@@ -279,21 +260,12 @@ def load_queries(path):
     """Load a JSON-lines query file ({id, lang, description} per line)."""
     queries = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", path, line_no) from None
-            if not isinstance(record, dict):
-                raise ParseError("record is not an object", path, line_no)
-            query_id = _require_str(record, "id", path, line_no)
-            lang = _require_str(record, "lang", path, line_no)
-            description = _require_str(record, "description", path, line_no)
-            if query_id in seen:
-                raise IntegrityError(f"duplicate query id {query_id!r} at {path}:{line_no}")
-            seen.add(query_id)
-            queries.append(Query(query_id=query_id, lang=lang, description=description))
+    for line_no, record in read_json_lines(path):
+        query_id = _require_str(record, "id", path, line_no)
+        lang = _require_str(record, "lang", path, line_no)
+        description = _require_str(record, "description", path, line_no)
+        if query_id in seen:
+            raise IntegrityError(f"duplicate query id {query_id!r} at {path}:{line_no}")
+        seen.add(query_id)
+        queries.append(Query(query_id=query_id, lang=lang, description=description))
     return queries

@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from clir.errors import IntegrityError, ParseError
+from clir.files import read_lines
 from clir.index import RankedList, ScoredDoc
 from clir.pipeline import analyzer_settings, first_stage_depth, run_first_stage, run_second_stage
 from clir.pipeline import run_two_stage  # noqa: F401  perfbench's tracer wraps this name
@@ -62,25 +63,21 @@ class Qrels:
 
 def load_qrels(path) -> Qrels:
     qrels = Qrels()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ParseError("expected 'query_id 0 doc_id grade'", path, line_no)
-            query_id, _zero, doc_id, grade_text = fields
-            try:
-                grade = int(grade_text)
-            except ValueError:
-                raise ParseError(f"grade {grade_text!r} is not an integer", path, line_no) from None
-            if grade not in _GRADES:
-                raise ParseError(f"grade must be 0, 1 or 2, got {grade}", path, line_no)
-            try:
-                qrels.add(query_id, doc_id, grade)
-            except IntegrityError as exc:
-                raise IntegrityError(f"{path}:{line_no}: {exc}") from None
+    for line_no, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 4:
+            raise ParseError("expected 'query_id 0 doc_id grade'", path, line_no)
+        query_id, _zero, doc_id, grade_text = fields
+        try:
+            grade = int(grade_text)
+        except ValueError:
+            raise ParseError(f"grade {grade_text!r} is not an integer", path, line_no) from None
+        if grade not in _GRADES:
+            raise ParseError(f"grade must be 0, 1 or 2, got {grade}", path, line_no)
+        try:
+            qrels.add(query_id, doc_id, grade)
+        except IntegrityError as exc:
+            raise IntegrityError(f"{path}:{line_no}: {exc}") from None
     return qrels
 
 
@@ -112,13 +109,12 @@ def mean_ap(per_query_ap: dict[str, float]) -> float:
 
 @dataclass
 class EvalReport:
-    """Per-query average precision, its mean, and any paired comparisons."""
+    """Per-query average precision and its mean."""
 
     per_query_ap: dict[str, float]
     mean_ap: float
     num_queries: int
     skipped: list[str] = field(default_factory=list)
-    comparisons: list = field(default_factory=list)
     tag: str = ""
 
 
@@ -145,14 +141,14 @@ def run_from_ranked(ranked_lists, tag: str) -> RunFile:
     return run
 
 
-def _check_ranking(query_id, entries):
+def _check_ranking(query_id, entries, where=""):
     seen = set()
     for pos, entry in enumerate(entries):
         if entry.doc_id in seen:
-            raise IntegrityError(f"query {query_id!r}: duplicate document {entry.doc_id!r}")
+            raise IntegrityError(f"{where}query {query_id!r}: duplicate document {entry.doc_id!r}")
         seen.add(entry.doc_id)
         if pos and entry.score > entries[pos - 1].score:
-            raise IntegrityError(f"query {query_id!r}: score increases at rank {pos + 1}")
+            raise IntegrityError(f"{where}query {query_id!r}: score increases at rank {pos + 1}")
 
 
 def format_run(run: RunFile) -> str:
@@ -178,34 +174,32 @@ def write_run(run: RunFile, path):
 def read_run(path) -> RunFile:
     run = RunFile(tag="")
     last_rank: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 6:
-                raise ParseError("expected 'query_id Q0 doc_id rank score tag'", path, line_no)
-            query_id, q0, doc_id, rank_text, score_text, tag = fields
-            if q0 != "Q0":
-                raise ParseError(f"expected literal 'Q0', got {q0!r}", path, line_no)
-            try:
-                rank = int(rank_text)
-                score = float(score_text)
-            except ValueError:
-                raise ParseError("rank must be an integer and score a number", path, line_no) from None
-            if rank != last_rank.get(query_id, 0) + 1:
-                raise ParseError(
-                    f"query {query_id!r} ranks must run 1,2,... without gaps", path, line_no
-                )
-            if not run.tag:
-                run.tag = tag
-            elif tag != run.tag:
-                raise IntegrityError(f"{path}:{line_no}: mixed run tags {run.tag!r} and {tag!r}")
-            last_rank[query_id] = rank
-            run.rankings.setdefault(query_id, []).append(ScoredDoc(doc_id=doc_id, score=score))
+    for line_no, line in read_lines(path):
+        fields = line.split()
+        if fields[0].startswith("#"):
+            continue
+        if len(fields) != 6:
+            raise ParseError("expected 'query_id Q0 doc_id rank score tag'", path, line_no)
+        query_id, q0, doc_id, rank_text, score_text, tag = fields
+        if q0 != "Q0":
+            raise ParseError(f"expected literal 'Q0', got {q0!r}", path, line_no)
+        try:
+            rank = int(rank_text)
+            score = float(score_text)
+        except ValueError:
+            raise ParseError("rank must be an integer and score a number", path, line_no) from None
+        if rank != last_rank.get(query_id, 0) + 1:
+            raise ParseError(
+                f"query {query_id!r} ranks must run 1,2,... without gaps", path, line_no
+            )
+        if not run.tag:
+            run.tag = tag
+        elif tag != run.tag:
+            raise IntegrityError(f"{path}:{line_no}: mixed run tags {run.tag!r} and {tag!r}")
+        last_rank[query_id] = rank
+        run.rankings.setdefault(query_id, []).append(ScoredDoc(doc_id=doc_id, score=score))
     for query_id, entries in run.rankings.items():
-        _check_ranking(query_id, entries)
+        _check_ranking(query_id, entries, f"{path}: ")
     return run
 
 

@@ -19,6 +19,7 @@ from itertools import chain
 
 from clir.corpus import AnalyzerConfig, analyze, indexable_text
 from clir.errors import ConfigError, IntegrityError
+from clir.files import read_json
 
 INDEX_FORMAT = "clir-index-v2"
 
@@ -206,17 +207,13 @@ def _check_types(record, types, path, prefix=""):
 def load_index(path):
     """Read an index written by ``save_index`` and derive its tables.
 
-    The structure is checked before use: a file that is not a
-    ``clir-index-v2`` file (an older format among them; rebuild it with
-    ``clir index``), misses a key, holds a value of the wrong type, lists no
-    document, or holds a term count that is not a positive integer raises
-    IntegrityError naming it.
+    A file that is not UTF-8 JSON raises ParseError naming it. The structure
+    is checked before use: a file that is not a ``clir-index-v2`` file (an
+    older format among them; rebuild it with ``clir index``), misses a key,
+    holds a value of the wrong type, lists no document, or holds a term count
+    that is not a positive integer raises IntegrityError naming it.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise IntegrityError(f"{path}: not a {INDEX_FORMAT} file: {exc}") from None
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
         raise IntegrityError(f"{path}: not a {INDEX_FORMAT} file; rebuild it with `clir index`")
     _check_types(payload, {"analyzer": dict, "documents": dict}, path)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields
 
 from clir.corpus import TermVector
 from clir.errors import ConfigError, NoPairError, ParseError, TranslationError
+from clir.files import read_lines
 from clir.index import RankedList, ScoredDoc, search
 from clir.rerank import CombineParams, document_vector, rerank
 from clir.translate import (
@@ -260,16 +261,15 @@ def run_two_stage(query, index, corpus, cfg, cfg_src, cfg_tgt):
 def read_config(path):
     """Read a ``key = value`` settings file; keys mirror the CLI flag names."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = _COMMENT.split(raw, 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError("expected 'key = value'", path, line_no)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if not key:
-                raise ParseError("empty key", path, line_no)
-            values[key] = value.strip()
+    for line_no, raw in read_lines(path):
+        line = _COMMENT.split(raw, 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError("expected 'key = value'", path, line_no)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if not key:
+            raise ParseError("empty key", path, line_no)
+        values[key] = value.strip()
     return values

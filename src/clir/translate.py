@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from clir.corpus import Document, TermVector, analyze, pair_lookup, tokenize
 from clir.errors import ConfigError, ParseError, TranslationError
+from clir.files import read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -58,24 +59,17 @@ class BilingualDictionary:
     def from_file(cls, path):
         """Read tab-separated lines: ``source phrase<TAB>cand1|cand2|...``."""
         entries = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError("expected exactly one tab separator", path, line_no)
-                source, cands = parts
-                if not source.strip():
-                    raise ParseError("empty source phrase", path, line_no)
-                candidates = [c.strip() for c in cands.split("|") if c.strip()]
-                if not candidates:
-                    raise ParseError("no candidate translations", path, line_no)
-                existing = entries.setdefault(source.strip(), [])
-                for cand in candidates:
-                    if cand not in existing:
-                        existing.append(cand)
+        for line_no, line in read_lines(path):
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError("expected exactly one tab separator", path, line_no)
+            source, cands = parts
+            if not source.strip():
+                raise ParseError("empty source phrase", path, line_no)
+            candidates = [c.strip() for c in cands.split("|") if c.strip()]
+            if not candidates:
+                raise ParseError("no candidate translations", path, line_no)
+            entries.setdefault(source.strip(), []).extend(candidates)
         return cls(entries)
 
 
@@ -144,17 +138,13 @@ class TableAdapter(MTAdapter):
     def from_file(cls, path, delay_s=0.0):
         """Read tab-separated lines with exactly one translation per source."""
         table = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0].strip():
-                    raise ParseError("expected 'source<TAB>translation'", path, line_no)
-                if "|" in parts[1] or not parts[1].strip():
-                    raise ParseError("mock table entries take exactly one translation", path, line_no)
-                table[parts[0].strip()] = parts[1].strip()
+        for line_no, line in read_lines(path):
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0].strip():
+                raise ParseError("expected 'source<TAB>translation'", path, line_no)
+            if "|" in parts[1] or not parts[1].strip():
+                raise ParseError("mock table entries take exactly one translation", path, line_no)
+            table[parts[0].strip()] = parts[1].strip()
         return cls(table, delay_s=delay_s)
 
     def translate(self, text, src, tgt):

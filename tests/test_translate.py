@@ -7,6 +7,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clir.corpus import AnalyzerConfig, Corpus, Document, Query
 from clir.errors import ConfigError, NoPairError, ParseError, TranslationError
@@ -340,6 +342,20 @@ def test_combine_commutative_and_associative_on_terms():
         left = combine_translations(combine_translations(a, b), c).terms
         right = combine_translations(a, combine_translations(b, c)).terms
         assert left == right
+
+
+_TERM = st.text(alphabet="abcd", min_size=1, max_size=2)
+
+
+@settings(max_examples=200)
+@given(counts=st.tuples(*[st.dictionaries(_TERM, st.integers(0, 3), max_size=6)] * 2),
+       unresolved=st.tuples(*[st.lists(_TERM, max_size=4)] * 2))
+def test_combine_translations_is_commutative(counts, unresolved):
+    a, b = (_tq(c, u) for c, u in zip(counts, unresolved))
+    ab, ba = combine_translations(a, b), combine_translations(b, a)
+    assert ab.terms.counts == ba.terms.counts
+    assert ab.terms.max_tf == ba.terms.max_tf
+    assert set(ab.unresolved) == set(ba.unresolved)
 
 
 # --------------------------------------------------------- document channel
