@@ -19,7 +19,9 @@ from clir.corpus import (
 )
 from clir.errors import ClirError, ConfigError
 from clir.evaluation import (
+    SignTestResult,
     SweepSystem,
+    WilcoxonResult,
     check_depths,
     check_level,
     evaluate_run,
@@ -402,10 +404,12 @@ def cmd_eval(args) -> int:
             (report.per_query_ap[q], other_report.per_query_ap[q])
             for q in sorted(report.per_query_ap)
         ]
-        result = wilcoxon_signed_test(pairs, level=args.level)
+        # with no judged query the tests carry no information, as for equal runs
+        result = (wilcoxon_signed_test(pairs, level=args.level) if pairs
+                  else WilcoxonResult.no_information())
         blocks.append(format_comparison(run.tag or "run-a", other.tag or "run-b", result))
         if args.sign_test:
-            s = sign_test(pairs, level=args.level)
+            s = sign_test(pairs, level=args.level) if pairs else SignTestResult.no_information()
             p_text = "NA" if s.p_value is None else f"{s.p_value:.6g}"
             blocks.append(
                 f"sign_test\tn\t{s.n}\tpositive\t{s.num_positive}\tnegative\t{s.num_negative}"

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field, replace
 from clir.errors import IntegrityError, ParseError
 from clir.files import read_lines
 from clir.index import RankedList, ScoredDoc
-from clir.pipeline import analyzer_settings, first_stage_depth, run_first_stage, run_second_stage
+from clir.pipeline import (
+    DocumentMemo,
+    analyzer_settings,
+    first_stage_depth,
+    run_first_stage,
+    run_second_stage,
+)
 from clir.pipeline import run_two_stage  # noqa: F401  perfbench's tracer wraps this name
 
 logger = logging.getLogger(__name__)
@@ -247,6 +253,11 @@ class WilcoxonResult:
     significant: bool
     method: str
 
+    @classmethod
+    def no_information(cls):
+        return cls(n=0, w_plus=0.0, w_minus=0.0, statistic=None, p_value=None,
+                   significant=False, method="no-information")
+
 
 def _signed_ranks(diffs):
     # Average ranks over tied |difference| groups. Doubling every rank keeps
@@ -307,10 +318,7 @@ def wilcoxon_signed_test(pairs, level: float = 0.05, exact_cutoff: int = 25) -> 
     n = len(diffs)
     if n == 0:
         logger.warning("all paired differences are zero; test carries no information")
-        return WilcoxonResult(
-            n=0, w_plus=0.0, w_minus=0.0, statistic=None, p_value=None,
-            significant=False, method="no-information",
-        )
+        return WilcoxonResult.no_information()
     doubled = _signed_ranks(diffs)
     w_plus_doubled = sum(r for r, d in zip(doubled, diffs) if d > 0)
     w_minus_doubled = sum(doubled) - w_plus_doubled
@@ -348,6 +356,10 @@ class SignTestResult:
     p_value: float | None
     significant: bool
 
+    @classmethod
+    def no_information(cls):
+        return cls(n=0, num_positive=0, num_negative=0, p_value=None, significant=False)
+
 
 def sign_test(pairs, level: float = 0.05) -> SignTestResult:
     """Two-sided sign test on (score_a, score_b) pairs, zero differences dropped."""
@@ -360,7 +372,7 @@ def sign_test(pairs, level: float = 0.05) -> SignTestResult:
     n = pos + neg
     if n == 0:
         logger.warning("all paired differences are zero; test carries no information")
-        return SignTestResult(n=0, num_positive=0, num_negative=0, p_value=None, significant=False)
+        return SignTestResult.no_information()
     k = min(pos, neg)
     tail = sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n
     p = min(1.0, 2.0 * tail)
@@ -381,9 +393,9 @@ class SweepSystem:
 class SweepPoint:
     """Outcome of one (system, depth) cell across all queries.
 
-    Times are summed over the queries. Stage one runs once per query and is
-    shared by the cells; its time is added to every cell's ``total_s``, so
-    the cells sum to more than the sweep's wall time.
+    Times are summed over the queries. They include the stage-one runs and
+    document translations the cell shares with other cells (see
+    ``sweep_n``), so the cells sum to more than the sweep's wall time.
     """
 
     system: str
@@ -414,10 +426,13 @@ def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
 
     Stage one runs once per query for each translation method and source
     analyzer settings, at the deepest depth any cell needs, in the first cell
-    that needs it; every cell takes an exact prefix of it. Each cell
-    translates and re-ranks its own head with an empty document memo, and
-    its ``total_s`` includes the shared stage-one time, so it is what a run
-    at that depth costs.
+    that needs it; every cell takes an exact prefix of it. Each document is
+    translated once per sweep: the cells' document memos share one store
+    (see ``DocumentMemo``), and each cell re-ranks its own head. A cell's
+    ``total_s`` includes the shared stage-one time, and its
+    ``translation_s`` and ``total_s`` the recorded translation time of each
+    stored document it used, so they are what a run at that depth costs
+    with a fresh config.
     """
     n_values = check_depths(n_values)
     deepest = max((
@@ -425,10 +440,12 @@ def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
         for system in systems for n in n_values
     ), default=0)
     stage_ones = {}
+    store = DocumentMemo()
     points = []
     for system in systems:
         for n in n_values:
             cfg = replace(system.cfg, n_intermediate=n)
+            cfg.doc_memo = DocumentMemo(store)
             ranked_lists = []
             translation_s = rerank_s = total_s = 0.0
             for pos, query in enumerate(queries):
@@ -497,8 +514,9 @@ def format_comparison(name_a: str, name_b: str, result: WilcoxonResult) -> str:
 def format_sweep(points) -> str:
     """Aligned table of the sweep, then the same cells as tab-separated lines.
 
-    Each cell's ``total_s`` includes the stage-one time its queries share
-    with every other cell, so the column sums to more than the sweep took.
+    Each cell's ``trans_s`` and ``total_s`` include the work it shares with
+    other cells (see ``sweep_n``), so the columns sum to more than the sweep
+    took.
     """
     header = f"{'system':<16} {'n':>6} {'map':>8} {'trans_s':>9} {'rerank_s':>9} {'total_s':>9}"
     rows = [header]

@@ -188,14 +188,22 @@ def save_index(index, path):
 
     Keys are written in insertion order, never sorted: each document's term
     counts keep their token order, which fixes the summation order of its norm.
+    The payload is encoded before ``path`` is opened, so an index holding text
+    that is not UTF-8 (a lone surrogate) raises IntegrityError naming ``path``
+    and leaves any file there untouched.
     """
     if index.analyzer.stemmer is not None:
         raise ConfigError("an index built with a custom stemmer cannot be persisted")
     analyzer = {key: getattr(index.analyzer, key) for key in _ANALYZER_TYPES}
     analyzer["stopword_list"] = sorted(analyzer["stopword_list"])
     payload = {"format": INDEX_FORMAT, "analyzer": analyzer, "documents": index.documents}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, ensure_ascii=False))
+    try:
+        data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise IntegrityError(f"{path}: cannot write {bad!r}: it is not UTF-8 text") from None
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _check_types(record, types, path, prefix=""):

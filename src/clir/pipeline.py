@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from clir.corpus import TermVector
-from clir.errors import ConfigError, NoPairError, ParseError, TranslationError
+from clir.errors import ConfigError, NoPairError, NotFoundError, ParseError, TranslationError
 from clir.files import read_lines
 from clir.index import RankedList, ScoredDoc, search
 from clir.rerank import CombineParams, document_vector, rerank
@@ -48,19 +48,28 @@ class DocumentMemo:
     """Analysed term vectors of translated documents, reused across queries.
 
     A vector depends on the document, the channel, the document adapter, the
-    target language and the source analyzer's settings; ``bucket`` returns the
-    doc_id -> TermVector map for one such combination. Term strings are
-    interned through one vocabulary, so a term shared by many stored vectors
-    is held once. Only successful translations are stored.
+    target language and the source analyzer's settings; ``bucket`` returns,
+    for one such combination, the doc_id -> (TermVector, seconds) map of
+    stored vectors with the seconds spent translating and analysing each, and
+    the set of doc_ids this memo's runs have used. Term strings are interned
+    through one vocabulary, so a term shared by many stored vectors is held
+    once. Only successful translations are stored.
+
+    ``DocumentMemo(store)`` shares the stored vectors of the memo ``store``
+    and keeps its own record of used documents. The first time its runs use
+    a vector that another memo stored, the run charges that vector's
+    recorded seconds, so its times are what it would cost with a memo of its
+    own. A memo that shares nothing never charges anything.
     """
 
-    def __init__(self):
-        self.buckets = {}
-        self.vocab = {}
+    def __init__(self, store=None):
+        self.buckets = {} if store is None else store.buckets
+        self.vocab = {} if store is None else store.vocab
+        self.used = {}
 
     def bucket(self, channel, adapter, target_lang, analyzer):
         key = (channel, adapter, target_lang, analyzer_settings(analyzer))
-        return self.buckets.setdefault(key, {})
+        return self.buckets.setdefault(key, {}), self.used.setdefault(key, set())
 
     def intern(self, vec):
         vocab = self.vocab
@@ -123,7 +132,9 @@ class TimingRecord:
 
     ``translation_s`` covers fetching the head documents' vectors: translating
     and analysing the documents missing from the config's memo, and looking up
-    the rest.
+    the rest. A memo that shares another's store also charges the recorded
+    seconds of each shared vector on its first use (see ``DocumentMemo``);
+    ``total_s`` includes them too.
     """
 
     translation_s: float
@@ -195,33 +206,41 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
     ``stage_one`` is the query's ranked first-stage entries, at least as
     deep as the config needs. Each head document is translated and analysed
     once per ``cfg``: later runs take its vector from ``cfg.doc_memo``.
-    Documents whose translation fails are logged and kept with a zero
-    second-stage score, and are tried again by the next run that retrieves
-    them. The timing's ``total_s`` is this stage's time plus
-    ``first_stage_s``, the time spent producing ``stage_one``.
+    Documents whose translation fails, or which are missing from ``corpus``,
+    are logged and kept with a zero second-stage score; nothing is stored,
+    so the next run that retrieves them tries again. The timing's
+    ``total_s`` is this stage's time plus ``first_stage_s``, the time spent
+    producing ``stage_one``.
     """
     t_run = time.perf_counter()
     head = stage_one[: cfg.n_intermediate]
     tail = stage_one[cfg.n_intermediate : first_stage_depth(cfg)]
 
     adapter = cfg.resolve_doc_adapter()
-    memo = cfg.doc_memo.bucket(cfg.doc_channel, adapter, query.lang, cfg_src)
+    stored, used = cfg.doc_memo.bucket(cfg.doc_channel, adapter, query.lang, cfg_src)
     doc_vectors = {}
+    charged_s = 0.0
     t0 = time.perf_counter()
     for entry in head:
-        vec = memo.get(entry.doc_id)
-        if vec is None:
-            doc = corpus.get(entry.doc_id)
+        doc_id = entry.doc_id
+        hit = stored.get(doc_id)
+        if hit is None:
+            t_doc = time.perf_counter()
             try:
                 translated = translate_document(
-                    doc, cfg.doc_channel, corpus=corpus, adapter=adapter, target_lang=query.lang
+                    corpus.get(doc_id), cfg.doc_channel, corpus=corpus, adapter=adapter,
+                    target_lang=query.lang,
                 )
-            except (TranslationError, NoPairError) as exc:
-                logger.warning("query %s: document %s kept untranslated: %s", query.query_id, entry.doc_id, exc)
+            except (TranslationError, NoPairError, NotFoundError) as exc:
+                logger.warning("query %s: document %s kept untranslated: %s", query.query_id, doc_id, exc)
                 continue
-            vec = memo[entry.doc_id] = cfg.doc_memo.intern(document_vector(translated, cfg_src))
-        doc_vectors[entry.doc_id] = vec
-    translation_s = time.perf_counter() - t0
+            vec = cfg.doc_memo.intern(document_vector(translated, cfg_src))
+            hit = stored[doc_id] = vec, time.perf_counter() - t_doc
+        elif doc_id not in used:
+            charged_s += hit[1]
+        used.add(doc_id)
+        doc_vectors[doc_id] = hit[0]
+    translation_s = time.perf_counter() - t0 + charged_s
 
     t0 = time.perf_counter()
     reranked = rerank(
@@ -237,7 +256,7 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
     entries = list(reranked.entries)
     if cfg.tail_policy == TAIL_KEEP and tail and entries:
         entries.extend(_rescaled_tail(tail, entries[-1].sim))
-    total_s = first_stage_s + time.perf_counter() - t_run
+    total_s = first_stage_s + time.perf_counter() - t_run + charged_s
     return RankedList(query_id=query.query_id, entries=entries), TimingRecord(
         translation_s=translation_s, rerank_s=rerank_s, total_s=total_s
     )

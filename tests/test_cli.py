@@ -210,6 +210,17 @@ def test_index_reports_size_on_stderr(ws, tmp_path, capsys):
     assert "indexed 5 documents" in capsys.readouterr().err
 
 
+def test_index_that_cannot_be_encoded_leaves_an_existing_index(ws, tmp_path, capsys):
+    corpus = tmp_path / "bad.jsonl"
+    _write_jsonl(corpus, [{"id": "j1", "lang": "ja", "title": "\ud800 x", "keywords": [],
+                           "abstract": "deta"}])
+    out = tmp_path / "ja.idx"
+    out.write_bytes(ws.index.read_bytes())
+    assert main(["index", "--corpus", str(corpus), "--lang", "ja", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert out.read_bytes() == ws.index.read_bytes()
+
+
 def test_index_bigram_tokenizer(ws, tmp_path):
     out = tmp_path / "bi.idx"
     assert main(["index", "--corpus", str(ws.corpus), "--lang", "ja",
@@ -283,6 +294,24 @@ def test_search2_survives_undecodable_translator_output(ws, tmp_path, caplog):
     assert "j3 kept untranslated" in caplog.text
     run = read_run(out)
     assert "j3" in [e.doc_id for e in run.rankings["q1"]]
+
+
+def test_search2_and_sweep_keep_a_document_missing_from_the_corpus(ws, tmp_path, caplog):
+    # the index holds j3, this corpus does not
+    lines = ws.corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus = tmp_path / "short.jsonl"
+    corpus.write_text("".join(l for l in lines if json.loads(l)["id"] not in ("j3", "e3")),
+                      encoding="utf-8")
+    out = tmp_path / "run.txt"
+    with caplog.at_level(logging.WARNING, logger="clir.pipeline"):
+        assert main(["search2", "--index", str(ws.index), "--corpus", str(corpus),
+                     "--query-file", str(ws.queries), "--method", "mts",
+                     "--mock-table", str(ws.table), "--n", "5", "--out", str(out)]) == 0
+    assert "query q2: document j3 kept untranslated: no document 'j3'" in caplog.text
+    assert "j3" in [e.doc_id for e in read_run(out).rankings["q2"]]
+    assert main(["sweep", "--index", str(ws.index), "--corpus", str(corpus),
+                 "--query-file", str(ws.queries), "--qrels", str(ws.qrels),
+                 "--ns", "2,5", "--method", "mts", "--mock-table", str(ws.table)]) == 0
 
 
 def test_search2_human_channel_needs_no_adapter_for_documents(ws, tmp_path):
@@ -368,6 +397,22 @@ def test_eval_compare_run_against_itself_is_no_information(ws, tmp_path, capsys)
     out = capsys.readouterr().out
     assert "method\tno-information" in out
     assert "significant\tno" in out
+
+
+def test_eval_compare_without_judged_queries_is_no_information(ws, tmp_path, capsys):
+    better, worse = _make_runs(ws, tmp_path)
+    qrels = tmp_path / "unjudged.txt"
+    qrels.write_text("q1 0 j2 0\nq2 0 j1 0\n", encoding="utf-8")
+    assert main(["eval", "--run", str(better), "--qrels", str(qrels),
+                 "--compare", str(worse), "--sign-test"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count("num_q\t0") == 2
+    assert lines[-4:] == [
+        "n\t0",
+        "method\tno-information",
+        "significant\tno",
+        "sign_test\tn\t0\tpositive\t0\tnegative\t0\tp_value\tNA\tsignificant\tno",
+    ]
 
 
 def test_eval_lenient_counts_partial_relevance(ws, tmp_path, capsys):

@@ -5,6 +5,7 @@ import itertools
 import logging
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -32,7 +33,14 @@ from clir.evaluation import (
     write_run,
 )
 from clir.index import RankedList, ScoredDoc, build_index
-from clir.pipeline import TAIL_DROP, TAIL_KEEP, PipelineConfig, run_first_stage, run_two_stage
+from clir.pipeline import (
+    TAIL_DROP,
+    TAIL_KEEP,
+    DocumentMemo,
+    PipelineConfig,
+    run_first_stage,
+    run_two_stage,
+)
 from clir.translate import MT_SENTENCE, TableAdapter, TranslationMethod
 
 EN = AnalyzerConfig(lang="en")
@@ -566,6 +574,79 @@ def test_sweep_propagates_a_failed_query_translation():
         sweep_n(s.queries, s.index, s.corpus, systems,
                 lambda q: s.src_cfg, s.tgt_cfg, s.qrels, [3, 8])
     assert log == [("translate", "sa0 sb0 sf00"), ("translate", "sa1 sb1 sf07")]
+
+
+def _doc_sweep(make_adapter, depths=(2, 4, 7)):
+    """The two-method sweep with the adapter ``make_adapter`` builds from the
+    mock back-translation table translating documents, and for each
+    two-stage cell (system, depth) the doc_ids heading its queries."""
+    s, systems = _two_method_sweep(TAIL_DROP, [])
+    adapter = make_adapter(s.mt_back_table.table)
+    systems = [replace(system, cfg=replace(system.cfg, doc_adapter=adapter))
+               for system in systems]
+    heads = {}
+    for system in systems:
+        for n in depths if system.two_stage else ():
+            heads[system.name, n] = [
+                [e.doc_id for e in run_first_stage(q, s.index, system.cfg, s.src_cfg,
+                                                   s.tgt_cfg, depth=n).entries]
+                for q in s.queries
+            ]
+    return s, systems, list(depths), heads, adapter
+
+
+def test_sweep_translates_each_document_field_once_per_call():
+    log = []
+    s, systems, depths, heads, _ = _doc_sweep(lambda table: _LoggedTable(table, log))
+    used = {doc_id for cell in heads.values() for head in cell for doc_id in head}
+    want = Counter(s.corpus.get(doc_id).abstract for doc_id in used)
+    for calls in (1, 2):
+        sweep_n(s.queries, s.index, s.corpus, systems,
+                lambda q: s.src_cfg, s.tgt_cfg, s.qrels, depths)
+        assert Counter(text for _, text in log) == Counter(
+            {text: calls * k for text, k in want.items()})
+    # the deeper cells and the other system use documents a cell before them stored
+    assert len(used) < sum(len({d for head in cell for d in head}) for cell in heads.values())
+
+
+def test_sweep_cells_are_charged_the_translation_time_of_shared_documents():
+    delay_s = 0.002
+    s, systems, depths, heads, _ = _doc_sweep(lambda table: TableAdapter(table, delay_s=delay_s))
+    points = sweep_n(s.queries, s.index, s.corpus, systems,
+                     lambda q: s.src_cfg, s.tgt_cfg, s.qrels, depths)
+    for p in points:
+        if (p.system, p.n) not in heads:
+            continue
+        fields = len({d for head in heads[p.system, p.n] for d in head})  # one abstract each
+        assert p.translation_s >= delay_s * fields
+        assert p.total_s >= p.translation_s + p.rerank_s
+
+
+def test_sweep_retries_a_failed_document_in_every_run_and_never_stores_it(monkeypatch, caplog):
+    log = []
+    s, systems, depths, heads, adapter = _doc_sweep(lambda table: _LoggedTable(table, log))
+    bad = heads["true", depths[0]][0][0]  # the first query's top document
+    adapter.fail_on = bad_text = s.corpus.get(bad).abstract
+    memos = []
+
+    class RecordedMemo(DocumentMemo):
+        def __init__(self, store=None):
+            super().__init__(store)
+            memos.append(self)
+
+    monkeypatch.setattr("clir.evaluation.DocumentMemo", RecordedMemo)
+    with caplog.at_level(logging.WARNING, logger="clir.pipeline"):
+        sweep_n(s.queries, s.index, s.corpus, systems,
+                lambda q: s.src_cfg, s.tgt_cfg, s.qrels, depths)
+    runs = [(cell, q.query_id) for cell, cell_heads in heads.items()
+            for q, head in zip(s.queries, cell_heads) if bad in head]
+    assert len(runs) > len(depths)  # retrieved by both systems, at every depth
+    assert log.count(("translate", bad_text)) == len(runs)
+    assert caplog.text.count(f"document {bad} kept untranslated") == len(runs)
+    store = memos[0]
+    assert all(memo.buckets is store.buckets for memo in memos)
+    assert store.buckets
+    assert all(bad not in bucket for bucket in store.buckets.values())
 
 
 def test_sweep_rejects_bad_depths():

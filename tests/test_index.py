@@ -251,6 +251,15 @@ _V1_PAYLOAD = {
 }
 
 
+def test_save_index_leaves_the_file_untouched_on_text_it_cannot_encode(tmp_path):
+    path = tmp_path / "ix.json"
+    path.write_bytes(b"an earlier index")
+    index = build_index(_corpus_from_texts({"d1": "alpha \ud800"}), CFG)
+    with pytest.raises(IntegrityError, match="ix.json"):
+        save_index(index, path)
+    assert path.read_bytes() == b"an earlier index"
+
+
 def test_load_index_rejects_wrong_format(tmp_path):
     path = tmp_path / "idx.json"
     for payload in ({"format": "something-else"}, _V1_PAYLOAD, []):

@@ -400,6 +400,19 @@ def test_failed_document_is_retried_on_the_next_query(caplog):
     assert adapter.texts["toshokan kensaku"] == 1
 
 
+def test_document_missing_from_the_corpus_is_kept_and_not_stored(caplog):
+    corpus, index = _corpus_with_bad_document()
+    short = Corpus([d for d in corpus if d.doc_id != "j2"], ["ja"])
+    cfg = _cfg(n=2)
+    with caplog.at_level(logging.WARNING, logger="clir.pipeline"):
+        final, _ = run_two_stage(_query("library search"), index, short, cfg, EN, JA)
+    assert "query q1: document j2 kept untranslated: no document 'j2'" in caplog.text
+    by_id = {e.doc_id: e for e in final.entries}
+    assert set(by_id) == {"j1", "j2"}
+    assert by_id["j2"].jsim == 0.0
+    assert all("j2" not in stored for stored in cfg.doc_memo.buckets.values())
+
+
 def test_analyzers_differing_in_stopwords_do_not_share_vectors(ja_index):
     corpus = _bilingual_corpus()
     stop = AnalyzerConfig(lang="en", stopword_list={"library"})
