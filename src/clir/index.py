@@ -8,6 +8,12 @@ A saved index (format ``clir-index-v2``) holds only the analyzer settings and
 each document's term counts in token order. Document frequencies, document
 norms and the weighted postings are derived from those counts by one function,
 on build and on load alike, so a loaded index equals the built one.
+
+In memory each document is known by its ordinal, its position in ascending
+doc_id order. Postings hold ordinals and the norms are one dense list, so
+``search`` accumulates dot products in a flat list and scores every document
+with builtins iterating in C. Ordinal order is doc_id order, so ties break the
+same either way.
 """
 
 import json
@@ -15,7 +21,8 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import mul, neg, truediv
 
 from clir.corpus import AnalyzerConfig, analyze, indexable_text
 from clir.errors import ConfigError, IntegrityError
@@ -45,8 +52,9 @@ class InvertedIndex:
     analyzer: AnalyzerConfig
     documents: dict  # doc_id -> {term: tf} in token order; empty documents included
     df: dict  # term -> number of documents containing it
-    doc_norms: dict  # doc_id -> Euclidean norm of its weighted vector (non-empty documents)
-    postings: dict  # term -> (doc_ids ascending, array('d') of their weight_atc weights)
+    doc_ids: list  # ordinal -> doc_id, ascending
+    doc_norms: list  # ordinal -> Euclidean norm of its weighted vector; inf where that is 0
+    postings: dict  # term -> (list of ordinals ascending, array('d') of their weight_atc weights)
 
     @property
     def lang(self):
@@ -71,29 +79,32 @@ def _derive(documents, analyzer):
 
     Each norm is summed in the document's own term order, so it does not
     depend on how the index was obtained. Documents are visited in ascending
-    doc_id order, which leaves every posting list sorted by doc_id.
+    doc_id order and numbered in that order, which leaves every posting list
+    sorted by ordinal. A norm of 0 (an empty document, or one whose every
+    term is in every document) is stored as ``inf``, so that document's
+    cosine is 0 and ``search`` drops it.
     """
     num_docs = len(documents)
     df = dict(Counter(chain.from_iterable(documents.values())))
     postings = {term: ([], array("d")) for term in df}
-    doc_norms = {}
-    for doc_id in sorted(documents):
+    doc_ids = sorted(documents)
+    doc_norms = []
+    for ordinal, doc_id in enumerate(doc_ids):
         counts = documents[doc_id]
-        if not counts:
-            continue
-        max_tf = max(counts.values())
+        max_tf = max(counts.values(), default=0)
         sq = 0.0
         for term, tf in counts.items():
             w = weight_atc(tf, max_tf, df[term], num_docs)
-            doc_ids, weights = postings[term]
-            doc_ids.append(doc_id)
+            ordinals, weights = postings[term]
+            ordinals.append(ordinal)
             weights.append(w)
             sq += w * w
-        doc_norms[doc_id] = math.sqrt(sq)
+        doc_norms.append(math.sqrt(sq) or math.inf)
     return InvertedIndex(
         analyzer=analyzer,
         documents=documents,
         df=df,
+        doc_ids=doc_ids,
         doc_norms=doc_norms,
         postings=postings,
     )
@@ -135,41 +146,45 @@ def weighted_query(index, query_terms):
 def search(index, query_terms, top_n, query_id=""):
     """First-stage retrieval: top ``top_n`` documents by cosine similarity.
 
-    Scores accumulate term at a time into one dot product per document. Every
-    positive score becomes a plain ``(-score, doc_id)`` pair; the pairs are
-    sorted as they are, with no key function, and only the ``top_n`` kept
-    become ``ScoredDoc`` entries. A heap selection was slower than this sort
-    at depth 1000. Zero-scoring documents are omitted, so the result may be
-    shorter than ``top_n``. Ties break by ascending doc_id for deterministic
-    runs, so a shallower search is a prefix of a deeper one.
+    Scores accumulate term at a time into one dot product per document
+    ordinal, and every document's cosine is then computed at once. Sorting
+    those floats alone gives the ``top_n``-th score; only the documents
+    scoring at least that much, ties included, are sorted as
+    ``(-score, ordinal)`` pairs and become ``ScoredDoc`` entries.
+    Zero-scoring documents are omitted, so the result may be shorter than
+    ``top_n``. Ties break by ascending doc_id (ordinal order is doc_id order)
+    for deterministic runs, so a shallower search is a prefix of a deeper one.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     qw = weighted_query(index, query_terms)
     if not qw:
         return RankedList(query_id=query_id, entries=[])
-    qnorm = math.sqrt(sum(w * w for w in qw.values()))
+    # summed left to right, like the document norms: builtin sum() of floats
+    # is compensated from Python 3.12 on and would move the last bit
+    sq = 0.0
+    for w in qw.values():
+        sq += w * w
+    qnorm = math.sqrt(sq)
 
-    dots = {}
+    acc = [0.0] * index.num_docs
     for term, w in qw.items():
-        doc_ids, weights = index.postings[term]
-        for doc_id, dw in zip(doc_ids, weights):
-            dots[doc_id] = dots.get(doc_id, 0.0) + w * dw
+        ordinals, weights = index.postings[term]
+        for ordinal, dw in zip(ordinals, weights):
+            acc[ordinal] += w * dw
 
-    doc_norms = index.doc_norms
-    ranked = []
-    append = ranked.append
-    for doc_id, dot in dots.items():
-        denom = qnorm * doc_norms[doc_id]
-        if denom == 0.0:
-            continue
-        score = min(dot / denom, 1.0)
-        if score > 0.0:
-            append((-score, doc_id))
-    ranked.sort()
+    # cosines before the clamp to 1.0; min() is monotone, so the top_n-th
+    # clamped score is the clamped top_n-th of these, and only the documents
+    # kept by the cut need clamping
+    scores = list(map(truediv, acc, map(mul, repeat(qnorm), index.doc_norms)))
+    cut = min(sorted(scores, reverse=True)[min(top_n, len(scores)) - 1], 1.0)
+    kept = list(compress(range(len(scores)),
+                         map(cut.__le__ if cut > 0.0 else (0.0).__lt__, scores)))
+    ranked = sorted(zip(map(neg, map(min, map(scores.__getitem__, kept), repeat(1.0))), kept))
+    doc_ids = index.doc_ids
     return RankedList(
         query_id=query_id,
-        entries=[ScoredDoc(doc_id, -neg) for neg, doc_id in ranked[:top_n]],
+        entries=[ScoredDoc(doc_ids[ordinal], -negated) for negated, ordinal in ranked[:top_n]],
     )
 
 

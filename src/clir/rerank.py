@@ -1,22 +1,22 @@
 """Re-score back-translated documents against the original query and re-rank.
 
-The second stage works on a handful of documents, so scoring is direct pattern
-matching over term vectors, no index. Term weights are 1 + ln(tf) times
-ln(N/n_t) where N is the size of the retrieved set and n_t counts, within that
-set, the translated documents containing the term. Only a query term can
-contribute to the inner product, so n_t is counted for the query's terms
-alone, and each query term's weight is computed once per query, not once per
-document. Similarity is the plain inner product; length normalization is
-deliberately absent. The two stages' scores then combine as a weighted
-geometric mean with a small floor replacing zeros.
+The second stage works on a handful of documents, so it keeps no index. Term
+weights are 1 + ln(tf) times ln(N/n_t) where N is the size of the retrieved
+set and n_t counts, within that set, the translated documents containing the
+term. Only a query term can contribute to the inner product, so ``rerank``
+takes one column per query term, its frequency in every retrieved document:
+n_t is counted on the column, the term's weight is computed once per query,
+and the scores accumulate one column at a time through a table from frequency
+to contribution, in builtins iterating in C. Similarity is the plain inner
+product; length normalization is deliberately absent. The two stages' scores
+then combine as a weighted geometric mean with a small floor replacing zeros.
 """
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, groupby
-from operator import attrgetter
+from itertools import groupby, repeat
+from operator import add, attrgetter
 
 from clir.corpus import TermVector, analyze, indexable_text
 from clir.index import RankedList
@@ -47,16 +47,6 @@ class RerankStats:
 
     num_docs: int  # documents retrieved in the first stage
     df: dict  # term -> documents among those containing it
-
-    @classmethod
-    def from_vectors(cls, vectors, num_docs, terms):
-        """Count, for each of ``terms`` (a set or a dict's keys), the
-        ``vectors`` containing it; terms in none of them are left out."""
-        vectors = list(vectors)
-        if len(vectors) > num_docs:
-            raise ValueError("more translated vectors than retrieved documents")
-        df = Counter(chain.from_iterable(vec.counts.keys() & terms for vec in vectors))
-        return cls(num_docs=num_docs, df=dict(df))
 
 
 @dataclass
@@ -183,33 +173,45 @@ def rerank(first_stage, translated_docs, source_query, cfg, p, use_idf=True):
     if not entries:
         return RankedList(query_id=first_stage.query_id, entries=[])
 
-    doc_vectors = {}
+    vectors = []
     for entry in entries:
         doc = translated_docs.get(entry.doc_id)
-        if isinstance(doc, TermVector):
-            doc_vectors[entry.doc_id] = doc
-        elif doc is not None:
-            doc_vectors[entry.doc_id] = document_vector(doc, cfg)
+        if doc is not None and not isinstance(doc, TermVector):
+            doc = document_vector(doc, cfg)
+        vectors.append(doc)
+    counts = [{} if vec is None else vec.counts for vec in vectors]
     query_vec = analyze(source_query.description, cfg)
-    stats = RerankStats.from_vectors(
-        doc_vectors.values(), num_docs=len(entries), terms=query_vec.counts.keys()
-    )
+    n = len(entries)
+    # one column per query term: its tf in each document, 0 where absent
+    columns = {term: list(map(dict.get, counts, repeat(term), repeat(0)))
+               for term in query_vec.counts}
+    df = {term: d for term, col in columns.items() if (d := n - col.count(0))}
+    stats = RerankStats(num_docs=n, df=df)
     weights = query_weights(query_vec, stats, use_idf)
 
-    reranked = []
-    for entry in entries:
-        vec = doc_vectors.get(entry.doc_id)
-        jsim = 0.0
-        if vec is not None:
-            jsim = score_inner_product(query_vec, vec, stats, use_idf, weights)
-        reranked.append(
-            RerankedEntry(
-                doc_id=entry.doc_id,
-                esim=entry.score,
-                jsim=jsim,
-                sim=combine_scores(entry.score, jsim, p),
-            )
+    # Term at a time in query order: every contribution is >= 0, so adding
+    # rerank_tf(0) = 0.0 for an absent term leaves each sum exact and equal to
+    # score_inner_product's for a document at least as long as the query.
+    jsims = [0.0] * n
+    for term, (weight, idf) in weights.items():
+        col = columns[term]
+        table = {tf: weight * (rerank_tf(tf) * idf) for tf in set(col)}
+        jsims = list(map(add, jsims, map(table.__getitem__, col)))
+    # a shorter document sums in its own term order
+    qlen = len(query_vec.counts)
+    for i, vec in enumerate(vectors):
+        if vec is not None and len(vec.counts) < qlen:
+            jsims[i] = score_inner_product(query_vec, vec, stats, use_idf, weights)
+
+    reranked = [
+        RerankedEntry(
+            doc_id=entry.doc_id,
+            esim=entry.score,
+            jsim=jsim,
+            sim=combine_scores(entry.score, jsim, p),
         )
+        for entry, jsim in zip(entries, jsims)
+    ]
     reranked.sort(key=lambda r: (-r.sim, r.doc_id))
     if len({r.sim for r in reranked}) < len(reranked):
         reranked = _order_ties(reranked, p)

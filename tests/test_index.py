@@ -62,19 +62,21 @@ def test_weight_atc_frozen_value():
 
 def test_build_index_counts():
     index = build_index(
-        _corpus_from_texts({"d1": "a a b", "d2": "b c", "d3": "c"}), CFG
+        _corpus_from_texts({"d3": "c", "d1": "a a b", "d2": "b c"}), CFG
     )
     assert index.num_docs == 3
     assert index.documents == {"d1": {"a": 2, "b": 1}, "d2": {"b": 1, "c": 1}, "d3": {"c": 1}}
-    doc_ids, weights = index.postings["a"]
-    assert doc_ids == ["d1"]
+    # ordinals number the documents in ascending doc_id order
+    assert index.doc_ids == ["d1", "d2", "d3"]
+    ordinals, weights = index.postings["a"]
+    assert list(ordinals) == [0]
     assert list(weights) == [weight_atc(2, 2, 1, 3)]
     assert index.df == {"a": 1, "b": 2, "c": 2}
-    for term, (doc_ids, weights) in index.postings.items():
-        assert index.df[term] == len(doc_ids) == len(weights)
-        assert doc_ids == sorted(doc_ids)
-        for doc_id in doc_ids:
-            assert doc_id in index.doc_norms
+    for term, (ordinals, weights) in index.postings.items():
+        assert index.df[term] == len(ordinals) == len(weights)
+        assert list(ordinals) == sorted(set(ordinals))
+    assert len(index.doc_norms) == 3
+    assert all(0.0 < norm < math.inf for norm in index.doc_norms)
 
 
 def test_build_index_rejects_empty_collection():
@@ -89,11 +91,13 @@ def test_build_index_rejects_language_mismatch():
 
 
 def test_empty_document_counts_toward_num_docs_only():
-    index = build_index(_corpus_from_texts({"d1": "a", "d2": ""}), CFG)
+    index = build_index(_corpus_from_texts({"d2": "", "d1": "a"}), CFG)
     assert index.num_docs == 2
     assert index.documents["d2"] == {}
-    assert "d2" not in index.doc_norms
-    assert all("d2" not in doc_ids for doc_ids, _ in index.postings.values())
+    assert index.doc_ids == ["d1", "d2"]
+    # a norm of 0 is stored as inf, so the document's cosine is 0
+    assert index.doc_norms[1] == math.inf
+    assert all(1 not in ordinals for ordinals, _ in index.postings.values())
 
 
 def test_search_single_match_ranks_first():
@@ -308,7 +312,9 @@ def test_load_index_rejects_truncated_doc_norms(tmp_path):
     # every norm is derived from its document's term counts, so damaged
     # counts are rejected rather than yielding a wrong or missing norm
     path, payload = _saved_payload(tmp_path)
-    assert set(load_index(path).doc_norms) == {"d1", "d2", "d3"}
+    index = load_index(path)
+    assert index.doc_ids == ["d1", "d2", "d3"]
+    assert all(map(math.isfinite, index.doc_norms))
     for counts in (None, ["a", "b"], "a b", {"a": 0}, {"a": -1}, {"a": 1.5},
                    {"a": True}, {"a": 1, "b": "2"}):
         payload["documents"]["d2"] = counts
@@ -361,22 +367,28 @@ def test_save_and_load_give_identical_searches(tmp_path_factory, case):
 
 
 def _exhaustive_ranking(index, terms):
-    """Every document with a positive cosine, each scored on its own in the
-    engine's summation order, sorted by (-score, doc_id)."""
+    """Every document with a positive cosine, each scored on its own from its
+    term counts in the engine's summation order, sorted by (-score, doc_id)."""
     qw = weighted_query(index, terms)
     if not qw:
         return []
-    qnorm = math.sqrt(sum(w * w for w in qw.values()))
+    sq = 0.0
+    for w in qw.values():
+        sq += w * w
+    qnorm = math.sqrt(sq)
     ranked = []
     for doc_id, counts in index.documents.items():
-        if not counts:
-            continue
-        max_tf = max(counts.values())
+        max_tf = max(counts.values(), default=0)
+        weights = {t: weight_atc(tf, max_tf, index.df[t], index.num_docs)
+                   for t, tf in counts.items()}
+        norm_sq = 0.0
+        for w in weights.values():
+            norm_sq += w * w
         dot = 0.0
         for term, w in qw.items():
-            if term in counts:
-                dot += w * weight_atc(counts[term], max_tf, index.df[term], index.num_docs)
-        denom = qnorm * index.doc_norms[doc_id]
+            if term in weights:
+                dot += w * weights[term]
+        denom = qnorm * math.sqrt(norm_sq)
         score = min(dot / denom, 1.0) if denom else 0.0
         if score > 0.0:
             ranked.append((-score, doc_id))
@@ -387,6 +399,19 @@ def _exhaustive_ranking(index, terms):
 @given(case=_corpora(), depths=st.lists(st.integers(1, 15), min_size=2, max_size=2))
 # x and d tie; x is scored first, through the query's first term
 @example(case=(AnalyzerConfig(lang="xx"), {"x": "a", "d": "b"}, ["a b"]), depths=[1, 2])
+# z and x have norm 0: each of their terms is in every document
+@example(case=(AnalyzerConfig(lang="xx"), {"z": "a", "x": "a a", "d": "b a"}, ["a b", "a"]),
+         depths=[1, 3])
+# d is empty
+@example(case=(AnalyzerConfig(lang="xx"), {"x": "a", "d": "", "z": "b"}, ["a b"]), depths=[1, 3])
+# d, x and z tie at the second score, so the cut keeps all three before truncating
+@example(case=(AnalyzerConfig(lang="xx"), {"z": "a b", "x": "a b", "d": "a b", "0": "a", "1": "c"},
+               ["a"]), depths=[2, 3])
+# b's cosine rounds to just above 1 and a's is 1 exactly; both clamp to 1.0
+# and tie, so the cut at depth 1 must keep a
+@example(case=(AnalyzerConfig(lang="xx"),
+               {"a": "b e d c", "b": "c e b d", "f0": "c e a", "f1": "c d d c", "f2": "a e a b"},
+               ["c e b d"]), depths=[1, 3])
 def test_search_is_a_prefix_of_the_exhaustive_ranking(case, depths):
     # ties are frequent: the alphabet is small and documents may repeat
     cfg, docs, queries = case

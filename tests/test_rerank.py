@@ -63,24 +63,6 @@ def test_idf_unsupported_term_rejected():
         rerank_idf(stats, "missing")
 
 
-def test_stats_from_vectors_counts_documents_not_occurrences():
-    vecs = [
-        TermVector.from_counts({"a": 5, "b": 1}),
-        TermVector.from_counts({"a": 1}),
-    ]
-    stats = RerankStats.from_vectors(vecs, num_docs=4, terms={"a", "b", "c"})
-    assert stats.df == {"a": 2, "b": 1}
-    assert stats.num_docs == 4
-    # only the given terms are counted
-    assert RerankStats.from_vectors(vecs, num_docs=4, terms={"b"}).df == {"b": 1}
-
-
-def test_stats_reject_more_vectors_than_documents():
-    vecs = [TermVector.from_counts({"a": 1})] * 3
-    with pytest.raises(ValueError):
-        RerankStats.from_vectors(vecs, num_docs=2, terms={"a"})
-
-
 def test_inner_product_single_shared_term():
     q = TermVector.from_counts({"t": 1})
     d = TermVector.from_counts({"t": 1})
@@ -360,6 +342,14 @@ def _defined_jsim(q, d, df, num_docs, use_idf):
 @example(case=([("d00", 0.9), ("d01", 0.9), ("d02", 0.5), ("d03", 0.2)],
                {"d00": "", "d01": "b d d", "d02": "c", "d03": "e c b"},
                "z z z d c b e", CombineParams(), True, False))
+# d01 is as long as the query and d02 a term shorter; each sums in a
+# different last bit in query order than in its own order
+@example(case=([("d00", 0.9), ("d01", 0.9), ("d02", 0.5), ("d03", 0.2)],
+               {"d00": "d", "d01": "a b c d", "d02": "a c a d d", "d03": "b e b"},
+               "d b d a c", CombineParams(), True, True))
+# every translation of the head failed
+@example(case=([("d00", 0.9), ("d01", 0.5)], {"d00": None, "d01": None}, "a b",
+               CombineParams(), True, False))
 def test_rerank_equals_its_definition_bit_for_bit(case):
     # the definition: df counted over every term of every translated vector,
     # score_inner_product without precomputed weights (checked against the
