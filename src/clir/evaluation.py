@@ -107,10 +107,17 @@ def average_precision(doc_ids, relevant: set) -> float:
 
 
 def mean_ap(per_query_ap: dict[str, float]) -> float:
-    """Arithmetic mean of per-query average precision; empty input is an error."""
+    """Arithmetic mean of per-query average precision; empty input is an error.
+
+    The values are summed left to right: builtin ``sum()`` of floats is
+    compensated from Python 3.12 on, which could move MAP in the last bit.
+    """
     if not per_query_ap:
         raise ValueError("no per-query values to average")
-    return sum(per_query_ap.values()) / len(per_query_ap)
+    total = 0.0
+    for ap in per_query_ap.values():
+        total += ap
+    return total / len(per_query_ap)
 
 
 @dataclass
@@ -427,12 +434,17 @@ def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
     Stage one runs once per query for each translation method and source
     analyzer settings, at the deepest depth any cell needs, in the first cell
     that needs it; every cell takes an exact prefix of it. Each document is
-    translated once per sweep: the cells' document memos share one store
-    (see ``DocumentMemo``), and each cell re-ranks its own head. A cell's
-    ``total_s`` includes the shared stage-one time, and its
+    translated once per sweep, and each distinct text sent to a translator
+    once: the cells' document memos share one store of vectors and
+    translations (see ``DocumentMemo``), and each cell re-ranks its own
+    head. A cell's ``total_s`` includes the shared stage-one time, and its
     ``translation_s`` and ``total_s`` the recorded translation time of each
-    stored document it used, so they are what a run at that depth costs
-    with a fresh config.
+    stored document it used. A text that an earlier cell translated for a
+    document this cell does not use costs this cell nothing, so its times
+    can fall below what a run at that depth costs with a fresh config.
+    Where every earlier cell's heads are among this cell's, as for the
+    ascending depths of one system, the cell used each of those documents
+    and was charged for each text once.
     """
     n_values = check_depths(n_values)
     deepest = max((

@@ -22,6 +22,7 @@ from clir.translate import (
     DOC_CHANNELS,
     MT_PHRASE,
     MT_SENTENCE,
+    MTAdapter,
     TranslationMethod,
     combine_translations,
     translate_document,
@@ -44,8 +45,26 @@ def analyzer_settings(analyzer):
     return tuple(getattr(analyzer, f.name) for f in fields(analyzer))
 
 
+class _RememberingAdapter(MTAdapter):
+    """``adapter`` behind a table of its successful translations: a text it
+    translated once between the same two languages is answered from the
+    table. A failed call stores nothing, so the next one tries again."""
+
+    def __init__(self, adapter):
+        self.adapter = adapter
+        self.table = {}  # (source language, target language, text) -> translation
+
+    def translate(self, text, src, tgt):
+        key = (src, tgt, text)
+        out = self.table.get(key)
+        if out is None:
+            out = self.table[key] = self.adapter.translate(text, src, tgt)
+        return out
+
+
 class DocumentMemo:
-    """Analysed term vectors of translated documents, reused across queries.
+    """Analysed term vectors of translated documents, and the translations
+    of every text, reused across queries.
 
     A vector depends on the document, the channel, the document adapter, the
     target language and the source analyzer's settings; ``bucket`` returns,
@@ -55,21 +74,39 @@ class DocumentMemo:
     through one vocabulary, so a term shared by many stored vectors is held
     once. Only successful translations are stored.
 
-    ``DocumentMemo(store)`` shares the stored vectors of the memo ``store``
-    and keeps its own record of used documents. The first time its runs use
-    a vector that another memo stored, the run charges that vector's
-    recorded seconds, so its times are what it would cost with a memo of its
-    own. A memo that shares nothing never charges anything.
+    ``translator`` wraps an adapter in a table of its successful
+    translations, keyed by source language, target language and text, so
+    each distinct text reaches the adapter once per memo: a query unit or
+    sentence asked again by a later query, or a title, keyword or abstract
+    repeated across documents. ``MTAdapter`` requires equal inputs to give
+    equal outputs within a run, so the table changes no result.
+
+    ``DocumentMemo(store)`` shares the stored vectors and translations of
+    the memo ``store`` and keeps its own record of used documents. The first
+    time its runs use a vector that another memo stored, the run charges
+    that vector's recorded seconds, so its times are what it would cost with
+    a memo of its own. A translation another memo stored is not charged. A
+    memo that shares nothing never charges anything.
     """
 
     def __init__(self, store=None):
         self.buckets = {} if store is None else store.buckets
         self.vocab = {} if store is None else store.vocab
+        self.translators = {} if store is None else store.translators
         self.used = {}
 
     def bucket(self, channel, adapter, target_lang, analyzer):
         key = (channel, adapter, target_lang, analyzer_settings(analyzer))
         return self.buckets.setdefault(key, {}), self.used.setdefault(key, set())
+
+    def translator(self, adapter):
+        """``adapter`` behind this memo's table of translations; None stays None."""
+        if adapter is None:
+            return None
+        wrapped = self.translators.get(adapter)
+        if wrapped is None:
+            wrapped = self.translators[adapter] = _RememberingAdapter(adapter)
+        return wrapped
 
     def intern(self, vec):
         vocab = self.vocab
@@ -91,8 +128,10 @@ class PipelineConfig:
 
     Each config carries a ``doc_memo`` of the documents its runs translated,
     so a document retrieved again by a later query is neither translated nor
-    analysed again. It is not a setting: ``dataclasses.replace`` gives the new
-    config an empty memo.
+    analysed again, and of every text its adapters translated, so each
+    distinct query unit, sentence, title, keyword or abstract reaches the
+    translator once per config. It is not a setting: ``dataclasses.replace``
+    gives the new config an empty memo.
     """
 
     n_intermediate: int
@@ -142,18 +181,22 @@ class TimingRecord:
     total_s: float
 
 
-def translate_query(query, method, index, cfg_src, cfg_tgt):
-    """Produce target-language query terms with the configured method."""
+def translate_query(query, method, index, cfg_src, cfg_tgt, adapter=None):
+    """Produce target-language query terms with the configured method.
+
+    ``adapter``, when given, is called in place of ``method.adapter``.
+    """
+    adapter = method.adapter if adapter is None else adapter
     if method.kind == MT_SENTENCE:
-        return translate_query_mt(query, method.adapter, "sentence", cfg_src, cfg_tgt)
+        return translate_query_mt(query, adapter, "sentence", cfg_src, cfg_tgt)
     if method.kind == MT_PHRASE:
         return translate_query_mt(
-            query, method.adapter, "phrase", cfg_src, cfg_tgt, phrases=method.dictionary
+            query, adapter, "phrase", cfg_src, cfg_tgt, phrases=method.dictionary
         )
     if method.kind == DICT_PHRASE:
         return translate_query_dict(query, method.dictionary, index, cfg_src)
     mt = translate_query_mt(
-        query, method.adapter, "phrase", cfg_src, cfg_tgt, phrases=method.dictionary
+        query, adapter, "phrase", cfg_src, cfg_tgt, phrases=method.dictionary
     )
     by_dict = translate_query_dict(query, method.dictionary, index, cfg_src)
     return combine_translations(mt, by_dict)
@@ -177,10 +220,13 @@ def run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=None):
     default ``first_stage_depth(cfg)``.
 
     The ranking at a smaller depth is an exact prefix of this one, because
-    ties break on doc_id.
+    ties break on doc_id. The query's texts go to the translator through
+    ``cfg.doc_memo``, so a text an earlier query sent is not sent again.
     """
     _check_langs(index, cfg_tgt)
-    translated = translate_query(query, cfg.translation_method, index, cfg_src, cfg_tgt)
+    method = cfg.translation_method
+    translated = translate_query(query, method, index, cfg_src, cfg_tgt,
+                                 adapter=cfg.doc_memo.translator(method.adapter))
     depth = first_stage_depth(cfg) if depth is None else depth
     return search(index, translated.terms, depth, query_id=query.query_id)
 
@@ -205,7 +251,9 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
 
     ``stage_one`` is the query's ranked first-stage entries, at least as
     deep as the config needs. Each head document is translated and analysed
-    once per ``cfg``: later runs take its vector from ``cfg.doc_memo``.
+    once per ``cfg``: later runs take its vector from ``cfg.doc_memo``. Its
+    title, keywords and abstract go to the translator through the same memo,
+    so a text that another document already sent is not sent again.
     Documents whose translation fails, or which are missing from ``corpus``,
     are logged and kept with a zero second-stage score; nothing is stored,
     so the next run that retrieves them tries again. The timing's
@@ -218,6 +266,7 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
 
     adapter = cfg.resolve_doc_adapter()
     stored, used = cfg.doc_memo.bucket(cfg.doc_channel, adapter, query.lang, cfg_src)
+    adapter = cfg.doc_memo.translator(adapter)
     doc_vectors = {}
     charged_s = 0.0
     t0 = time.perf_counter()

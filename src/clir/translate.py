@@ -79,7 +79,10 @@ class MTAdapter:
     ``translate`` must be deterministic per input within one run and return
     plain text in the requested target language. The pipeline relies on that:
     a retrieved document is translated once per pipeline configuration and
-    its analysed text reused for every later query that retrieves it.
+    its analysed text reused for every later query that retrieves it, and
+    each distinct (source language, target language, text) is sent once per
+    configuration, its output reused wherever the same text comes again.
+    Adapters must be hashable; the configuration's memo is keyed by them.
     """
 
     def translate(self, text, src, tgt):
@@ -127,7 +130,9 @@ class TableAdapter(MTAdapter):
 
     Looks the whole (stripped) input up first; otherwise maps token by token,
     passing unknown tokens through unchanged. ``delay_s`` adds a fixed per-call
-    sleep for cost experiments.
+    sleep for cost experiments. Behind a pipeline configuration each distinct
+    text is sent once, so the sleep applies once per distinct text per
+    configuration.
     """
 
     def __init__(self, table, delay_s=0.0):

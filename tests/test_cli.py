@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, the five verbs end to end, settings
 files, and output stability."""
 
+import hashlib
 import json
 import logging
 import math
+import re
 import shlex
 import sys
 from types import SimpleNamespace
@@ -294,6 +296,72 @@ def test_search2_survives_undecodable_translator_output(ws, tmp_path, caplog):
     assert "j3 kept untranslated" in caplog.text
     run = read_run(out)
     assert "j3" in [e.doc_id for e in run.rankings["q1"]]
+
+
+# search2's run file and sweep's output with its seconds masked, recorded
+# while every repeated text still went to the translator again: the table of
+# translations must not change them
+_LOGGED_RUN_SHA256 = {
+    "search2": "8450c11917d214b66fd6902694bc6c7d346bb140793a83ae9e8cb20d1a595d60",
+    "sweep": "5f20ab0e19820aab58e6456fb3c66df4c04e804bef03e94a559f20bde90775c4",
+}
+
+
+def test_each_distinct_text_reaches_an_external_translator_once(tmp_path):
+    # titles, keywords and abstracts repeat across documents, words across queries
+    docs = [
+        ("k1", "toshokan kensaku", ["deta", "kensaku"], "toshokan kensaku deta"),
+        ("k2", "keisanki netto", ["netto", "deta"], "keisanki netto deta"),
+        ("k3", "toshokan kensaku", ["kensaku", "netto"], "toshokan keisanki netto"),
+        ("k4", "deta", ["deta"], "deta kensaku"),
+        ("k5", "", [], "toshokan"),
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    _write_jsonl(corpus, [{"id": d, "lang": "ja", "title": t, "keywords": k, "abstract": a}
+                          for d, t, k, a in docs])
+    queries = tmp_path / "queries.jsonl"
+    _write_jsonl(queries, [
+        {"id": "q1", "lang": "en", "description": "library search"},
+        {"id": "q2", "lang": "en", "description": "library data"},
+        {"id": "q3", "lang": "en", "description": "computer network data"},
+        {"id": "q4", "lang": "en", "description": "search network library"},
+    ])
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("q1 0 k1 2\nq1 0 k5 1\nq2 0 k4 2\nq3 0 k2 2\nq3 0 k3 1\nq4 0 k3 2\n",
+                     encoding="utf-8")
+    index = tmp_path / "ja.idx"
+    assert main(["index", "--corpus", str(corpus), "--lang", "ja", "--out", str(index)]) == 0
+
+    log = tmp_path / "calls.jsonl"
+    script = tmp_path / "mt.py"
+    script.write_text(
+        "import json, sys\n"
+        f"table = {({**WORDS, **JA_TO_EN})!r}\n"
+        "text = sys.stdin.read()\n"
+        f"with open({str(log)!r}, 'a', encoding='utf-8') as fh:\n"
+        "    fh.write(json.dumps(sys.argv[1:3] + [text]) + '\\n')\n"
+        "print(' '.join(table.get(w, w) for w in text.split()))\n",
+        encoding="utf-8",
+    )
+    common = ["--index", str(index), "--corpus", str(corpus), "--query-file", str(queries),
+              "--method", "mtp", "--adapter-cmd", shlex.join([sys.executable, "-S", str(script)])]
+    commands = {
+        "search2": ["search2", *common, "--n", "5"],
+        "sweep": ["sweep", *common, "--qrels", str(qrels), "--ns", "1,3,5"],
+    }
+    for name, args in commands.items():
+        log.write_text("", encoding="utf-8")
+        out = tmp_path / f"{name}.txt"
+        assert main([*args, "--out", str(out)]) == 0
+        calls = [tuple(json.loads(line))
+                 for line in log.read_text(encoding="utf-8").splitlines()]
+        assert len(calls) == len(set(calls)), name
+        assert {("en", "ja", "library"), ("ja", "en", "deta"),
+                ("ja", "en", "toshokan kensaku")} <= set(calls)
+        text = out.read_text(encoding="utf-8")
+        if name == "sweep":
+            text = re.sub(r"(?m)(\s+\d+\.\d{3}){3}$", " <s>", text)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _LOGGED_RUN_SHA256[name]
 
 
 def test_search2_and_sweep_keep_a_document_missing_from_the_corpus(ws, tmp_path, caplog):

@@ -143,6 +143,11 @@ def test_mean_ap():
         mean_ap({})
 
 
+def test_mean_ap_sums_left_to_right():
+    # a compensated sum of ten 0.1s is exactly 1.0, which would give 0.1
+    assert mean_ap({f"q{i}": 0.1 for i in range(10)}) == 0.09999999999999999
+
+
 # ---------------------------------------------------------------- run files
 
 
@@ -607,6 +612,30 @@ def test_sweep_translates_each_document_field_once_per_call():
             {text: calls * k for text, k in want.items()})
     # the deeper cells and the other system use documents a cell before them stored
     assert len(used) < sum(len({d for head in cell for d in head}) for cell in heads.values())
+
+
+def test_sweep_cells_share_one_table_of_translations(monkeypatch):
+    log = []
+    s, systems, depths, heads, _ = _doc_sweep(lambda table: _LoggedTable(table, log))
+    # keywords repeat across documents, so a cell meets texts that other
+    # cells, and its own earlier documents, already sent
+    s.corpus = Corpus([replace(d, keywords=[f"kw{i % 3}"]) for i, d in enumerate(s.corpus)])
+    memos = []
+
+    class RecordedMemo(DocumentMemo):
+        def __init__(self, store=None):
+            super().__init__(store)
+            memos.append(self)
+
+    monkeypatch.setattr("clir.evaluation.DocumentMemo", RecordedMemo)
+    sweep_n(s.queries, s.index, s.corpus, systems,
+            lambda q: s.src_cfg, s.tgt_cfg, s.qrels, depths)
+    texts = Counter(text for _, text in log)
+    assert set(texts.values()) == {1}
+    assert {"kw0", "kw1", "kw2"} <= set(texts)
+    store = memos[0]
+    assert len(memos) == 1 + len(systems) * len(depths)
+    assert all(memo.translators is store.translators for memo in memos)
 
 
 def test_sweep_cells_are_charged_the_translation_time_of_shared_documents():

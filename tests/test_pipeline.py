@@ -33,6 +33,7 @@ from clir.translate import (
     BilingualDictionary,
     CommandAdapter,
     IdentityAdapter,
+    MTAdapter,
     TableAdapter,
     TranslationMethod,
 )
@@ -381,8 +382,10 @@ def test_replaced_config_starts_with_an_empty_memo(ja_index):
     cfg = _cfg(n=4)
     run_two_stage(_query("library data"), ja_index, _bilingual_corpus(), cfg, EN, JA)
     assert cfg.doc_memo.buckets
+    assert cfg.doc_memo.translators
     deeper = replace(cfg, n_intermediate=2)
     assert not deeper.doc_memo.buckets
+    assert not deeper.doc_memo.translators
     assert deeper.doc_memo is not cfg.doc_memo
     assert replace(cfg) == cfg  # the memo is not a setting
 
@@ -398,6 +401,61 @@ def test_failed_document_is_retried_on_the_next_query(caplog):
     assert len(failures) == 2
     assert adapter.texts["toshokan kinshi"] == 2
     assert adapter.texts["toshokan kensaku"] == 1
+
+
+class _LoggedAdapter(MTAdapter):
+    """Translates word by word with one table per (source, target) pair,
+    records each call, and refuses each text in ``refuse`` the first time."""
+
+    def __init__(self, tables, refuse=()):
+        self.tables = tables
+        self.refuse = set(refuse)
+        self.calls = []
+
+    def translate(self, text, src, tgt):
+        self.calls.append((src, tgt, text))
+        if text in self.refuse:
+            self.refuse.discard(text)
+            raise TranslationError("busy")
+        return " ".join(self.tables[src, tgt].get(w, w) for w in text.split())
+
+
+def test_failed_query_text_is_not_stored_and_is_retried_by_the_next_query(ja_index):
+    adapter = _LoggedAdapter({("en", "ja"): EN_TO_JA}, refuse={"library"})
+    cfg = _cfg(translation_method=TranslationMethod(kind=MT_PHRASE, adapter=adapter))
+    with pytest.raises(TranslationError):
+        run_first_stage(_query("library data", "q1"), ja_index, cfg, EN, JA)
+    got = run_first_stage(_query("library search", "q2"), ja_index, cfg, EN, JA)
+    run_first_stage(_query("data library", "q3"), ja_index, cfg, EN, JA)
+    assert [text for _, _, text in adapter.calls] == ["library", "library", "search", "data"]
+    method = TranslationMethod(kind=MT_PHRASE, adapter=TableAdapter(EN_TO_JA))
+    want = run_first_stage(_query("library search", "q2"), ja_index,
+                           _cfg(translation_method=method), EN, JA)
+    assert got.entries == want.entries
+
+
+def test_one_adapter_for_both_directions_keeps_them_apart():
+    # "deta" is both a query word and a document keyword; only read ja -> en
+    # does the keyword match the query in the re-rank
+    tables = {("en", "ja"): {"deta": "toshokan", "search": "kensaku"},
+              ("ja", "en"): {"deta": "search", "toshokan": "library", "kensaku": "network"}}
+    corpus = Corpus([Document(doc_id="j1", lang="ja", keywords=["deta"], abstract="toshokan"),
+                     Document(doc_id="j2", lang="ja", abstract="toshokan kensaku"),
+                     Document(doc_id="j3", lang="ja", abstract="keisanki netto")], ["ja"])
+    index = build_index(corpus, JA)
+
+    def runs(query_adapter, doc_adapter):
+        method = TranslationMethod(kind=MT_PHRASE, adapter=query_adapter)
+        cfg = _cfg(translation_method=method, doc_adapter=doc_adapter)
+        return [_entries(run_two_stage(_query("deta search", qid), index, corpus, cfg, EN, JA)[0])
+                for qid in ("q1", "q2")]
+
+    both = _LoggedAdapter(tables)
+    shared = runs(both, None)
+    assert shared == runs(_LoggedAdapter(tables), _LoggedAdapter(tables))
+    assert {("en", "ja", "deta"), ("ja", "en", "deta")} <= set(both.calls)
+    assert len(both.calls) == len(set(both.calls))
+    assert {doc_id: jsim for doc_id, _, jsim, _ in shared[0]}["j1"] > 0.0
 
 
 def test_document_missing_from_the_corpus_is_kept_and_not_stored(caplog):
