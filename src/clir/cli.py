@@ -41,6 +41,7 @@ from clir.index import build_index, load_index, save_index, search
 from clir.pipeline import (
     TAIL_DROP,
     TAIL_KEEP,
+    DocumentMemo,
     PipelineConfig,
     read_config,
     run_two_stage,
@@ -336,7 +337,7 @@ def cmd_index(args) -> int:
     corpus = load_corpus(args.corpus).filter_lang(args.lang)
     index = build_index(corpus, cfg)
     save_index(index, args.out)
-    print(f"indexed {index.num_docs} documents, {len(index.postings)} terms -> {args.out}",
+    print(f"indexed {index.num_docs} documents, {len(index.df)} terms -> {args.out}",
           file=sys.stderr)
     return 0
 
@@ -345,12 +346,14 @@ def cmd_search(args) -> int:
     if args.n < 1:
         _usage_error("--n must be at least 1")
     method = _build_method(args, _build_adapter(args))
+    # one table of translations for the command, as in search2 and sweep
+    adapter = DocumentMemo().translator(method.adapter)
     index = load_index(args.index)
     queries = load_queries(args.query_file)
     ranked_lists = []
     for query in queries:
         cfg_src = AnalyzerConfig(lang=query.lang)
-        translated = translate_query(query, method, index, cfg_src, index.analyzer)
+        translated = translate_query(query, method, index, cfg_src, index.analyzer, adapter=adapter)
         if translated.unresolved:
             logger.warning("query %s: untranslated terms %s", query.query_id, translated.unresolved)
         ranked_lists.append(search(index, translated.terms, args.n, query_id=query.query_id))

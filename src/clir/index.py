@@ -5,9 +5,12 @@ cosine normalization, applied to queries and documents alike. Natural log
 throughout, so saved scores are bit-reproducible.
 
 A saved index (format ``clir-index-v2``) holds only the analyzer settings and
-each document's term counts in token order. Document frequencies, document
-norms and the weighted postings are derived from those counts by one function,
-on build and on load alike, so a loaded index equals the built one.
+each document's term counts in token order. Document frequencies are counted
+from them when the index is made. Document norms and the weighted postings are
+derived from them by one function, once per index: ``load_index`` derives them
+before it returns, because every command that loads an index searches it, and
+a built index derives them at its first search, so ``clir index``, which only
+saves, never does. Either way the tables are bit-identical.
 
 In memory each document is known by its ordinal, its position in ascending
 doc_id order. Postings hold ordinals and the norms are one dense list, so
@@ -20,7 +23,8 @@ import json
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import mul, neg, truediv
 
@@ -47,14 +51,18 @@ class RankedList:
 
 @dataclass
 class InvertedIndex:
-    """Term counts of the indexed documents and the tables derived from them."""
+    """Term counts of the indexed documents and the tables derived from them.
+
+    ``df`` is counted on construction. ``doc_ids``, ``doc_norms`` and
+    ``postings`` are derived together on first use and kept.
+    """
 
     analyzer: AnalyzerConfig
     documents: dict  # doc_id -> {term: tf} in token order; empty documents included
-    df: dict  # term -> number of documents containing it
-    doc_ids: list  # ordinal -> doc_id, ascending
-    doc_norms: list  # ordinal -> Euclidean norm of its weighted vector; inf where that is 0
-    postings: dict  # term -> (list of ordinals ascending, array('d') of their weight_atc weights)
+    df: dict = field(init=False)  # term -> number of documents containing it
+
+    def __post_init__(self):
+        self.df = dict(Counter(chain.from_iterable(self.documents.values())))
 
     @property
     def lang(self):
@@ -64,6 +72,33 @@ class InvertedIndex:
     def num_docs(self):
         return len(self.documents)
 
+    @cached_property
+    def _tables(self):
+        return _derive(self.documents, self.df)
+
+    @property
+    def doc_ids(self):
+        """Ordinal -> doc_id, ascending."""
+        return self._tables[0]
+
+    @property
+    def doc_norms(self):
+        """Ordinal -> Euclidean norm of its weighted vector; inf where that is 0."""
+        return self._tables[1]
+
+    @property
+    def postings(self):
+        """Term -> (list of ordinals ascending, array('d') of their weight_atc weights)."""
+        return self._tables[2]
+
+
+def _tf_factor(tf, max_tf):
+    return 0.5 + 0.5 * tf / max_tf
+
+
+def _idf_factor(df, num_docs):
+    return math.log(num_docs / df)
+
 
 def weight_atc(tf, max_tf, df, num_docs):
     """Augmented-TF times log-IDF weight of one term occurrence.
@@ -71,50 +106,49 @@ def weight_atc(tf, max_tf, df, num_docs):
     Callers guarantee 1 <= tf <= max_tf and 1 <= df <= num_docs. Cosine
     normalization is applied at vector level, not here.
     """
-    return (0.5 + 0.5 * tf / max_tf) * math.log(num_docs / df)
+    return _tf_factor(tf, max_tf) * _idf_factor(df, num_docs)
 
 
-def _derive(documents, analyzer):
-    """The index over ``documents`` (doc_id -> {term: tf}, tf >= 1).
+def _derive(documents, df):
+    """The doc_ids, norms and postings of ``documents`` (doc_id -> {term: tf},
+    tf >= 1), whose document frequencies are ``df``.
 
-    Each norm is summed in the document's own term order, so it does not
-    depend on how the index was obtained. Documents are visited in ascending
-    doc_id order and numbered in that order, which leaves every posting list
-    sorted by ordinal. A norm of 0 (an empty document, or one whose every
-    term is in every document) is stored as ``inf``, so that document's
-    cosine is 0 and ``search`` drops it.
+    Each weight is ``weight_atc``'s product of the same two factors, the idf
+    factor computed once per term and the tf factor once per distinct tf of
+    a document. Each norm is summed in the document's own term order, so it
+    does not depend on how the index was obtained. Documents are visited in
+    ascending doc_id order and numbered in that order, which leaves every
+    posting list sorted by ordinal. A norm of 0 (an empty document, or one
+    whose every term is in every document) is stored as ``inf``, so that
+    document's cosine is 0 and ``search`` drops it.
     """
     num_docs = len(documents)
-    df = dict(Counter(chain.from_iterable(documents.values())))
+    idf = {term: _idf_factor(n, num_docs) for term, n in df.items()}
     postings = {term: ([], array("d")) for term in df}
     doc_ids = sorted(documents)
     doc_norms = []
     for ordinal, doc_id in enumerate(doc_ids):
         counts = documents[doc_id]
-        max_tf = max(counts.values(), default=0)
+        tfs = counts.values()
+        max_tf = max(tfs, default=0)
+        tf_factor = {tf: _tf_factor(tf, max_tf) for tf in set(tfs)}
         sq = 0.0
-        for term, tf in counts.items():
-            w = weight_atc(tf, max_tf, df[term], num_docs)
+        for term, w in zip(counts, map(mul, map(tf_factor.__getitem__, tfs),
+                                       map(idf.__getitem__, counts))):
             ordinals, weights = postings[term]
             ordinals.append(ordinal)
             weights.append(w)
             sq += w * w
         doc_norms.append(math.sqrt(sq) or math.inf)
-    return InvertedIndex(
-        analyzer=analyzer,
-        documents=documents,
-        df=df,
-        doc_ids=doc_ids,
-        doc_norms=doc_norms,
-        postings=postings,
-    )
+    return doc_ids, doc_norms, postings
 
 
 def build_index(corpus, cfg):
     """Index every document of ``corpus``, which must be monolingual in ``cfg.lang``.
 
     Documents that analyze to nothing still count toward ``num_docs`` but get
-    no postings.
+    no postings. The search tables are derived at the first search, so an
+    index that is only saved never derives them.
     """
     if len(corpus) == 0:
         raise ConfigError("empty collection: document frequency needs at least one document")
@@ -123,7 +157,8 @@ def build_index(corpus, cfg):
             raise ConfigError(
                 f"document {doc.doc_id!r} is {doc.lang!r} but the index language is {cfg.lang!r}"
             )
-    return _derive({doc.doc_id: analyze(indexable_text(doc), cfg).counts for doc in corpus}, cfg)
+    return InvertedIndex(cfg, {doc.doc_id: analyze(indexable_text(doc), cfg).counts
+                               for doc in corpus})
 
 
 def weighted_query(index, query_terms):
@@ -250,11 +285,14 @@ def load_index(path):
     if not documents:
         raise IntegrityError(f"{path}: 'documents' lists no document")
     for doc_id, counts in documents.items():
-        if not isinstance(counts, dict) or not all(
-            type(tf) is int and tf > 0 for tf in counts.values()
+        if not isinstance(counts, dict) or counts and (
+            set(map(type, counts.values())) != {int} or min(counts.values()) < 1
         ):
             raise IntegrityError(
                 f"{path}: term counts of document {doc_id!r} are not a JSON object "
                 "of positive integers"
             )
-    return _derive(documents, cfg)
+    index = InvertedIndex(cfg, documents)
+    # derived now, not at the first search: every verb that loads an index searches it
+    index.postings
+    return index

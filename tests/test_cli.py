@@ -302,13 +302,17 @@ def test_search2_survives_undecodable_translator_output(ws, tmp_path, caplog):
 # while every repeated text still went to the translator again: the table of
 # translations must not change them
 _LOGGED_RUN_SHA256 = {
+    "search": "331071e34545ff748d0ca1a2955bbccbbe13fcd69e7640da8836d687c90140bf",
     "search2": "8450c11917d214b66fd6902694bc6c7d346bb140793a83ae9e8cb20d1a595d60",
     "sweep": "5f20ab0e19820aab58e6456fb3c66df4c04e804bef03e94a559f20bde90775c4",
 }
 
 
-def test_each_distinct_text_reaches_an_external_translator_once(tmp_path):
-    # titles, keywords and abstracts repeat across documents, words across queries
+@pytest.fixture
+def logged(tmp_path):
+    """A collection whose titles, keywords and abstracts repeat across
+    documents and whose query words repeat across queries, and a translator
+    script that logs each call's (source, target, text) to ``log``."""
     docs = [
         ("k1", "toshokan kensaku", ["deta", "kensaku"], "toshokan kensaku deta"),
         ("k2", "keisanki netto", ["netto", "deta"], "keisanki netto deta"),
@@ -343,25 +347,44 @@ def test_each_distinct_text_reaches_an_external_translator_once(tmp_path):
         "print(' '.join(table.get(w, w) for w in text.split()))\n",
         encoding="utf-8",
     )
-    common = ["--index", str(index), "--corpus", str(corpus), "--query-file", str(queries),
-              "--method", "mtp", "--adapter-cmd", shlex.join([sys.executable, "-S", str(script)])]
+    return SimpleNamespace(corpus=corpus, queries=queries, qrels=qrels, index=index, log=log,
+                           adapter_cmd=shlex.join([sys.executable, "-S", str(script)]))
+
+
+def _logged_run(logged, tmp_path, name, args):
+    """Run ``args`` with the logging translator; the distinct-call check,
+    the calls logged and the SHA-256 of the output, sweep timings masked."""
+    logged.log.write_text("", encoding="utf-8")
+    out = tmp_path / f"{name}.txt"
+    assert main([*args, "--index", str(logged.index), "--query-file", str(logged.queries),
+                 "--method", "mtp", "--adapter-cmd", logged.adapter_cmd,
+                 "--out", str(out)]) == 0
+    calls = [tuple(json.loads(line)) for line in logged.log.read_text(encoding="utf-8").splitlines()]
+    text = out.read_text(encoding="utf-8")
+    if name == "sweep":
+        text = re.sub(r"(?m)(\s+\d+\.\d{3}){3}$", " <s>", text)
+    return calls, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_each_distinct_text_reaches_an_external_translator_once(logged, tmp_path):
+    corpus = ["--corpus", str(logged.corpus)]
     commands = {
-        "search2": ["search2", *common, "--n", "5"],
-        "sweep": ["sweep", *common, "--qrels", str(qrels), "--ns", "1,3,5"],
+        "search2": ["search2", *corpus, "--n", "5"],
+        "sweep": ["sweep", *corpus, "--qrels", str(logged.qrels), "--ns", "1,3,5"],
     }
     for name, args in commands.items():
-        log.write_text("", encoding="utf-8")
-        out = tmp_path / f"{name}.txt"
-        assert main([*args, "--out", str(out)]) == 0
-        calls = [tuple(json.loads(line))
-                 for line in log.read_text(encoding="utf-8").splitlines()]
+        calls, digest = _logged_run(logged, tmp_path, name, args)
         assert len(calls) == len(set(calls)), name
         assert {("en", "ja", "library"), ("ja", "en", "deta"),
                 ("ja", "en", "toshokan kensaku")} <= set(calls)
-        text = out.read_text(encoding="utf-8")
-        if name == "sweep":
-            text = re.sub(r"(?m)(\s+\d+\.\d{3}){3}$", " <s>", text)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _LOGGED_RUN_SHA256[name]
+        assert digest == _LOGGED_RUN_SHA256[name]
+
+
+def test_search_sends_each_query_word_to_an_external_translator_once(logged, tmp_path):
+    calls, digest = _logged_run(logged, tmp_path, "search", ["search"])
+    # five distinct words over four queries, each word asked for once
+    assert sorted(calls) == sorted(("en", "ja", word) for word in WORDS)
+    assert digest == _LOGGED_RUN_SHA256["search"]
 
 
 def test_search2_and_sweep_keep_a_document_missing_from_the_corpus(ws, tmp_path, caplog):

@@ -388,6 +388,14 @@ def test_sign_test_counts_and_p_values():
     assert res.significant
 
 
+def test_a_p_value_equal_to_the_level_is_not_significant():
+    # two improvements: both tests give the exact two-sided p of 2 / 2**2
+    pairs = [(1.0, 0.0)] * 2
+    for res in (sign_test(pairs, level=0.5), wilcoxon_signed_test(pairs, level=0.5)):
+        assert res.p_value == 0.5
+        assert res.significant is False
+
+
 def test_sign_test_degenerate_inputs():
     res = sign_test([(1.0, 1.0)])
     assert res.n == 0 and res.p_value is None and not res.significant

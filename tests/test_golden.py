@@ -1,5 +1,6 @@
-"""Golden outputs: the run files and sweep table that ``clir`` writes for a
-fixed synthetic collection with the mock translator, pinned by SHA-256.
+"""Golden outputs: the index file, run files and sweep table that ``clir``
+writes for a fixed synthetic collection with the mock translator, pinned by
+SHA-256.
 
 Any change to scoring, tie-breaking, re-ranking or run formatting that moves
 a single byte fails here. The sweep's timing columns vary from run to run and
@@ -23,6 +24,9 @@ GOLDEN = {
     "sweep-stage1": "74290f50a8f814a22dafe63b1b828da2786e0a1c869508211b3b8fb6506e63a3",
     "sweep-tail-keep": "ffdf5971171b7a5a739b16959df82def911ee1df941d185a6144a073a080712d",
 }
+
+# the index that `clir index` writes for the collection below
+INDEX_SHA256 = "134e403370a8af913747ebf1fd5bf5aaa17bb065500e3959b41835cfbfb38764"
 
 # query-side entries of the mock table; the document side is synth's
 # back-translation table. Odd topics take the misleading candidate.
@@ -73,6 +77,13 @@ def files(tmp_path_factory):
     assert main(["index", "--corpus", str(paths["corpus.jsonl"]), "--lang", "ja",
                  "--out", str(paths["ja.idx"])]) == 0
     return {name.split(".")[0]: str(path) for name, path in paths.items()}
+
+
+def test_index_file_and_message_match_recorded(files, tmp_path, capsys):
+    out = tmp_path / "ja.idx"
+    assert main(["index", "--corpus", files["corpus"], "--lang", "ja", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == f"indexed 101 documents, 88 terms -> {out}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == INDEX_SHA256
 
 
 def _output(args, tmp_path):

@@ -8,12 +8,14 @@ with no shared data structures.
 import json
 import math
 import random
+from array import array
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import clir.index
 from clir.corpus import (
     CHARACTER_BIGRAM,
     WHITESPACE_WORD,
@@ -341,8 +343,32 @@ def _corpora(draw):
     return AnalyzerConfig(lang="xx", tokenizer_kind=kind), docs, queries
 
 
-def _postings_bytes(index):
-    return {t: (doc_ids, weights.tobytes()) for t, (doc_ids, weights) in index.postings.items()}
+def _tables(index):
+    """The derived tables, every float as its exact bits."""
+    return (index.doc_ids, [norm.hex() for norm in index.doc_norms],
+            {t: (ordinals, weights.tobytes()) for t, (ordinals, weights) in index.postings.items()})
+
+
+def _oracle_tables(documents):
+    """The derived tables written out from the definition: one ``weight_atc``
+    call per posting, each norm summed in its document's term order."""
+    num_docs = len(documents)
+    df = Counter(t for counts in documents.values() for t in counts)
+    doc_ids = sorted(documents)
+    norms = []
+    postings = {}
+    for ordinal, doc_id in enumerate(doc_ids):
+        counts = documents[doc_id]
+        max_tf = max(counts.values(), default=0)
+        sq = 0.0
+        for term, tf in counts.items():
+            w = weight_atc(tf, max_tf, df[term], num_docs)
+            ordinals, weights = postings.setdefault(term, ([], []))
+            ordinals.append(ordinal)
+            weights.append(w)
+            sq += w * w
+        norms.append((math.sqrt(sq) or math.inf).hex())
+    return doc_ids, norms, {t: (o, array("d", w).tobytes()) for t, (o, w) in postings.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,9 +380,10 @@ def test_save_and_load_give_identical_searches(tmp_path_factory, case):
     save_index(built, first)
     loaded = load_index(first)
 
-    assert _postings_bytes(loaded) == _postings_bytes(built)
+    # the built index derives its tables here, on first use, the loaded one
+    # derived them on load
+    assert _tables(built) == _tables(loaded) == _oracle_tables(built.documents)
     assert loaded.df == built.df
-    assert loaded.doc_norms == built.doc_norms
     for text in queries:
         terms = analyze(text, cfg)
         for depth in (1, 3, 100):
@@ -364,6 +391,36 @@ def test_save_and_load_give_identical_searches(tmp_path_factory, case):
     again = first.with_name("again.json")
     save_index(loaded, again)
     assert again.read_bytes() == first.read_bytes()
+
+
+def test_tables_are_derived_once_where_they_are_used(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return derive(*args)
+
+    derive = clir.index._derive
+    monkeypatch.setattr(clir.index, "_derive", counted)
+    corpus = _corpus_from_texts({"d1": "a a b", "d2": "b c", "d3": ""})
+    query = _query_vec("a c")
+    path = tmp_path / "idx.json"
+
+    # building and saving, all `clir index` does, derives nothing
+    save_index(build_index(corpus, CFG), path)
+    assert calls == []
+    # loading derives once, before it returns, and searching derives no more
+    loaded = load_index(path)
+    assert len(calls) == 1
+    for depth in (1, 10):
+        search(loaded, query, depth)
+    assert len(calls) == 1
+    # a built index derives at its first search, once
+    built = build_index(corpus, CFG)
+    assert len(calls) == 1
+    assert search(built, query, 10) == search(loaded, query, 10)
+    search(built, query, 1)
+    assert len(calls) == 2
 
 
 def _exhaustive_ranking(index, terms):

@@ -103,6 +103,9 @@ def test_pipeline_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(n_intermediate=50, translation_method=method,
                        output_depth=10, tail_policy=TAIL_KEEP)
+    # the smallest depths are accepted
+    PipelineConfig(n_intermediate=1, translation_method=method, output_depth=1,
+                   tail_policy=TAIL_KEEP)
 
 
 def test_machine_channel_requires_some_adapter():
