@@ -47,7 +47,8 @@ class AnalyzerConfig:
     ``tokenizer_kind`` is either whitespace-word (split on whitespace, strip
     punctuation from token edges) or character-bigram (sliding window over each
     whitespace-free run, the dependency-free default for CJK text). ``stemmer``
-    is an optional per-token hook applied after stopword removal; it is not
+    is an optional per-token hook of whitespace-word tokenization, applied
+    after stopword removal; a token it maps to "" is dropped. It is not
     persisted with a saved index.
     """
 
@@ -65,10 +66,12 @@ class AnalyzerConfig:
             raise ConfigError("min_token_len must be >= 1")
         if self.tokenizer_kind == CHARACTER_BIGRAM and self.min_token_len != 1:
             raise ConfigError("character-bigram tokenization requires min_token_len = 1")
+        if self.tokenizer_kind == CHARACTER_BIGRAM and self.stemmer is not None:
+            raise ConfigError("character-bigram tokenization takes no stemmer")
         self.stopword_list = frozenset(self.stopword_list)
 
 
-@dataclass
+@dataclass(slots=True)
 class TermVector:
     """Term frequencies of one text, with the maximum frequency cached."""
 
@@ -117,18 +120,11 @@ def tokenize(text, cfg):
                 tokens.extend(run[i : i + 2] for i in range(len(run) - 1))
         return [t for t in tokens if t not in cfg.stopword_list]
 
-    tokens = []
-    for raw in text.split():
-        tok = raw.strip(_EDGE_CHARS)
-        if len(tok) < cfg.min_token_len:
-            continue
-        if tok in cfg.stopword_list:
-            continue
-        if cfg.stemmer is not None:
-            tok = cfg.stemmer(tok)
-            if not tok:
-                continue
-        tokens.append(tok)
+    min_len, stopwords = cfg.min_token_len, cfg.stopword_list
+    tokens = [tok for raw in text.split()
+              if len(tok := raw.strip(_EDGE_CHARS)) >= min_len and tok not in stopwords]
+    if cfg.stemmer is not None:
+        tokens = list(filter(None, map(cfg.stemmer, tokens)))
     return tokens
 
 

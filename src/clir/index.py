@@ -35,13 +35,13 @@ from clir.files import read_json
 INDEX_FORMAT = "clir-index-v2"
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoredDoc:
     doc_id: str
     score: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RankedList:
     """Scored documents in rank order (scores non-increasing, ids distinct)."""
 

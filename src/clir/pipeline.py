@@ -109,9 +109,9 @@ class DocumentMemo:
         return wrapped
 
     def intern(self, vec):
-        vocab = self.vocab
-        counts = {vocab.setdefault(t, t): f for t, f in vec.counts.items()}
-        return TermVector(counts=counts, max_tf=vec.max_tf)
+        counts = vec.counts
+        interned = dict(zip(map(self.vocab.setdefault, counts, counts), counts.values()))
+        return TermVector(counts=interned, max_tf=vec.max_tf)
 
 
 @dataclass

@@ -10,13 +10,15 @@ and the scores accumulate one column at a time through a table from frequency
 to contribution, in builtins iterating in C. Similarity is the plain inner
 product; length normalization is deliberately absent. The two stages' scores
 then combine as a weighted geometric mean with a small floor replacing zeros.
+The combination and the final order are computed on whole lists too, and a
+``RerankedEntry`` is made only for each document in its final place.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 from itertools import groupby, repeat
-from operator import add, attrgetter
+from operator import add, attrgetter, lt, mul
 
 from clir.corpus import TermVector, analyze, indexable_text
 from clir.index import RankedList
@@ -49,7 +51,7 @@ class RerankStats:
     df: dict  # term -> documents among those containing it
 
 
-@dataclass
+@dataclass(slots=True)
 class RerankedEntry:
     """One re-ranked document with both stage scores and their combination."""
 
@@ -137,20 +139,41 @@ def combine_scores(esim, jsim, p):
     return score if score < _MAX_SCORE else _MAX_SCORE
 
 
-def _log_combined(entry, p):
+def _log_combined(esim, jsim, p):
     """alpha ln e + beta ln j with the floors of ``combine_scores``: the same
     order as the combination, without its underflow and saturation."""
-    return p.alpha * math.log(_floored(entry.esim, p)) + p.beta * math.log(_floored(entry.jsim, p))
+    return p.alpha * math.log(_floored(esim, p)) + p.beta * math.log(_floored(jsim, p))
 
 
-def _order_ties(ranked, p):
+def _combine_all(esims, jsims, p):
+    """``combine_scores`` of each pair, bit for bit, with builtins iterating in C.
+
+    A power that overflows raises, and the whole list is then combined again
+    one pair at a time. A product that is not below the largest float (inf,
+    or NaN from an infinite score) saturates; ``min`` takes the largest
+    float first, so a NaN saturates as it does in ``combine_scores``.
+    """
+    eps = p.epsilon
+    # flooring every score costs less than looking for one that needs it
+    e = map(pow, [s if s > 0.0 else eps for s in esims], repeat(p.alpha))
+    j = map(pow, [s if s > 0.0 else eps for s in jsims], repeat(p.beta))
+    try:
+        sims = list(map(mul, e, j))
+    except OverflowError:
+        return list(map(combine_scores, esims, jsims, repeat(p)))
+    if all(map(lt, sims, repeat(_MAX_SCORE))):
+        return sims
+    return list(map(min, repeat(_MAX_SCORE), sims))
+
+
+def _order_ties(order, doc_ids, esims, jsims, sims, p):
     """Re-order each run of exactly equal combined scores by the logarithm,
     then doc_id; the logarithm is computed for tied entries only."""
     ordered = []
-    for _, run in groupby(ranked, key=attrgetter("sim")):
+    for _, run in groupby(order, key=sims.__getitem__):
         run = list(run)
         if len(run) > 1:
-            run.sort(key=lambda r: (-_log_combined(r, p), r.doc_id))
+            run.sort(key=lambda i: (-_log_combined(esims[i], jsims[i], p), doc_ids[i]))
         ordered.extend(run)
     return ordered
 
@@ -173,9 +196,10 @@ def rerank(first_stage, translated_docs, source_query, cfg, p, use_idf=True):
     if not entries:
         return RankedList(query_id=first_stage.query_id, entries=[])
 
+    doc_ids = list(map(attrgetter("doc_id"), entries))
     vectors = []
-    for entry in entries:
-        doc = translated_docs.get(entry.doc_id)
+    for doc_id in doc_ids:
+        doc = translated_docs.get(doc_id)
         if doc is not None and not isinstance(doc, TermVector):
             doc = document_vector(doc, cfg)
         vectors.append(doc)
@@ -203,16 +227,10 @@ def rerank(first_stage, translated_docs, source_query, cfg, p, use_idf=True):
         if vec is not None and len(vec.counts) < qlen:
             jsims[i] = score_inner_product(query_vec, vec, stats, use_idf, weights)
 
-    reranked = [
-        RerankedEntry(
-            doc_id=entry.doc_id,
-            esim=entry.score,
-            jsim=jsim,
-            sim=combine_scores(entry.score, jsim, p),
-        )
-        for entry, jsim in zip(entries, jsims)
-    ]
-    reranked.sort(key=lambda r: (-r.sim, r.doc_id))
-    if len({r.sim for r in reranked}) < len(reranked):
-        reranked = _order_ties(reranked, p)
+    esims = list(map(attrgetter("score"), entries))
+    sims = _combine_all(esims, jsims, p)
+    order = sorted(range(n), key=sims.__getitem__, reverse=True)
+    if len(set(sims)) < n:
+        order = _order_ties(order, doc_ids, esims, jsims, sims, p)
+    reranked = [RerankedEntry(doc_ids[i], esims[i], jsims[i], sims[i]) for i in order]
     return RankedList(query_id=first_stage.query_id, entries=reranked)

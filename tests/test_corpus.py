@@ -2,8 +2,11 @@
 
 import json
 import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clir.corpus import (
     CHARACTER_BIGRAM,
@@ -84,6 +87,52 @@ def test_analyzer_config_rejects_bad_settings():
         AnalyzerConfig(lang="en", min_token_len=0)
     with pytest.raises(ConfigError):
         AnalyzerConfig(lang="ja", tokenizer_kind=CHARACTER_BIGRAM, min_token_len=2)
+    # bigram tokenization has no per-token hook, so a stemmer would be ignored
+    with pytest.raises(ConfigError):
+        AnalyzerConfig(lang="ja", tokenizer_kind=CHARACTER_BIGRAM, stemmer=str.lower)
+
+
+def _tokenize_loop(text, cfg):
+    # whitespace-word tokenization written out one token at a time
+    if cfg.lowercase:
+        text = text.lower()
+    tokens = []
+    for raw in text.split():
+        tok = raw.strip(string.punctuation)
+        if len(tok) < cfg.min_token_len:
+            continue
+        if tok in cfg.stopword_list:
+            continue
+        if cfg.stemmer is not None:
+            tok = cfg.stemmer(tok)
+            if not tok:
+                continue
+        tokens.append(tok)
+    return tokens
+
+
+def _stem_or_drop(tok):
+    # maps "x"-prefixed tokens to "" (dropped) and strips a plural "s"
+    return "" if tok.startswith("x") else tok.rstrip("s")
+
+
+_WORDS = ["Data", "data,", "the", "The.", "xray", "x", "s", "ss", "a", "an", "...", "!?",
+          "(cats)", "dogs", "'quoted'", "-", "net-work", "Über"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.sampled_from(_WORDS), max_size=12),
+       gaps=st.lists(st.sampled_from([" ", "  ", "\t", "\n "]), min_size=12, max_size=12),
+       lowercase=st.booleans(),
+       stopwords=st.sets(st.sampled_from(["the", "data", "s", "a", "The", "x"])),
+       min_token_len=st.integers(1, 3),
+       stemmer=st.sampled_from([None, _stem_or_drop]))
+def test_tokenize_equals_the_per_token_loop(words, gaps, lowercase, stopwords, min_token_len,
+                                            stemmer):
+    text = "".join(g + w for g, w in zip(gaps, words)) + gaps[-1]
+    cfg = AnalyzerConfig(lang="en", lowercase=lowercase, stopword_list=stopwords,
+                         min_token_len=min_token_len, stemmer=stemmer)
+    assert tokenize(text, cfg) == _tokenize_loop(text, cfg)
 
 
 def test_analyze_deterministic_and_bounded():

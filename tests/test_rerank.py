@@ -148,6 +148,16 @@ def test_combine_params_validation():
     assert CombineParams().epsilon == 0.0001
 
 
+def test_result_records_are_slotted():
+    # one allocation per record: no per-instance __dict__, no extra attributes
+    records = [ScoredDoc("d", 0.5), RankedList("q", []), RerankedEntry("d", 0.5, 2.0, 1.0),
+               TermVector.empty()]
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.note = "extra"
+
+
 def test_entry_score_property_exposes_combined_value():
     e = RerankedEntry(doc_id="d", esim=0.5, jsim=2.0, sim=1.0)
     assert e.score == 1.0
@@ -312,7 +322,8 @@ def _rerank_cases(draw):
     """First-stage entries (esim ties likely), translations that may be
     missing, empty or shorter than the query, a query, and parameters."""
     n = draw(st.integers(1, 12))
-    esims = sorted(draw(st.lists(st.sampled_from([0.2, 0.5, 0.9, 1.0]), min_size=n, max_size=n)),
+    esims = sorted(draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0, 3.0]),
+                                 min_size=n, max_size=n)),
                    reverse=True)
     entries = [(f"d{i:02d}", esim) for i, esim in enumerate(esims)]
     texts = {
@@ -320,7 +331,7 @@ def _rerank_cases(draw):
         for doc_id, _ in entries
     }
     query = " ".join(draw(st.lists(st.sampled_from(_VOCAB + ["z"]), min_size=1, max_size=8)))
-    p = CombineParams(alpha=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+    p = CombineParams(alpha=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1000.0])),
                       beta=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1000.0])))
     return entries, texts, query, p, draw(st.booleans()), draw(st.booleans())
 
@@ -347,6 +358,11 @@ def _defined_jsim(q, d, df, num_docs, use_idf):
 @example(case=([("d00", 0.9), ("d01", 0.9), ("d02", 0.5), ("d03", 0.2)],
                {"d00": "d", "d01": "a b c d", "d02": "a c a d d", "d03": "b e b"},
                "d b d a c", CombineParams(), True, True))
+# 3.0 ** 1000 overflows while the other pairs combine to finite scores, so
+# the whole list is combined again pair by pair; d02's zero esim is floored
+@example(case=([("d00", 3.0), ("d01", 0.9), ("d02", 0.0)],
+               {"d00": "a", "d01": "a b", "d02": "b"}, "a b",
+               CombineParams(alpha=1000.0), True, True))
 # every translation of the head failed
 @example(case=([("d00", 0.9), ("d01", 0.5)], {"d00": None, "d01": None}, "a b",
                CombineParams(), True, False))
