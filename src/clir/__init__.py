@@ -1,77 +1,13 @@
 """Two-stage cross-language retrieval: translated-query search, re-ranking
-over back-translated documents, and a TREC-style evaluation harness."""
+over back-translated documents, and a TREC-style evaluation harness.
+
+The package exports the names of README's "Library use"; everything else is
+imported from its module, such as ``clir.translate.TableAdapter``.
+"""
 
 __version__ = "0.1.0"
 
-from clir.corpus import (
-    AnalyzerConfig,
-    Corpus,
-    Document,
-    Query,
-    TermVector,
-    analyze,
-    load_corpus,
-    load_queries,
-    tokenize,
-)
-from clir.errors import (
-    ClirError,
-    ConfigError,
-    IntegrityError,
-    NoPairError,
-    NotFoundError,
-    ParseError,
-    TranslationError,
-)
-from clir.evaluation import (
-    EvalReport,
-    Qrels,
-    RunFile,
-    average_precision,
-    evaluate_run,
-    load_qrels,
-    mean_ap,
-    read_run,
-    sign_test,
-    sweep_n,
-    wilcoxon_signed_test,
-    write_run,
-)
-from clir.index import (
-    InvertedIndex,
-    RankedList,
-    ScoredDoc,
-    build_index,
-    load_index,
-    save_index,
-    search,
-    weight_atc,
-)
-from clir.pipeline import (
-    PipelineConfig,
-    TimingRecord,
-    run_first_stage,
-    run_two_stage,
-    translate_query,
-)
-from clir.rerank import (
-    CombineParams,
-    RerankedEntry,
-    combine_scores,
-    rerank,
-    rerank_idf,
-    rerank_tf,
-    score_inner_product,
-)
-from clir.translate import (
-    BilingualDictionary,
-    CommandAdapter,
-    IdentityAdapter,
-    TableAdapter,
-    TranslatedQuery,
-    TranslationMethod,
-    combine_translations,
-    translate_document,
-    translate_query_dict,
-    translate_query_mt,
-)
+from clir.corpus import AnalyzerConfig, load_corpus, load_queries
+from clir.index import build_index
+from clir.pipeline import PipelineConfig, run_two_stage
+from clir.translate import TranslationMethod

@@ -24,6 +24,7 @@ from clir.evaluation import (
     WilcoxonResult,
     check_depths,
     check_level,
+    check_run_token,
     evaluate_run,
     format_comparison,
     format_report,
@@ -238,7 +239,8 @@ def build_parser() -> _Parser:
 
 def _merge_config(args):
     """Fill unset translation/pipeline flags from the --config file, then
-    apply the documented defaults."""
+    apply the documented defaults; a run tag that cannot be one field of a
+    run line is a usage error, before any data file is read."""
     if getattr(args, "config", None):
         for key, raw in read_config(args.config).items():
             if key not in _CONFIG_KEYS:
@@ -254,6 +256,9 @@ def _merge_config(args):
     for dest, value in _DEFAULTS.items():
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
+    if getattr(args, "tag", None):
+        with _usage_errors():
+            check_run_token(args.tag)
 
 
 @contextlib.contextmanager

@@ -46,10 +46,7 @@ class AnalyzerConfig:
 
     ``tokenizer_kind`` is either whitespace-word (split on whitespace, strip
     punctuation from token edges) or character-bigram (sliding window over each
-    whitespace-free run, the dependency-free default for CJK text). ``stemmer``
-    is an optional per-token hook of whitespace-word tokenization, applied
-    after stopword removal; a token it maps to "" is dropped. It is not
-    persisted with a saved index.
+    whitespace-free run, the dependency-free default for CJK text).
     """
 
     lang: str
@@ -57,7 +54,6 @@ class AnalyzerConfig:
     stopword_list: frozenset = frozenset()
     tokenizer_kind: str = WHITESPACE_WORD
     min_token_len: int = 1
-    stemmer: object = None
 
     def __post_init__(self):
         if self.tokenizer_kind not in (WHITESPACE_WORD, CHARACTER_BIGRAM):
@@ -66,8 +62,6 @@ class AnalyzerConfig:
             raise ConfigError("min_token_len must be >= 1")
         if self.tokenizer_kind == CHARACTER_BIGRAM and self.min_token_len != 1:
             raise ConfigError("character-bigram tokenization requires min_token_len = 1")
-        if self.tokenizer_kind == CHARACTER_BIGRAM and self.stemmer is not None:
-            raise ConfigError("character-bigram tokenization takes no stemmer")
         self.stopword_list = frozenset(self.stopword_list)
 
 
@@ -121,11 +115,8 @@ def tokenize(text, cfg):
         return [t for t in tokens if t not in cfg.stopword_list]
 
     min_len, stopwords = cfg.min_token_len, cfg.stopword_list
-    tokens = [tok for raw in text.split()
-              if len(tok := raw.strip(_EDGE_CHARS)) >= min_len and tok not in stopwords]
-    if cfg.stemmer is not None:
-        tokens = list(filter(None, map(cfg.stemmer, tokens)))
-    return tokens
+    return [tok for raw in text.split()
+            if len(tok := raw.strip(_EDGE_CHARS)) >= min_len and tok not in stopwords]
 
 
 def analyze(text, cfg):

@@ -31,6 +31,9 @@ GRADE_PARTIAL = 1
 GRADE_NONRELEVANT = 0
 _GRADES = (GRADE_NONRELEVANT, GRADE_PARTIAL, GRADE_RELEVANT)
 
+# the signed-rank test's p-value is exact up to this many non-zero pairs
+EXACT_CUTOFF = 25
+
 
 class Qrels:
     """Graded relevance judgments keyed by query id.
@@ -164,14 +167,33 @@ def _check_ranking(query_id, entries, where=""):
             raise IntegrityError(f"{where}query {query_id!r}: score increases at rank {pos + 1}")
 
 
+def check_run_token(text, what="run tag"):
+    """``text`` as one field of a run line; ValueError if it is empty or
+    holds whitespace, which would split the line into other fields."""
+    if text.split() != [text]:
+        raise ValueError(f"{what} must be non-empty and hold no whitespace, got {text!r}")
+    return text
+
+
 def format_run(run: RunFile) -> str:
-    """Render a run in interchange format, validating it first; scores must
-    be non-increasing within each query and the tag non-empty."""
+    """Render a run in interchange format, validating it first: scores must
+    be non-increasing within each query, and the tag, the query ids and the
+    doc ids must pass ``check_run_token``, so ``read_run`` reads it back."""
     lines = []
     for query_id, entries in run.rankings.items():
+        if not entries:
+            continue
         _check_ranking(query_id, entries)
-        if entries and not run.tag:
-            raise IntegrityError("run tag must be non-empty")
+        doc_ids = [entry.doc_id for entry in entries]
+        try:
+            check_run_token(run.tag)
+            check_run_token(query_id, "query id")
+            # one join and split check every doc id at once; only a failure looks at each
+            if " ".join(doc_ids).split() != doc_ids:
+                for doc_id in doc_ids:
+                    check_run_token(doc_id, "doc id")
+        except ValueError as exc:
+            raise IntegrityError(f"query {query_id!r}: {exc}") from None
         for rank, entry in enumerate(entries, 1):
             lines.append(f"{query_id} Q0 {entry.doc_id} {rank} {entry.score!r} {run.tag}\n")
     return "".join(lines)
@@ -308,11 +330,11 @@ def check_level(level):
     return level
 
 
-def wilcoxon_signed_test(pairs, level: float = 0.05, exact_cutoff: int = 25) -> WilcoxonResult:
+def wilcoxon_signed_test(pairs, level: float = 0.05) -> WilcoxonResult:
     """Two-sided matched-pairs signed-rank test on (score_a, score_b) pairs.
 
     Zero differences are dropped; tied absolute differences get average
-    ranks. Up to ``exact_cutoff`` non-zero pairs the p-value is exact over
+    ranks. Up to ``EXACT_CUTOFF`` non-zero pairs the p-value is exact over
     all sign assignments, beyond that a normal approximation with continuity
     and tie corrections is used. All-zero differences yield a flagged
     no-information result rather than an exception.
@@ -331,7 +353,7 @@ def wilcoxon_signed_test(pairs, level: float = 0.05, exact_cutoff: int = 25) -> 
     w_minus_doubled = sum(doubled) - w_plus_doubled
     w_doubled = min(w_plus_doubled, w_minus_doubled)
 
-    if n <= exact_cutoff:
+    if n <= EXACT_CUTOFF:
         p = _exact_two_sided_p(doubled, w_doubled)
         method = "exact"
     else:

@@ -242,8 +242,6 @@ def save_index(index, path):
     that is not UTF-8 (a lone surrogate) raises IntegrityError naming ``path``
     and leaves any file there untouched.
     """
-    if index.analyzer.stemmer is not None:
-        raise ConfigError("an index built with a custom stemmer cannot be persisted")
     analyzer = {key: getattr(index.analyzer, key) for key in _ANALYZER_TYPES}
     analyzer["stopword_list"] = sorted(analyzer["stopword_list"])
     payload = {"format": INDEX_FORMAT, "analyzer": analyzer, "documents": index.documents}

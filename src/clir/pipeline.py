@@ -17,7 +17,6 @@ from clir.index import RankedList, ScoredDoc, search
 from clir.rerank import CombineParams, document_vector, rerank
 from clir.translate import (
     CHANNEL_MT,
-    COMBINED,
     DICT_PHRASE,
     DOC_CHANNELS,
     MT_PHRASE,
@@ -141,7 +140,6 @@ class PipelineConfig:
     output_depth: int = 1000
     tail_policy: str = TAIL_DROP
     doc_adapter: object = None
-    use_idf: bool = True
     doc_memo: DocumentMemo = field(
         default_factory=DocumentMemo, init=False, compare=False, repr=False
     )
@@ -298,7 +296,6 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
         query,
         cfg_src,
         cfg.combine,
-        use_idf=cfg.use_idf,
     )
     rerank_s = time.perf_counter() - t0
 

@@ -80,35 +80,30 @@ def rerank_idf(stats, term):
     return math.log(stats.num_docs / n)
 
 
-def query_weights(query_terms, stats, use_idf=True):
+def query_weights(query_terms, stats):
     """Each scorable query term's (weight, idf), in query order.
 
     The weight is ``rerank_tf(tf) * idf``. Terms with no support in the
     retrieved set are left out: they cannot match any counted document.
-    ``use_idf=False`` sets every idf to 1 to measure its effect.
     """
     weights = {}
     for term, tf in query_terms.counts.items():
-        if use_idf:
-            if stats.df.get(term, 0) < 1:
-                continue
+        if stats.df.get(term, 0) >= 1:
             idf = rerank_idf(stats, term)
-        else:
-            idf = 1.0
-        weights[term] = (rerank_tf(tf) * idf, idf)
+            weights[term] = (rerank_tf(tf) * idf, idf)
     return weights
 
 
-def score_inner_product(query_terms, doc_terms, stats, use_idf=True, weights=None):
+def score_inner_product(query_terms, doc_terms, stats, weights=None):
     """Inner product of the weighted query and document vectors.
 
     Only shared terms with a ``query_weights`` entry contribute, summed in
     the order of the smaller of the two vectors. ``weights``, the
-    ``query_weights`` of ``query_terms`` under ``stats`` and ``use_idf``,
-    spares recomputing them for every document of one query.
+    ``query_weights`` of ``query_terms`` under ``stats``, spares recomputing
+    them for every document of one query.
     """
     if weights is None:
-        weights = query_weights(query_terms, stats, use_idf)
+        weights = query_weights(query_terms, stats)
     d = doc_terms.counts
     total = 0.0
     # ``weights`` keeps the query's term order, so iterating it sums in that order
@@ -183,7 +178,7 @@ def document_vector(doc, cfg):
     return analyze(indexable_text(doc), cfg)
 
 
-def rerank(first_stage, translated_docs, source_query, cfg, p, use_idf=True):
+def rerank(first_stage, translated_docs, source_query, cfg, p):
     """Re-order the first-stage retrieval by the combined score.
 
     ``translated_docs`` maps doc_id to the query-language rendition: the
@@ -211,7 +206,7 @@ def rerank(first_stage, translated_docs, source_query, cfg, p, use_idf=True):
                for term in query_vec.counts}
     df = {term: d for term, col in columns.items() if (d := n - col.count(0))}
     stats = RerankStats(num_docs=n, df=df)
-    weights = query_weights(query_vec, stats, use_idf)
+    weights = query_weights(query_vec, stats)
 
     # Term at a time in query order: every contribution is >= 0, so adding
     # rerank_tf(0) = 0.0 for an absent term leaves each sum exact and equal to
@@ -225,7 +220,7 @@ def rerank(first_stage, translated_docs, source_query, cfg, p, use_idf=True):
     qlen = len(query_vec.counts)
     for i, vec in enumerate(vectors):
         if vec is not None and len(vec.counts) < qlen:
-            jsims[i] = score_inner_product(query_vec, vec, stats, use_idf, weights)
+            jsims[i] = score_inner_product(query_vec, vec, stats, weights)
 
     esims = list(map(attrgetter("score"), entries))
     sims = _combine_all(esims, jsims, p)

@@ -11,7 +11,7 @@ import shlex
 import subprocess
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from clir.corpus import Document, TermVector, analyze, pair_lookup, tokenize
 from clir.errors import ConfigError, ParseError, TranslationError
@@ -140,7 +140,7 @@ class TableAdapter(MTAdapter):
         self.delay_s = delay_s
 
     @classmethod
-    def from_file(cls, path, delay_s=0.0):
+    def from_file(cls, path):
         """Read tab-separated lines with exactly one translation per source."""
         table = {}
         for line_no, line in read_lines(path):
@@ -150,7 +150,7 @@ class TableAdapter(MTAdapter):
             if "|" in parts[1] or not parts[1].strip():
                 raise ParseError("mock table entries take exactly one translation", path, line_no)
             table[parts[0].strip()] = parts[1].strip()
-        return cls(table, delay_s=delay_s)
+        return cls(table)
 
     def translate(self, text, src, tgt):
         if self.delay_s:

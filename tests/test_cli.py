@@ -156,6 +156,39 @@ def test_index_missing_analyzer_exits_two(ws, tmp_path, capsys):
     assert str(bad) in err and "'analyzer'" in err
 
 
+def test_a_tag_that_would_split_run_lines_is_a_usage_error(ws, tmp_path, capsys):
+    # the index does not exist: the tag is refused before any file is read
+    out = tmp_path / "run.txt"
+    absent = str(tmp_path / "absent.idx")
+    assert main(["search", "--index", absent, "--query-file", str(ws.queries),
+                 "--tag", "my run", "--out", str(out)]) == 1
+    assert "'my run'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tag = my\trun\n", encoding="utf-8")
+    assert main(["search2", "--index", absent, "--corpus", str(ws.corpus),
+                 "--query-file", str(ws.queries), "--config", str(cfg),
+                 "--doc-channel", "ht", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_an_id_with_whitespace_fails_the_run_before_writing_it(ws, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    _write_jsonl(corpus, [{"id": d, "lang": "en", "title": "", "keywords": [], "abstract": text}
+                          for d, text in (("d 1", "library search"), ("d2", "network"))])
+    index = tmp_path / "en.idx"
+    assert main(["index", "--corpus", str(corpus), "--lang", "en", "--out", str(index)]) == 0
+    queries = tmp_path / "queries.jsonl"
+    out = tmp_path / "run.txt"
+    for query_id in ("q1", "q 1"):
+        _write_jsonl(queries, [{"id": query_id, "lang": "en", "description": "library"}])
+        for args in (["search"], ["search2", "--corpus", str(corpus), "--doc-channel", "ht"]):
+            assert main(args + ["--index", str(index), "--query-file", str(queries),
+                                "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "'q 1'" in err if query_id == "q 1" else "'d 1'" in err
+            assert not out.exists()
+
+
 def test_adapter_flags_are_mutually_exclusive(ws):
     assert main(["search", "--index", str(ws.index), "--query-file", str(ws.queries),
                  "--adapter-cmd", "x", "--mock-table", str(ws.table)]) == 1

@@ -75,11 +75,6 @@ def test_lowercase_can_be_disabled():
     assert tokenize("Cat cat", cfg) == ["Cat", "cat"]
 
 
-def test_stemmer_hook_applies_after_stopwords():
-    cfg = AnalyzerConfig(lang="en", stopword_list={"dogs"}, stemmer=lambda t: t.rstrip("s"))
-    assert tokenize("cats dogs", cfg) == ["cat"]
-
-
 def test_analyzer_config_rejects_bad_settings():
     with pytest.raises(ConfigError):
         AnalyzerConfig(lang="en", tokenizer_kind="sentencepiece")
@@ -87,9 +82,6 @@ def test_analyzer_config_rejects_bad_settings():
         AnalyzerConfig(lang="en", min_token_len=0)
     with pytest.raises(ConfigError):
         AnalyzerConfig(lang="ja", tokenizer_kind=CHARACTER_BIGRAM, min_token_len=2)
-    # bigram tokenization has no per-token hook, so a stemmer would be ignored
-    with pytest.raises(ConfigError):
-        AnalyzerConfig(lang="ja", tokenizer_kind=CHARACTER_BIGRAM, stemmer=str.lower)
 
 
 def _tokenize_loop(text, cfg):
@@ -103,17 +95,8 @@ def _tokenize_loop(text, cfg):
             continue
         if tok in cfg.stopword_list:
             continue
-        if cfg.stemmer is not None:
-            tok = cfg.stemmer(tok)
-            if not tok:
-                continue
         tokens.append(tok)
     return tokens
-
-
-def _stem_or_drop(tok):
-    # maps "x"-prefixed tokens to "" (dropped) and strips a plural "s"
-    return "" if tok.startswith("x") else tok.rstrip("s")
 
 
 _WORDS = ["Data", "data,", "the", "The.", "xray", "x", "s", "ss", "a", "an", "...", "!?",
@@ -125,13 +108,11 @@ _WORDS = ["Data", "data,", "the", "The.", "xray", "x", "s", "ss", "a", "an", "..
        gaps=st.lists(st.sampled_from([" ", "  ", "\t", "\n "]), min_size=12, max_size=12),
        lowercase=st.booleans(),
        stopwords=st.sets(st.sampled_from(["the", "data", "s", "a", "The", "x"])),
-       min_token_len=st.integers(1, 3),
-       stemmer=st.sampled_from([None, _stem_or_drop]))
-def test_tokenize_equals_the_per_token_loop(words, gaps, lowercase, stopwords, min_token_len,
-                                            stemmer):
+       min_token_len=st.integers(1, 3))
+def test_tokenize_equals_the_per_token_loop(words, gaps, lowercase, stopwords, min_token_len):
     text = "".join(g + w for g, w in zip(gaps, words)) + gaps[-1]
     cfg = AnalyzerConfig(lang="en", lowercase=lowercase, stopword_list=stopwords,
-                         min_token_len=min_token_len, stemmer=stemmer)
+                         min_token_len=min_token_len)
     assert tokenize(text, cfg) == _tokenize_loop(text, cfg)
 
 

@@ -19,6 +19,7 @@ from clir.evaluation import (
     SweepSystem,
     average_precision,
     check_level,
+    check_run_token,
     evaluate_run,
     format_comparison,
     format_report,
@@ -176,15 +177,32 @@ def test_run_from_ranked_rejects_duplicate_query():
 
 
 def test_format_run_validation(tmp_path):
-    increasing = RunFile("t", {"q1": [ScoredDoc("d1", 0.1), ScoredDoc("d2", 0.9)]})
-    with pytest.raises(IntegrityError, match="increases"):
-        write_run(increasing, tmp_path / "x")
-    duplicated = RunFile("t", {"q1": [ScoredDoc("d1", 0.9), ScoredDoc("d1", 0.5)]})
-    with pytest.raises(IntegrityError, match="duplicate"):
-        write_run(duplicated, tmp_path / "x")
-    untagged = RunFile("", {"q1": [ScoredDoc("d1", 0.9)]})
-    with pytest.raises(IntegrityError, match="tag"):
-        write_run(untagged, tmp_path / "x")
+    path = tmp_path / "x"
+    cases = [
+        ("t", {"q1": [("d1", 0.1), ("d2", 0.9)]}, ["increases"]),
+        ("t", {"q1": [("d1", 0.9), ("d1", 0.5)]}, ["duplicate"]),
+        ("", {"q1": [("d1", 0.9)]}, ["tag"]),
+        # fields that read_run would split into several
+        ("my run", {"q1": [("d1", 0.9)]}, ["run tag", "'my run'"]),
+        ("t", {"q 1": [("d1", 0.9)]}, ["query id", "'q 1'"]),
+        ("t", {"q1": [("d1", 0.9), ("d 2", 0.5)]}, ["query 'q1'", "doc id", "'d 2'"]),
+        ("t", {"q1": [("d1", 0.9), ("", 0.5)]}, ["query 'q1'", "doc id", "''"]),
+    ]
+    for tag, rankings, names in cases:
+        run = RunFile(tag, {q: [ScoredDoc(d, s) for d, s in pairs] for q, pairs in rankings.items()})
+        with pytest.raises(IntegrityError) as caught:
+            write_run(run, path)
+        assert all(name in str(caught.value) for name in names)
+        assert not path.exists()
+
+
+def test_check_run_token_accepts_only_what_read_run_reads_as_one_field():
+    for text in ("sys-a", "d1", "データ", "a/b#c"):
+        assert check_run_token(text) == text
+    for text in ("", "my run", " d1", "d1\t", "a\nb", "a\u3000b", "a\x1cb", "a\u2028b"):
+        assert text.split() != [text]
+        with pytest.raises(ValueError, match="query id"):
+            check_run_token(text, "query id")
 
 
 def test_read_run_skips_comments_and_blanks(tmp_path):

@@ -234,15 +234,6 @@ def test_index_round_trip_preserves_search(tmp_path):
     assert loaded.analyzer == index.analyzer
 
 
-def test_save_index_rejects_stemmer():
-    cfg = AnalyzerConfig(lang="en", stemmer=lambda t: t)
-    index = build_index(
-        Corpus([Document(doc_id="d1", lang="en", abstract="a")], ["en"]), cfg
-    )
-    with pytest.raises(ConfigError):
-        save_index(index, "/dev/null")
-
-
 # an index file of the first format: postings and the tables derived from them
 _V1_PAYLOAD = {
     "format": "clir-index-v1",

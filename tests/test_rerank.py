@@ -68,7 +68,6 @@ def test_inner_product_single_shared_term():
     d = TermVector.from_counts({"t": 1})
     stats = RerankStats(num_docs=10, df={"t": 1})
     assert score_inner_product(q, d, stats) == pytest.approx(LN10_SQ, abs=1e-12)
-    assert score_inner_product(q, d, stats, use_idf=False) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_inner_product_ignores_disjoint_and_unsupported_terms():
@@ -166,7 +165,7 @@ def test_entry_score_property_exposes_combined_value():
 # --------------------------------------------------------- rerank vs oracle
 
 
-def _oracle_rerank(entries, texts, query_text, p, use_idf=True):
+def _oracle_rerank(entries, texts, query_text, p):
     # definitional re-scoring over plain Counters, kept independent of the
     # engine's code path
     n = len(entries)
@@ -184,7 +183,7 @@ def _oracle_rerank(entries, texts, query_text, p, use_idf=True):
                 fd = vec.get(t, 0)
                 if fd == 0 or df.get(t, 0) == 0:
                     continue
-                idf = math.log(n / df[t]) if use_idf else 1.0
+                idf = math.log(n / df[t])
                 jsim += ((1 + math.log(fq)) * idf) * ((1 + math.log(fd)) * idf)
         e = esim if esim > 0 else p.epsilon
         j = jsim if jsim > 0 else p.epsilon
@@ -212,7 +211,7 @@ def _random_instance(rng):
     return entries, texts, query_text
 
 
-def _run_engine(entries, texts, query_text, p, use_idf=True):
+def _run_engine(entries, texts, query_text, p):
     first = RankedList(
         query_id="q",
         entries=[ScoredDoc(doc_id=d, score=s) for d, s in entries],
@@ -223,7 +222,7 @@ def _run_engine(entries, texts, query_text, p, use_idf=True):
         if t is not None
     }
     query = Query(query_id="q", lang="en", description=query_text)
-    return rerank(first, translated, query, CFG, p, use_idf=use_idf)
+    return rerank(first, translated, query, CFG, p)
 
 
 def test_rerank_matches_definitional_oracle():
@@ -234,9 +233,8 @@ def test_rerank_matches_definitional_oracle():
             alpha=rng.choice([0.5, 1.0, 2.0]),
             beta=rng.choice([0.5, 1.0, 2.0]),
         )
-        use_idf = rng.random() < 0.8
-        got = _run_engine(entries, texts, query_text, p, use_idf=use_idf)
-        want = _oracle_rerank(entries, texts, query_text, p, use_idf=use_idf)
+        got = _run_engine(entries, texts, query_text, p)
+        want = _oracle_rerank(entries, texts, query_text, p)
         assert [e.doc_id for e in got.entries] == [r[0] for r in want]
         for e, (d, esim, jsim, sim) in zip(got.entries, want):
             assert e.esim == pytest.approx(esim, abs=1e-9)
@@ -333,15 +331,15 @@ def _rerank_cases(draw):
     query = " ".join(draw(st.lists(st.sampled_from(_VOCAB + ["z"]), min_size=1, max_size=8)))
     p = CombineParams(alpha=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1000.0])),
                       beta=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1000.0])))
-    return entries, texts, query, p, draw(st.booleans()), draw(st.booleans())
+    return entries, texts, query, p, draw(st.booleans())
 
 
-def _defined_jsim(q, d, df, num_docs, use_idf):
+def _defined_jsim(q, d, df, num_docs):
     # the weights written out, summed in the order of the smaller vector
     total = 0.0
     for t in q if len(q) <= len(d) else d:
-        if t in q and t in d and (df.get(t, 0) >= 1 or not use_idf):
-            idf = math.log(num_docs / df[t]) if use_idf else 1.0
+        if t in q and t in d and df.get(t, 0) >= 1:
+            idf = math.log(num_docs / df[t])
             total += ((1.0 + math.log(q[t])) * idf) * ((1.0 + math.log(d[t])) * idf)
     return total
 
@@ -352,26 +350,26 @@ def _defined_jsim(q, d, df, num_docs, use_idf):
 # which here gives a different last bit than the query's order
 @example(case=([("d00", 0.9), ("d01", 0.9), ("d02", 0.5), ("d03", 0.2)],
                {"d00": "", "d01": "b d d", "d02": "c", "d03": "e c b"},
-               "z z z d c b e", CombineParams(), True, False))
+               "z z z d c b e", CombineParams(), False))
 # d01 is as long as the query and d02 a term shorter; each sums in a
 # different last bit in query order than in its own order
 @example(case=([("d00", 0.9), ("d01", 0.9), ("d02", 0.5), ("d03", 0.2)],
                {"d00": "d", "d01": "a b c d", "d02": "a c a d d", "d03": "b e b"},
-               "d b d a c", CombineParams(), True, True))
+               "d b d a c", CombineParams(), True))
 # 3.0 ** 1000 overflows while the other pairs combine to finite scores, so
 # the whole list is combined again pair by pair; d02's zero esim is floored
 @example(case=([("d00", 3.0), ("d01", 0.9), ("d02", 0.0)],
                {"d00": "a", "d01": "a b", "d02": "b"}, "a b",
-               CombineParams(alpha=1000.0), True, True))
+               CombineParams(alpha=1000.0), True))
 # every translation of the head failed
 @example(case=([("d00", 0.9), ("d01", 0.5)], {"d00": None, "d01": None}, "a b",
-               CombineParams(), True, False))
+               CombineParams(), False))
 def test_rerank_equals_its_definition_bit_for_bit(case):
     # the definition: df counted over every term of every translated vector,
     # score_inner_product without precomputed weights (checked against the
     # weights written out), then the order by combined score, its logarithm
     # and doc_id
-    entries, texts, query_text, p, use_idf, as_vectors = case
+    entries, texts, query_text, p, as_vectors = case
     docs = {d: Document(doc_id=d, lang="en", abstract=t) for d, t in texts.items() if t is not None}
     vecs = {d: document_vector(doc, CFG) for d, doc in docs.items()}
     df = Counter()
@@ -383,9 +381,9 @@ def test_rerank_equals_its_definition_bit_for_bit(case):
     for doc_id, esim in entries:
         jsim = 0.0
         if doc_id in vecs:
-            jsim = score_inner_product(query_vec, vecs[doc_id], stats, use_idf)
+            jsim = score_inner_product(query_vec, vecs[doc_id], stats)
             assert jsim == _defined_jsim(query_vec.counts, vecs[doc_id].counts, df,
-                                         len(entries), use_idf)
+                                         len(entries))
         sim = combine_scores(esim, jsim, p)
         log = p.alpha * math.log(esim if esim > 0.0 else p.epsilon) + p.beta * math.log(
             jsim if jsim > 0.0 else p.epsilon)
@@ -394,6 +392,6 @@ def test_rerank_equals_its_definition_bit_for_bit(case):
 
     first = RankedList("q", [ScoredDoc(d, s) for d, s in entries])
     query = Query(query_id="q", lang="en", description=query_text)
-    got = rerank(first, vecs if as_vectors else docs, query, CFG, p, use_idf=use_idf)
+    got = rerank(first, vecs if as_vectors else docs, query, CFG, p)
     assert [(e.doc_id, e.esim, e.jsim, e.sim) for e in got.entries] == [r[2:] for r in rows]
     assert {e.doc_id for e in got.entries} == {d for d, _ in entries}
