@@ -38,15 +38,14 @@ from clir.evaluation import (
     wilcoxon_signed_test,
 )
 from clir.files import read_lines
-from clir.index import build_index, load_index, save_index, search
+from clir.index import build_index, load_index, save_index
 from clir.pipeline import (
     TAIL_DROP,
     TAIL_KEEP,
-    DocumentMemo,
     PipelineConfig,
     read_config,
+    run_first_stage,
     run_two_stage,
-    translate_query,
 )
 from clir.rerank import CombineParams
 from clir.translate import (
@@ -62,8 +61,6 @@ from clir.translate import (
     TableAdapter,
     TranslationMethod,
 )
-
-logger = logging.getLogger(__name__)
 
 METHOD_FLAGS = {
     "mts": MT_SENTENCE,
@@ -348,21 +345,18 @@ def cmd_index(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.n < 1:
-        _usage_error("--n must be at least 1")
     method = _build_method(args, _build_adapter(args))
-    # one table of translations for the command, as in search2 and sweep
-    adapter = DocumentMemo().translator(method.adapter)
+    # stage one alone, as in sweep --stage 1: no documents come back, so no channel adapter
+    with _usage_errors():
+        cfg = PipelineConfig(n_intermediate=args.n, translation_method=method,
+                             doc_channel=CHANNEL_HT)
     index = load_index(args.index)
     queries = load_queries(args.query_file)
-    ranked_lists = []
-    for query in queries:
-        cfg_src = AnalyzerConfig(lang=query.lang)
-        translated = translate_query(query, method, index, cfg_src, index.analyzer, adapter=adapter)
-        if translated.unresolved:
-            logger.warning("query %s: untranslated terms %s", query.query_id, translated.unresolved)
-        ranked_lists.append(search(index, translated.terms, args.n, query_id=query.query_id))
-    run = run_from_ranked(ranked_lists, _default_tag(args))
+    run = run_from_ranked(
+        [run_first_stage(q, index, cfg, AnalyzerConfig(lang=q.lang), index.analyzer)
+         for q in queries],
+        _default_tag(args),
+    )
     _emit(format_run(run), args.out)
     return 0
 

@@ -66,9 +66,6 @@ class Qrels:
         floor = GRADE_RELEVANT if strict else GRADE_PARTIAL
         return {d for d, g in self.grades.get(query_id, {}).items() if g >= floor}
 
-    def num_relevant(self, query_id: str, strict: bool = True) -> int:
-        return len(self.relevant(query_id, strict))
-
 
 def load_qrels(path) -> Qrels:
     qrels = Qrels()
@@ -178,7 +175,8 @@ def check_run_token(text, what="run tag"):
 def format_run(run: RunFile) -> str:
     """Render a run in interchange format, validating it first: scores must
     be non-increasing within each query, and the tag, the query ids and the
-    doc ids must pass ``check_run_token``, so ``read_run`` reads it back."""
+    doc ids must pass ``check_run_token``, so ``read_run`` reads it back. A
+    query id must not start with "#", which would make its lines comments."""
     lines = []
     for query_id, entries in run.rankings.items():
         if not entries:
@@ -188,6 +186,8 @@ def format_run(run: RunFile) -> str:
         try:
             check_run_token(run.tag)
             check_run_token(query_id, "query id")
+            if query_id.startswith("#"):
+                raise ValueError(f"query id must not start with '#', got {query_id!r}")
             # one join and split check every doc id at once; only a failure looks at each
             if " ".join(doc_ids).split() != doc_ids:
                 for doc_id in doc_ids:

@@ -220,11 +220,14 @@ def run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=None):
     The ranking at a smaller depth is an exact prefix of this one, because
     ties break on doc_id. The query's texts go to the translator through
     ``cfg.doc_memo``, so a text an earlier query sent is not sent again.
+    Query terms left untranslated are logged as a warning.
     """
     _check_langs(index, cfg_tgt)
     method = cfg.translation_method
     translated = translate_query(query, method, index, cfg_src, cfg_tgt,
                                  adapter=cfg.doc_memo.translator(method.adapter))
+    if translated.unresolved:
+        logger.warning("query %s: untranslated terms %s", query.query_id, translated.unresolved)
     depth = first_stage_depth(cfg) if depth is None else depth
     return search(index, translated.terms, depth, query_id=query.query_id)
 

@@ -179,14 +179,28 @@ def test_an_id_with_whitespace_fails_the_run_before_writing_it(ws, tmp_path, cap
     assert main(["index", "--corpus", str(corpus), "--lang", "en", "--out", str(index)]) == 0
     queries = tmp_path / "queries.jsonl"
     out = tmp_path / "run.txt"
-    for query_id in ("q1", "q 1"):
+    # "#1" holds no whitespace, but read_run would skip its lines as comments
+    for query_id in ("q1", "q 1", "#1"):
         _write_jsonl(queries, [{"id": query_id, "lang": "en", "description": "library"}])
         for args in (["search"], ["search2", "--corpus", str(corpus), "--doc-channel", "ht"]):
             assert main(args + ["--index", str(index), "--query-file", str(queries),
                                 "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert "'q 1'" in err if query_id == "q 1" else "'d 1'" in err
+            assert f"'{query_id}'" in err if query_id != "q1" else "'d 1'" in err
             assert not out.exists()
+
+
+def test_search_depth_is_checked_before_any_file_is_read(ws, tmp_path, capsys):
+    # the index does not exist: the depth is refused first
+    args = ["search", "--index", str(tmp_path / "absent.idx"), "--query-file", str(ws.queries),
+            "--out", str(tmp_path / "run.txt")]
+    assert main(args + ["--n", "0"]) == 1
+    assert "n_intermediate" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 0\n", encoding="utf-8")
+    assert main(args + ["--config", str(cfg)]) == 1
+    assert "n_intermediate" in capsys.readouterr().err
+    assert not (tmp_path / "run.txt").exists()
 
 
 def test_adapter_flags_are_mutually_exclusive(ws):
@@ -436,6 +450,23 @@ def test_search2_and_sweep_keep_a_document_missing_from_the_corpus(ws, tmp_path,
     assert main(["sweep", "--index", str(ws.index), "--corpus", str(corpus),
                  "--query-file", str(ws.queries), "--qrels", str(ws.qrels),
                  "--ns", "2,5", "--method", "mts", "--mock-table", str(ws.table)]) == 0
+
+
+def test_every_query_verb_logs_untranslated_query_terms_once_per_query(ws, tmp_path, caplog):
+    # "network" is missing from the dictionary: q2 keeps it untranslated, q1 resolves fully
+    dictionary = tmp_path / "dict.tsv"
+    dictionary.write_text("".join(f"{en}\t{ja}\n" for en, ja in WORDS.items()
+                                  if en != "network"), encoding="utf-8")
+    base = ["--index", str(ws.index), "--query-file", str(ws.queries), "--method", "pbt",
+            "--dict", str(dictionary), "--out", str(tmp_path / "out.txt")]
+    second = ["--corpus", str(ws.corpus), "--doc-channel", "ht"]
+    for argv in (["search"], ["search2", *second],
+                 ["sweep", *second, "--qrels", str(ws.qrels), "--ns", "1,3"]):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="clir.pipeline"):
+            assert main(argv + base) == 0
+        messages = [r.getMessage() for r in caplog.records if "untranslated terms" in r.getMessage()]
+        assert messages == ["query q2: untranslated terms ['network']"], argv[0]
 
 
 def test_search2_human_channel_needs_no_adapter_for_documents(ws, tmp_path):

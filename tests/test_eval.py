@@ -61,7 +61,7 @@ def test_load_qrels(tmp_path):
     assert qrels.query_ids() == ["q1", "q2"]
     assert qrels.relevant("q1", strict=True) == {"d1"}
     assert qrels.relevant("q1", strict=False) == {"d1", "d2"}
-    assert qrels.num_relevant("q2") == 1
+    assert len(qrels.relevant("q2")) == 1
     assert qrels.relevant("missing") == set()
 
 
@@ -185,6 +185,8 @@ def test_format_run_validation(tmp_path):
         # fields that read_run would split into several
         ("my run", {"q1": [("d1", 0.9)]}, ["run tag", "'my run'"]),
         ("t", {"q 1": [("d1", 0.9)]}, ["query id", "'q 1'"]),
+        # read_run takes a line opening with "#" for a comment
+        ("t", {"#1": [("d1", 0.9)]}, ["query id", "'#1'"]),
         ("t", {"q1": [("d1", 0.9), ("d 2", 0.5)]}, ["query 'q1'", "doc id", "'d 2'"]),
         ("t", {"q1": [("d1", 0.9), ("", 0.5)]}, ["query 'q1'", "doc id", "''"]),
     ]
