@@ -17,13 +17,14 @@ from clir.corpus import (
     load_corpus,
     load_queries,
 )
-from clir.errors import ClirError, ConfigError
+from clir.errors import ClirError, ConfigError, IntegrityError
 from clir.evaluation import (
     SignTestResult,
     SweepSystem,
     WilcoxonResult,
     check_depths,
     check_level,
+    check_query_id,
     check_run_token,
     evaluate_run,
     format_comparison,
@@ -330,6 +331,18 @@ def _load_stopwords(path):
     return frozenset(word for word in words if not word.startswith("#"))
 
 
+def _load_run_queries(path):
+    """The queries of ``path``, every id checked as a run file's query id
+    before any query runs."""
+    queries = load_queries(path)
+    for query in queries:
+        try:
+            check_query_id(query.query_id)
+        except ValueError as exc:
+            raise IntegrityError(f"{path}: {exc}") from None
+    return queries
+
+
 def cmd_index(args) -> int:
     stopwords = _load_stopwords(args.stopwords) if args.stopwords else frozenset()
     kind = CHARACTER_BIGRAM if args.tokenizer == "bigram" else WHITESPACE_WORD
@@ -351,7 +364,7 @@ def cmd_search(args) -> int:
         cfg = PipelineConfig(n_intermediate=args.n, translation_method=method,
                              doc_channel=CHANNEL_HT)
     index = load_index(args.index)
-    queries = load_queries(args.query_file)
+    queries = _load_run_queries(args.query_file)
     run = run_from_ranked(
         [run_first_stage(q, index, cfg, AnalyzerConfig(lang=q.lang), index.analyzer)
          for q in queries],
@@ -365,7 +378,7 @@ def cmd_search2(args) -> int:
     cfg = _pipeline_config(args, args.n, args.doc_channel)
     index = load_index(args.index)
     corpus = load_corpus(args.corpus)
-    queries = load_queries(args.query_file)
+    queries = _load_run_queries(args.query_file)
     ranked_lists = []
     for query in queries:
         cfg_src = AnalyzerConfig(lang=query.lang)

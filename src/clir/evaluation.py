@@ -172,11 +172,21 @@ def check_run_token(text, what="run tag"):
     return text
 
 
+def check_query_id(query_id):
+    """``query_id`` as the first field of a run line; ValueError if it fails
+    ``check_run_token`` or starts with "#", which would make its lines
+    comments to ``read_run``."""
+    check_run_token(query_id, "query id")
+    if query_id.startswith("#"):
+        raise ValueError(f"query id must not start with '#', got {query_id!r}")
+    return query_id
+
+
 def format_run(run: RunFile) -> str:
     """Render a run in interchange format, validating it first: scores must
-    be non-increasing within each query, and the tag, the query ids and the
-    doc ids must pass ``check_run_token``, so ``read_run`` reads it back. A
-    query id must not start with "#", which would make its lines comments."""
+    be non-increasing within each query, the tag and the doc ids must pass
+    ``check_run_token`` and the query ids ``check_query_id``, so
+    ``read_run`` reads it back."""
     lines = []
     for query_id, entries in run.rankings.items():
         if not entries:
@@ -185,9 +195,7 @@ def format_run(run: RunFile) -> str:
         doc_ids = [entry.doc_id for entry in entries]
         try:
             check_run_token(run.tag)
-            check_run_token(query_id, "query id")
-            if query_id.startswith("#"):
-                raise ValueError(f"query id must not start with '#', got {query_id!r}")
+            check_query_id(query_id)
             # one join and split check every doc id at once; only a failure looks at each
             if " ".join(doc_ids).split() != doc_ids:
                 for doc_id in doc_ids:

@@ -25,8 +25,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import mul, neg, truediv
+from itertools import chain, repeat
+from operator import mul, truediv
 
 from clir.corpus import AnalyzerConfig, analyze, indexable_text
 from clir.errors import ConfigError, IntegrityError
@@ -182,13 +182,12 @@ def search(index, query_terms, top_n, query_id=""):
     """First-stage retrieval: top ``top_n`` documents by cosine similarity.
 
     Scores accumulate term at a time into one dot product per document
-    ordinal, and every document's cosine is then computed at once. Sorting
-    those floats alone gives the ``top_n``-th score; only the documents
-    scoring at least that much, ties included, are sorted as
-    ``(-score, ordinal)`` pairs and become ``ScoredDoc`` entries.
-    Zero-scoring documents are omitted, so the result may be shorter than
-    ``top_n``. Ties break by ascending doc_id (ordinal order is doc_id order)
-    for deterministic runs, so a shallower search is a prefix of a deeper one.
+    ordinal, and every document's cosine is then computed at once. One
+    stable sort of the ordinals by score ranks them, and the first ``top_n``
+    become ``ScoredDoc`` entries. Zero-scoring documents are omitted, so the
+    result may be shorter than ``top_n``. Ties break by ascending doc_id
+    (ordinal order is doc_id order) for deterministic runs, so a shallower
+    search is a prefix of a deeper one.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
@@ -208,19 +207,22 @@ def search(index, query_terms, top_n, query_id=""):
         for ordinal, dw in zip(ordinals, weights):
             acc[ordinal] += w * dw
 
-    # cosines before the clamp to 1.0; min() is monotone, so the top_n-th
-    # clamped score is the clamped top_n-th of these, and only the documents
-    # kept by the cut need clamping
     scores = list(map(truediv, acc, map(mul, repeat(qnorm), index.doc_norms)))
-    cut = min(sorted(scores, reverse=True)[min(top_n, len(scores)) - 1], 1.0)
-    kept = list(compress(range(len(scores)),
-                         map(cut.__le__ if cut > 0.0 else (0.0).__lt__, scores)))
-    ranked = sorted(zip(map(neg, map(min, map(scores.__getitem__, kept), repeat(1.0))), kept))
-    doc_ids = index.doc_ids
-    return RankedList(
-        query_id=query_id,
-        entries=[ScoredDoc(doc_ids[ordinal], -negated) for negated, ordinal in ranked[:top_n]],
-    )
+    # a stable sort: equal scores stay in ordinal order
+    ranked = sorted(range(index.num_docs), key=scores.__getitem__, reverse=True)
+    # a cosine that rounds above 1.0 is clamped to 1.0, where it ties with
+    # the other documents at 1.0 and ranks among them by ordinal
+    clamped = 0
+    while clamped < len(ranked) and scores[ranked[clamped]] >= 1.0:
+        clamped += 1
+    ranked[:clamped] = sorted(ranked[:clamped])
+    top = ranked[:top_n]
+    values = list(map(scores.__getitem__, top))
+    values[:clamped] = repeat(1.0, min(clamped, len(values)))
+    if values[-1] == 0.0:  # zero-scoring documents are left out; map stops with values
+        del values[values.index(0.0):]
+    return RankedList(query_id=query_id,
+                      entries=list(map(ScoredDoc, map(index.doc_ids.__getitem__, top), values)))
 
 
 # keys of a saved index's analyzer settings, with the JSON types they hold

@@ -10,11 +10,10 @@ import re
 import time
 from dataclasses import dataclass, field, fields
 
-from clir.corpus import TermVector
 from clir.errors import ConfigError, NoPairError, NotFoundError, ParseError, TranslationError
 from clir.files import read_lines
 from clir.index import RankedList, ScoredDoc, search
-from clir.rerank import CombineParams, document_vector, rerank
+from clir.rerank import CombineParams, TranslatedDocs, document_vector, rerank
 from clir.translate import (
     CHANNEL_MT,
     DICT_PHRASE,
@@ -51,52 +50,58 @@ class _RememberingAdapter(MTAdapter):
 
     def __init__(self, adapter):
         self.adapter = adapter
-        self.table = {}  # (source language, target language, text) -> translation
+        self.tables = {}  # (source language, target language) -> {text: translation}
 
     def translate(self, text, src, tgt):
-        key = (src, tgt, text)
-        out = self.table.get(key)
+        table = self.tables.get((src, tgt))
+        if table is None:
+            table = self.tables[src, tgt] = {}
+        out = table.get(text)
         if out is None:
-            out = self.table[key] = self.adapter.translate(text, src, tgt)
+            out = table[text] = self.adapter.translate(text, src, tgt)
         return out
 
 
 class DocumentMemo:
-    """Analysed term vectors of translated documents, and the translations
-    of every text, reused across queries.
+    """Translated documents, kept term-major, and the translations of every
+    text, reused across queries.
 
-    A vector depends on the document, the channel, the document adapter, the
-    target language and the source analyzer's settings; ``bucket`` returns,
-    for one such combination, the doc_id -> (TermVector, seconds) map of
-    stored vectors with the seconds spent translating and analysing each, and
-    the set of doc_ids this memo's runs have used. Term strings are interned
-    through one vocabulary, so a term shared by many stored vectors is held
-    once. Only successful translations are stored.
+    A document's term vector depends on the document, the channel, the
+    document adapter, the target language and the source analyzer's
+    settings; ``bucket`` returns, for one such combination, the
+    ``TranslatedDocs`` of the documents stored for it, each with the seconds
+    spent translating and analysing it, and the set of doc_ids this memo's
+    runs have used. The store holds one ``{doc_id: tf}`` map per term and,
+    per document, only its term numbers in token order, which is the form
+    ``rerank`` reads. Only successful translations are stored.
 
     ``translator`` wraps an adapter in a table of its successful
-    translations, keyed by source language, target language and text, so
-    each distinct text reaches the adapter once per memo: a query unit or
-    sentence asked again by a later query, or a title, keyword or abstract
-    repeated across documents. ``MTAdapter`` requires equal inputs to give
-    equal outputs within a run, so the table changes no result.
+    translations, one ``{text: translation}`` dict per source and target
+    language, so each distinct text reaches the adapter once per memo: a
+    query unit or sentence asked again by a later query, or a title, keyword
+    or abstract repeated across documents. ``MTAdapter`` requires equal
+    inputs to give equal outputs within a run, so the table changes no
+    result.
 
-    ``DocumentMemo(store)`` shares the stored vectors and translations of
+    ``DocumentMemo(store)`` shares the stored documents and translations of
     the memo ``store`` and keeps its own record of used documents. The first
-    time its runs use a vector that another memo stored, the run charges
-    that vector's recorded seconds, so its times are what it would cost with
-    a memo of its own. A translation another memo stored is not charged. A
-    memo that shares nothing never charges anything.
+    time its runs use a document that another memo stored, the run charges
+    that document's recorded seconds, so its times are what it would cost
+    with a memo of its own. A translation another memo stored is not
+    charged. A memo that shares nothing never charges anything.
     """
 
     def __init__(self, store=None):
         self.buckets = {} if store is None else store.buckets
-        self.vocab = {} if store is None else store.vocab
         self.translators = {} if store is None else store.translators
         self.used = {}
 
     def bucket(self, channel, adapter, target_lang, analyzer):
         key = (channel, adapter, target_lang, analyzer_settings(analyzer))
-        return self.buckets.setdefault(key, {}), self.used.setdefault(key, set())
+        stored = self.buckets.get(key)
+        if stored is None:
+            stored = self.buckets[key] = TranslatedDocs()
+        return stored, self.used.setdefault(key, set())
 
     def translator(self, adapter):
         """``adapter`` behind this memo's table of translations; None stays None."""
@@ -106,11 +111,6 @@ class DocumentMemo:
         if wrapped is None:
             wrapped = self.translators[adapter] = _RememberingAdapter(adapter)
         return wrapped
-
-    def intern(self, vec):
-        counts = vec.counts
-        interned = dict(zip(map(self.vocab.setdefault, counts, counts), counts.values()))
-        return TermVector(counts=interned, max_tf=vec.max_tf)
 
 
 @dataclass
@@ -268,12 +268,13 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
     adapter = cfg.resolve_doc_adapter()
     stored, used = cfg.doc_memo.bucket(cfg.doc_channel, adapter, query.lang, cfg_src)
     adapter = cfg.doc_memo.translator(adapter)
-    doc_vectors = {}
     charged_s = 0.0
     t0 = time.perf_counter()
     for entry in head:
         doc_id = entry.doc_id
-        hit = stored.get(doc_id)
+        if doc_id in used:
+            continue
+        hit = stored.docs.get(doc_id)
         if hit is None:
             t_doc = time.perf_counter()
             try:
@@ -284,18 +285,17 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
             except (TranslationError, NoPairError, NotFoundError) as exc:
                 logger.warning("query %s: document %s kept untranslated: %s", query.query_id, doc_id, exc)
                 continue
-            vec = cfg.doc_memo.intern(document_vector(translated, cfg_src))
-            hit = stored[doc_id] = vec, time.perf_counter() - t_doc
-        elif doc_id not in used:
+            counts = document_vector(translated, cfg_src).counts
+            stored.add(doc_id, counts, time.perf_counter() - t_doc)
+        else:
             charged_s += hit[1]
         used.add(doc_id)
-        doc_vectors[doc_id] = hit[0]
     translation_s = time.perf_counter() - t0 + charged_s
 
     t0 = time.perf_counter()
     reranked = rerank(
         RankedList(query_id=query.query_id, entries=head),
-        doc_vectors,
+        stored,
         query,
         cfg_src,
         cfg.combine,

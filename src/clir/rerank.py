@@ -3,22 +3,27 @@
 The second stage works on a handful of documents, so it keeps no index. Term
 weights are 1 + ln(tf) times ln(N/n_t) where N is the size of the retrieved
 set and n_t counts, within that set, the translated documents containing the
-term. Only a query term can contribute to the inner product, so ``rerank``
-takes one column per query term, its frequency in every retrieved document:
-n_t is counted on the column, the term's weight is computed once per query,
-and the scores accumulate one column at a time through a table from frequency
-to contribution, in builtins iterating in C. Similarity is the plain inner
-product; length normalization is deliberately absent. The two stages' scores
-then combine as a weighted geometric mean with a small floor replacing zeros.
-The combination and the final order are computed on whole lists too, and a
-``RerankedEntry`` is made only for each document in its final place.
+term. Similarity is the plain inner product; length normalization is
+deliberately absent. The two stages' scores then combine as a weighted
+geometric mean with a small floor replacing zeros.
+
+``rerank`` reads the translated documents term-major, from a
+``TranslatedDocs``: one ``{doc_id: tf}`` map per term, and each document's
+term numbers in token order. Only a query term can contribute to the inner
+product, so for each query term it intersects the retrieved documents with
+that term's map, in C, walking the smaller side: the intersection's size is
+n_t, and the term's contribution, computed once per distinct tf, is added
+only where the term occurs. The combination and the final order are computed
+on whole lists too, and a ``RerankedEntry`` is made only for each document in
+its final place.
 """
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import groupby, repeat
-from operator import add, attrgetter, lt, mul
+from operator import attrgetter, itemgetter, lt, mul
 
 from clir.corpus import TermVector, analyze, indexable_text
 from clir.index import RankedList
@@ -178,49 +183,114 @@ def document_vector(doc, cfg):
     return analyze(indexable_text(doc), cfg)
 
 
+class TranslatedDocs:
+    """Term vectors of translated documents, kept term-major.
+
+    ``postings`` maps each term to ``{doc_id: tf}`` over the documents
+    holding it. Each term is numbered once (``ids``, and ``terms`` back), so
+    it is one string however many documents hold it. ``docs`` maps each
+    doc_id to its term numbers in token order, an ``array('I')`` of four
+    bytes a term, and the seconds spent producing it. No per-document count
+    dict is kept.
+    """
+
+    __slots__ = ("docs", "postings", "ids", "terms")
+
+    def __init__(self):
+        self.docs = {}
+        self.postings = {}
+        self.ids = {}
+        self.terms = []
+
+    def __contains__(self, doc_id):
+        return doc_id in self.docs
+
+    def add(self, doc_id, counts, seconds=0.0):
+        """Store ``counts`` ({term: tf}, tf >= 1) as ``doc_id``'s vector."""
+        ids, terms, postings = self.ids, self.terms, self.postings
+        order = []
+        for term, tf in counts.items():
+            number = ids.get(term)
+            if number is None:
+                number = ids[term] = len(terms)
+                terms.append(term)
+                postings[term] = {doc_id: tf}
+            else:
+                postings[term][doc_id] = tf
+            order.append(number)
+        self.docs[doc_id] = array("I", order), seconds
+
+    def vector(self, doc_id):
+        """``doc_id``'s stored TermVector, rebuilt in token order."""
+        postings = self.postings
+        counts = {term: postings[term][doc_id]
+                  for term in map(self.terms.__getitem__, self.docs[doc_id][0])}
+        return TermVector(counts=counts, max_tf=max(counts.values(), default=0))
+
+
 def rerank(first_stage, translated_docs, source_query, cfg, p):
     """Re-order the first-stage retrieval by the combined score.
 
-    ``translated_docs`` maps doc_id to the query-language rendition: the
-    translated Document, or its ``document_vector`` under ``cfg``. Documents
-    missing from it (failed translations) score zero in the second stage but
-    stay in the list. Exact ties of the combined score break by its
-    logarithm (see ``combine_scores``), then by ascending doc_id.
+    ``translated_docs`` holds the query-language renditions: a
+    ``TranslatedDocs``, which may hold documents beyond the retrieved ones,
+    or a mapping from doc_id to the translated Document or its
+    ``document_vector`` under ``cfg``, from which the same view is built
+    first. Retrieved documents missing from it (failed translations) score
+    zero in the second stage but stay in the list. Exact ties of the
+    combined score break by its logarithm (see ``combine_scores``), then by
+    ascending doc_id.
     """
     entries = first_stage.entries
     if not entries:
         return RankedList(query_id=first_stage.query_id, entries=[])
 
     doc_ids = list(map(attrgetter("doc_id"), entries))
-    vectors = []
-    for doc_id in doc_ids:
-        doc = translated_docs.get(doc_id)
-        if doc is not None and not isinstance(doc, TermVector):
-            doc = document_vector(doc, cfg)
-        vectors.append(doc)
-    counts = [{} if vec is None else vec.counts for vec in vectors]
+    store = translated_docs
+    if not isinstance(store, TranslatedDocs):
+        store = TranslatedDocs()
+        for doc_id in doc_ids:
+            doc = translated_docs.get(doc_id)
+            if doc is not None:
+                if not isinstance(doc, TermVector):
+                    doc = document_vector(doc, cfg)
+                store.add(doc_id, doc.counts)
     query_vec = analyze(source_query.description, cfg)
     n = len(entries)
-    # one column per query term: its tf in each document, 0 where absent
-    columns = {term: list(map(dict.get, counts, repeat(term), repeat(0)))
-               for term in query_vec.counts}
-    df = {term: d for term, col in columns.items() if (d := n - col.count(0))}
-    stats = RerankStats(num_docs=n, df=df)
+    positions = dict(zip(doc_ids, range(n)))
+    postings = store.postings
+    # the retrieved documents holding each query term; their number is its n_t
+    holders = {}
+    for term in query_vec.counts:
+        column = postings.get(term)
+        if column is not None and (held := positions.keys() & column.keys()):
+            holders[term] = held
+    stats = RerankStats(num_docs=n, df={term: len(held) for term, held in holders.items()})
     weights = query_weights(query_vec, stats)
 
-    # Term at a time in query order: every contribution is >= 0, so adding
-    # rerank_tf(0) = 0.0 for an absent term leaves each sum exact and equal to
-    # score_inner_product's for a document at least as long as the query.
+    # Term at a time in query order, added only where the term occurs: every
+    # contribution is >= 0, so the additions skipped, of rerank_tf(0) = 0.0,
+    # would leave each sum unchanged, and it equals score_inner_product's for
+    # a document at least as long as the query. Each document receives its
+    # contributions in query order, whatever order a set yields them in.
     jsims = [0.0] * n
     for term, (weight, idf) in weights.items():
-        col = columns[term]
-        table = {tf: weight * (rerank_tf(tf) * idf) for tf in set(col)}
-        jsims = list(map(add, jsims, map(table.__getitem__, col)))
-    # a shorter document sums in its own term order
+        column = postings[term]
+        table = {}  # tf -> contribution
+        for doc_id in holders[term]:
+            tf = column[doc_id]
+            contribution = table.get(tf)
+            if contribution is None:
+                contribution = table[tf] = weight * (rerank_tf(tf) * idf)
+            jsims[positions[doc_id]] += contribution
+    # a shorter document sums in its own term order; the lengths are scanned
+    # in C, and the loop runs only when some document is shorter
     qlen = len(query_vec.counts)
-    for i, vec in enumerate(vectors):
-        if vec is not None and len(vec.counts) < qlen:
-            jsims[i] = score_inner_product(query_vec, vec, stats, weights)
+    docs = store.docs
+    if min(map(len, map(itemgetter(0), filter(None, map(docs.get, doc_ids)))), default=qlen) < qlen:
+        for i, doc_id in enumerate(doc_ids):
+            stored = docs.get(doc_id)
+            if stored is not None and len(stored[0]) < qlen:
+                jsims[i] = score_inner_product(query_vec, store.vector(doc_id), stats, weights)
 
     esims = list(map(attrgetter("score"), entries))
     sims = _combine_all(esims, jsims, p)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from clir.cli import main
 from clir.evaluation import read_run
+from clir.translate import TableAdapter
 
 JA_TEXTS = {
     "j1": "toshokan kensaku deta",
@@ -188,6 +189,31 @@ def test_an_id_with_whitespace_fails_the_run_before_writing_it(ws, tmp_path, cap
             err = capsys.readouterr().err
             assert f"'{query_id}'" in err if query_id != "q1" else "'d 1'" in err
             assert not out.exists()
+
+
+def test_an_unwritable_query_id_is_refused_before_any_query_runs(ws, tmp_path, capsys,
+                                                                monkeypatch):
+    calls = []
+
+    class CountingTable(TableAdapter):
+        def translate(self, text, src, tgt):
+            calls.append(text)
+            return super().translate(text, src, tgt)
+
+    monkeypatch.setattr("clir.cli.TableAdapter", CountingTable)
+    queries = tmp_path / "queries.jsonl"
+    # the valid query comes first: refusing at the bad one would be too late
+    _write_jsonl(queries, [{"id": "q1", "lang": "en", "description": "library search"},
+                           {"id": "#1", "lang": "en", "description": "computer network"}])
+    out = tmp_path / "run.txt"
+    for args in (["search"], ["search2", "--corpus", str(ws.corpus)]):
+        assert main(args + ["--index", str(ws.index), "--query-file", str(queries),
+                            "--method", "mts", "--mock-table", str(ws.table),
+                            "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(queries) in err and "'#1'" in err
+        assert calls == []
+        assert not out.exists()
 
 
 def test_search_depth_is_checked_before_any_file_is_read(ws, tmp_path, capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from clir.corpus import AnalyzerConfig, Corpus, Document, Query, analyze
 from clir.errors import ConfigError, ParseError, TranslationError
-from clir.index import build_index, search
+from clir.index import RankedList, build_index, search
 from clir.pipeline import (
     TAIL_DROP,
     TAIL_KEEP,
@@ -23,9 +23,10 @@ from clir.pipeline import (
     run_two_stage,
     translate_query,
 )
-from clir.rerank import CombineParams
+from clir.rerank import CombineParams, rerank
 from clir.translate import (
     CHANNEL_HT,
+    CHANNEL_MT,
     COMBINED,
     DICT_PHRASE,
     MT_PHRASE,
@@ -36,6 +37,7 @@ from clir.translate import (
     MTAdapter,
     TableAdapter,
     TranslationMethod,
+    translate_document,
 )
 
 EN = AnalyzerConfig(lang="en")
@@ -379,6 +381,39 @@ def test_shared_config_runs_equal_fresh_config_runs(texts, n):
         got, _ = run_two_stage(q, index, corpus, shared, EN, JA)
         want, _ = run_two_stage(q, index, corpus, _cfg(n=n), EN, JA)
         assert _entries(got) == _entries(want)
+
+
+def test_runs_through_one_memo_equal_rerank_on_fresh_documents():
+    # the config's memo stores each head document once, term-major, and later
+    # queries re-rank from that store, which holds documents outside their
+    # head; rerank over freshly translated Documents must agree bit for bit.
+    # j1's translation fails, and j2 and j5 are shorter than most queries.
+    texts = ["toshokan kensaku deta deta", "toshokan kinshi", "toshokan",
+             "deta netto kensaku keisanki", "keisanki netto netto toshokan", "kensaku"]
+    corpus = Corpus([Document(doc_id=f"j{i}", lang="ja", abstract=text)
+                     for i, text in enumerate(texts)], ["ja"])
+    index = build_index(corpus, JA)
+    cfg = _cfg(n=4, doc_adapter=CountingAdapter(fail_on="kinshi"))
+    heads = set()
+    for i, text in enumerate(["library search data", "library", "network computer library search",
+                              "data search", "library network"]):
+        q = _query(text, f"q{i}")
+        got, _ = run_two_stage(q, index, corpus, cfg, EN, JA)
+        head = run_first_stage(q, index, _cfg(), EN, JA).entries[:4]
+        fresh = {}
+        for e in head:
+            try:
+                fresh[e.doc_id] = translate_document(corpus.get(e.doc_id), CHANNEL_MT,
+                                                     adapter=CountingAdapter(fail_on="kinshi"),
+                                                     target_lang="en")
+            except TranslationError:
+                pass
+        want = rerank(RankedList(q.query_id, head), fresh, q, EN, cfg.combine)
+        assert _entries(got) == _entries(want)
+        heads.update(e.doc_id for e in head)
+    assert {"j1", "j2", "j5"} <= heads
+    stored, _ = cfg.doc_memo.bucket(CHANNEL_MT, cfg.doc_adapter, "en", EN)
+    assert set(stored.docs) == heads - {"j1"}
 
 
 def test_replaced_config_starts_with_an_empty_memo(ja_index):

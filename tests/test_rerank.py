@@ -4,6 +4,7 @@ similarity, geometric-mean combination, and the full re-ranking pass."""
 import math
 import random
 import sys
+from array import array
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from clir.rerank import (
     CombineParams,
     RerankedEntry,
     RerankStats,
+    TranslatedDocs,
     combine_scores,
     document_vector,
     rerank,
@@ -155,6 +157,20 @@ def test_result_records_are_slotted():
         assert not hasattr(record, "__dict__")
         with pytest.raises(AttributeError):
             record.note = "extra"
+
+
+def test_a_stored_document_keeps_no_count_dict():
+    # term-major: a document is its term numbers in token order and its
+    # seconds; its counts live only in the per-term maps
+    store = TranslatedDocs()
+    store.add("d1", dict(zip("bb aa".split(), (2, 1))), 0.25)
+    store.add("d2", dict.fromkeys("aa cc".split(), 1))
+    assert not hasattr(store, "__dict__")
+    assert store.docs == {"d1": (array("I", [0, 1]), 0.25), "d2": (array("I", [1, 2]), 0.0)}
+    assert store.terms == ["bb", "aa", "cc"]
+    assert store.postings == {"bb": {"d1": 2}, "aa": {"d1": 1, "d2": 1}, "cc": {"d2": 1}}
+    assert store.vector("d1") == TermVector(counts={"bb": 2, "aa": 1}, max_tf=2)
+    assert "d2" in store and "d3" not in store
 
 
 def test_entry_score_property_exposes_combined_value():
@@ -331,7 +347,14 @@ def _rerank_cases(draw):
     query = " ".join(draw(st.lists(st.sampled_from(_VOCAB + ["z"]), min_size=1, max_size=8)))
     p = CombineParams(alpha=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1000.0])),
                       beta=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1000.0])))
-    return entries, texts, query, p, draw(st.booleans())
+    return entries, texts, query, p, draw(st.sampled_from(_FORMS))
+
+
+# how rerank receives the translations: Documents, their vectors, or a
+# term-major store that also holds documents outside the head, as the store
+# shared by the cells of a sweep does
+_FORMS = ("documents", "vectors", "store")
+_BEYOND_HEAD = {"x00": "a b c d e", "x01": "a a", "x02": "e"}
 
 
 def _defined_jsim(q, d, df, num_docs):
@@ -350,26 +373,26 @@ def _defined_jsim(q, d, df, num_docs):
 # which here gives a different last bit than the query's order
 @example(case=([("d00", 0.9), ("d01", 0.9), ("d02", 0.5), ("d03", 0.2)],
                {"d00": "", "d01": "b d d", "d02": "c", "d03": "e c b"},
-               "z z z d c b e", CombineParams(), False))
+               "z z z d c b e", CombineParams(), "documents"))
 # d01 is as long as the query and d02 a term shorter; each sums in a
 # different last bit in query order than in its own order
 @example(case=([("d00", 0.9), ("d01", 0.9), ("d02", 0.5), ("d03", 0.2)],
                {"d00": "d", "d01": "a b c d", "d02": "a c a d d", "d03": "b e b"},
-               "d b d a c", CombineParams(), True))
+               "d b d a c", CombineParams(), "store"))
 # 3.0 ** 1000 overflows while the other pairs combine to finite scores, so
 # the whole list is combined again pair by pair; d02's zero esim is floored
 @example(case=([("d00", 3.0), ("d01", 0.9), ("d02", 0.0)],
                {"d00": "a", "d01": "a b", "d02": "b"}, "a b",
-               CombineParams(alpha=1000.0), True))
+               CombineParams(alpha=1000.0), "vectors"))
 # every translation of the head failed
 @example(case=([("d00", 0.9), ("d01", 0.5)], {"d00": None, "d01": None}, "a b",
-               CombineParams(), False))
+               CombineParams(), "store"))
 def test_rerank_equals_its_definition_bit_for_bit(case):
     # the definition: df counted over every term of every translated vector,
     # score_inner_product without precomputed weights (checked against the
     # weights written out), then the order by combined score, its logarithm
     # and doc_id
-    entries, texts, query_text, p, as_vectors = case
+    entries, texts, query_text, p, form = case
     docs = {d: Document(doc_id=d, lang="en", abstract=t) for d, t in texts.items() if t is not None}
     vecs = {d: document_vector(doc, CFG) for d, doc in docs.items()}
     df = Counter()
@@ -392,6 +415,14 @@ def test_rerank_equals_its_definition_bit_for_bit(case):
 
     first = RankedList("q", [ScoredDoc(d, s) for d, s in entries])
     query = Query(query_id="q", lang="en", description=query_text)
-    got = rerank(first, vecs if as_vectors else docs, query, CFG, p)
+    if form == "store":
+        translated = TranslatedDocs()
+        for doc_id, text in _BEYOND_HEAD.items():
+            translated.add(doc_id, analyze(text, CFG).counts)
+        for doc_id, vec in vecs.items():
+            translated.add(doc_id, vec.counts)
+    else:
+        translated = vecs if form == "vectors" else docs
+    got = rerank(first, translated, query, CFG, p)
     assert [(e.doc_id, e.esim, e.jsim, e.sim) for e in got.entries] == [r[2:] for r in rows]
     assert {e.doc_id for e in got.entries} == {d for d, _ in entries}
