@@ -40,13 +40,15 @@ class Query:
     description: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalyzerConfig:
     """How raw text is turned into terms for one language.
 
     ``tokenizer_kind`` is either whitespace-word (split on whitespace, strip
     punctuation from token edges) or character-bigram (sliding window over each
-    whitespace-free run, the dependency-free default for CJK text).
+    whitespace-free run, the dependency-free default for CJK text). The config
+    is frozen, so equal settings make one hashable key, even from two distinct
+    objects.
     """
 
     lang: str
@@ -62,7 +64,7 @@ class AnalyzerConfig:
             raise ConfigError("min_token_len must be >= 1")
         if self.tokenizer_kind == CHARACTER_BIGRAM and self.min_token_len != 1:
             raise ConfigError("character-bigram tokenization requires min_token_len = 1")
-        self.stopword_list = frozenset(self.stopword_list)
+        object.__setattr__(self, "stopword_list", frozenset(self.stopword_list))
 
 
 @dataclass(slots=True)

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field, replace
 from clir.errors import IntegrityError, ParseError
 from clir.files import read_lines
 from clir.index import RankedList, ScoredDoc
-from clir.pipeline import (
-    DocumentMemo,
-    analyzer_settings,
-    first_stage_depth,
-    run_first_stage,
-    run_second_stage,
-)
+from clir.pipeline import DocumentMemo, first_stage_depth, run_first_stage, run_second_stage
 from clir.pipeline import run_two_stage  # noqa: F401  perfbench's tracer wraps this name
 
 logger = logging.getLogger(__name__)
@@ -205,13 +199,6 @@ def format_run(run: RunFile) -> str:
         for rank, entry in enumerate(entries, 1):
             lines.append(f"{query_id} Q0 {entry.doc_id} {rank} {entry.score!r} {run.tag}\n")
     return "".join(lines)
-
-
-def write_run(run: RunFile, path):
-    """Write a run file; see ``format_run`` for the validation applied."""
-    text = format_run(run)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def read_run(path) -> RunFile:
@@ -493,7 +480,7 @@ def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
             for pos, query in enumerate(queries):
                 cfg_src = cfg_src_for(query)
                 # the systems hold their methods, so ids stay distinct for the call
-                key = (pos, id(cfg.translation_method), analyzer_settings(cfg_src))
+                key = (pos, id(cfg.translation_method), cfg_src)
                 if key not in stage_ones:
                     t0 = time.perf_counter()
                     ranked = run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=deepest)

@@ -8,7 +8,7 @@ cost/accuracy knob the whole design revolves around.
 import logging
 import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from clir.errors import ConfigError, NoPairError, NotFoundError, ParseError, TranslationError
 from clir.files import read_lines
@@ -37,12 +37,6 @@ TAIL_KEEP = "keep"
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def analyzer_settings(analyzer):
-    """The analyzer's field values: equal settings give equal analyses, even
-    from two distinct ``AnalyzerConfig`` objects."""
-    return tuple(getattr(analyzer, f.name) for f in fields(analyzer))
-
-
 class _RememberingAdapter(MTAdapter):
     """``adapter`` behind a table of its successful translations: a text it
     translated once between the same two languages is answered from the
@@ -67,12 +61,12 @@ class DocumentMemo:
     text, reused across queries.
 
     A document's term vector depends on the document, the channel, the
-    document adapter, the target language and the source analyzer's
-    settings; ``bucket`` returns, for one such combination, the
-    ``TranslatedDocs`` of the documents stored for it, each with the seconds
-    spent translating and analysing it, and the set of doc_ids this memo's
-    runs have used. The store holds one ``{doc_id: tf}`` map per term and,
-    per document, only its term numbers in token order, which is the form
+    document adapter, the target language and the source analyzer, a frozen
+    ``AnalyzerConfig`` that equal settings make an equal key; ``bucket``
+    returns, for one such combination, the ``TranslatedDocs`` of the
+    documents stored for it, and the set of doc_ids this memo's runs have
+    used. The store holds one ``{doc_id: tf}`` map per term and each
+    document's seconds spent translating and analysing it, which is the form
     ``rerank`` reads. Only successful translations are stored.
 
     ``translator`` wraps an adapter in a table of its successful
@@ -97,7 +91,7 @@ class DocumentMemo:
         self.used = {}
 
     def bucket(self, channel, adapter, target_lang, analyzer):
-        key = (channel, adapter, target_lang, analyzer_settings(analyzer))
+        key = (channel, adapter, target_lang, analyzer)
         stored = self.buckets.get(key)
         if stored is None:
             stored = self.buckets[key] = TranslatedDocs()
@@ -186,15 +180,15 @@ def translate_query(query, method, index, cfg_src, cfg_tgt, adapter=None):
     """
     adapter = method.adapter if adapter is None else adapter
     if method.kind == MT_SENTENCE:
-        return translate_query_mt(query, adapter, "sentence", cfg_src, cfg_tgt)
+        return translate_query_mt(query, adapter, MT_SENTENCE, cfg_src, cfg_tgt)
     if method.kind == MT_PHRASE:
         return translate_query_mt(
-            query, adapter, "phrase", cfg_src, cfg_tgt, phrases=method.dictionary
+            query, adapter, MT_PHRASE, cfg_src, cfg_tgt, phrases=method.dictionary
         )
     if method.kind == DICT_PHRASE:
         return translate_query_dict(query, method.dictionary, index, cfg_src)
     mt = translate_query_mt(
-        query, adapter, "phrase", cfg_src, cfg_tgt, phrases=method.dictionary
+        query, adapter, MT_PHRASE, cfg_src, cfg_tgt, phrases=method.dictionary
     )
     by_dict = translate_query_dict(query, method.dictionary, index, cfg_src)
     return combine_translations(mt, by_dict)
@@ -288,7 +282,7 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
             counts = document_vector(translated, cfg_src).counts
             stored.add(doc_id, counts, time.perf_counter() - t_doc)
         else:
-            charged_s += hit[1]
+            charged_s += hit
         used.add(doc_id)
     translation_s = time.perf_counter() - t0 + charged_s
 

@@ -8,22 +8,22 @@ deliberately absent. The two stages' scores then combine as a weighted
 geometric mean with a small floor replacing zeros.
 
 ``rerank`` reads the translated documents term-major, from a
-``TranslatedDocs``: one ``{doc_id: tf}`` map per term, and each document's
-term numbers in token order. Only a query term can contribute to the inner
-product, so for each query term it intersects the retrieved documents with
-that term's map, in C, walking the smaller side: the intersection's size is
-n_t, and the term's contribution, computed once per distinct tf, is added
-only where the term occurs. The combination and the final order are computed
-on whole lists too, and a ``RerankedEntry`` is made only for each document in
-its final place.
+``TranslatedDocs``: one ``{doc_id: tf}`` map per term. Only a query term can
+contribute to the inner product, so for each query term, in query order, it
+intersects the retrieved documents with that term's map, in C, walking the
+smaller side: the intersection's size is n_t, and the term's contribution,
+computed once per distinct tf, is added only where the term occurs. Every
+document's score is thus summed in query order, which is the definition
+``score_inner_product`` writes out. The combination and the final order are
+computed on whole lists too, and a ``RerankedEntry`` is made only for each
+document in its final place.
 """
 
 import math
 import sys
-from array import array
 from dataclasses import dataclass
 from itertools import groupby, repeat
-from operator import attrgetter, itemgetter, lt, mul
+from operator import attrgetter, lt, mul
 
 from clir.corpus import TermVector, analyze, indexable_text
 from clir.index import RankedList
@@ -99,22 +99,17 @@ def query_weights(query_terms, stats):
     return weights
 
 
-def score_inner_product(query_terms, doc_terms, stats, weights=None):
+def score_inner_product(query_terms, doc_terms, stats):
     """Inner product of the weighted query and document vectors.
 
     Only shared terms with a ``query_weights`` entry contribute, summed in
-    the order of the smaller of the two vectors. ``weights``, the
-    ``query_weights`` of ``query_terms`` under ``stats``, spares recomputing
-    them for every document of one query.
+    query order.
     """
-    if weights is None:
-        weights = query_weights(query_terms, stats)
+    weights = query_weights(query_terms, stats)
     d = doc_terms.counts
     total = 0.0
-    # ``weights`` keeps the query's term order, so iterating it sums in that order
-    for term in weights if len(query_terms.counts) <= len(d) else d:
-        if term in weights and term in d:
-            weight, idf = weights[term]
+    for term, (weight, idf) in weights.items():
+        if term in d:
             total += weight * (rerank_tf(d[term]) * idf)
     return total
 
@@ -187,45 +182,29 @@ class TranslatedDocs:
     """Term vectors of translated documents, kept term-major.
 
     ``postings`` maps each term to ``{doc_id: tf}`` over the documents
-    holding it. Each term is numbered once (``ids``, and ``terms`` back), so
-    it is one string however many documents hold it. ``docs`` maps each
-    doc_id to its term numbers in token order, an ``array('I')`` of four
-    bytes a term, and the seconds spent producing it. No per-document count
-    dict is kept.
+    holding it, and ``docs`` maps each doc_id to the seconds spent producing
+    it. No per-document count dict is kept.
     """
 
-    __slots__ = ("docs", "postings", "ids", "terms")
+    __slots__ = ("docs", "postings")
 
     def __init__(self):
         self.docs = {}
         self.postings = {}
-        self.ids = {}
-        self.terms = []
 
     def __contains__(self, doc_id):
         return doc_id in self.docs
 
     def add(self, doc_id, counts, seconds=0.0):
         """Store ``counts`` ({term: tf}, tf >= 1) as ``doc_id``'s vector."""
-        ids, terms, postings = self.ids, self.terms, self.postings
-        order = []
+        postings = self.postings
         for term, tf in counts.items():
-            number = ids.get(term)
-            if number is None:
-                number = ids[term] = len(terms)
-                terms.append(term)
+            column = postings.get(term)
+            if column is None:
                 postings[term] = {doc_id: tf}
             else:
-                postings[term][doc_id] = tf
-            order.append(number)
-        self.docs[doc_id] = array("I", order), seconds
-
-    def vector(self, doc_id):
-        """``doc_id``'s stored TermVector, rebuilt in token order."""
-        postings = self.postings
-        counts = {term: postings[term][doc_id]
-                  for term in map(self.terms.__getitem__, self.docs[doc_id][0])}
-        return TermVector(counts=counts, max_tf=max(counts.values(), default=0))
+                column[doc_id] = tf
+        self.docs[doc_id] = seconds
 
 
 def rerank(first_stage, translated_docs, source_query, cfg, p):
@@ -267,11 +246,10 @@ def rerank(first_stage, translated_docs, source_query, cfg, p):
     stats = RerankStats(num_docs=n, df={term: len(held) for term, held in holders.items()})
     weights = query_weights(query_vec, stats)
 
-    # Term at a time in query order, added only where the term occurs: every
-    # contribution is >= 0, so the additions skipped, of rerank_tf(0) = 0.0,
-    # would leave each sum unchanged, and it equals score_inner_product's for
-    # a document at least as long as the query. Each document receives its
-    # contributions in query order, whatever order a set yields them in.
+    # Term at a time in query order, added only where the term occurs, as
+    # score_inner_product adds them: each document receives its
+    # contributions in query order, whatever order a set yields them in, so
+    # each sum equals score_inner_product's bit for bit.
     jsims = [0.0] * n
     for term, (weight, idf) in weights.items():
         column = postings[term]
@@ -282,15 +260,6 @@ def rerank(first_stage, translated_docs, source_query, cfg, p):
             if contribution is None:
                 contribution = table[tf] = weight * (rerank_tf(tf) * idf)
             jsims[positions[doc_id]] += contribution
-    # a shorter document sums in its own term order; the lengths are scanned
-    # in C, and the loop runs only when some document is shorter
-    qlen = len(query_vec.counts)
-    docs = store.docs
-    if min(map(len, map(itemgetter(0), filter(None, map(docs.get, doc_ids)))), default=qlen) < qlen:
-        for i, doc_id in enumerate(doc_ids):
-            stored = docs.get(doc_id)
-            if stored is not None and len(stored[0]) < qlen:
-                jsims[i] = score_inner_product(query_vec, store.vector(doc_id), stats, weights)
 
     esims = list(map(attrgetter("score"), entries))
     sims = _combine_all(esims, jsims, p)

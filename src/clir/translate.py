@@ -245,18 +245,16 @@ def translate_query_dict(query, dictionary, target_index, cfg):
 def translate_query_mt(query, adapter, mode, cfg_src, cfg_tgt, phrases=None):
     """Adapter-based query translation.
 
-    Sentence mode sends the whole description through the adapter and analyzes
-    the output. Phrase mode analyzes the source first and translates each
-    content token independently; adjacent token pairs listed in ``phrases`` are
-    kept together as units. Outputs are merged by summing term frequencies.
+    ``mode`` is ``MT_SENTENCE`` or ``MT_PHRASE``. Sentence mode sends the
+    whole description through the adapter and analyzes the output. Phrase
+    mode analyzes the source first and translates each content token
+    independently; adjacent token pairs listed in ``phrases`` are kept
+    together as units. Outputs are merged by summing term frequencies.
     """
-    if mode not in ("sentence", "phrase"):
-        raise ConfigError(f"unknown MT mode {mode!r}")
     if not query.description.strip():
-        kind = MT_SENTENCE if mode == "sentence" else MT_PHRASE
-        return TranslatedQuery(TermVector.empty(), kind, [], cfg_tgt.lang)
+        return TranslatedQuery(TermVector.empty(), mode, [], cfg_tgt.lang)
 
-    if mode == "sentence":
+    if mode == MT_SENTENCE:
         out = adapter.translate(query.description, query.lang, cfg_tgt.lang)
         return TranslatedQuery(analyze(out, cfg_tgt), MT_SENTENCE, [], cfg_tgt.lang)
 

@@ -23,6 +23,7 @@ from clir.evaluation import (
     evaluate_run,
     format_comparison,
     format_report,
+    format_run,
     format_sweep,
     load_qrels,
     mean_ap,
@@ -31,7 +32,6 @@ from clir.evaluation import (
     sign_test,
     sweep_n,
     wilcoxon_signed_test,
-    write_run,
 )
 from clir.index import RankedList, ScoredDoc, build_index
 from clir.pipeline import (
@@ -165,7 +165,7 @@ def test_run_round_trip(tmp_path):
         tag="sys-a",
     )
     path = tmp_path / "run.txt"
-    write_run(run, path)
+    path.write_text(format_run(run), encoding="utf-8")
     back = read_run(path)
     assert back.tag == "sys-a"
     assert back.rankings == run.rankings  # repr round-trips floats exactly
@@ -176,8 +176,7 @@ def test_run_from_ranked_rejects_duplicate_query():
         run_from_ranked([_ranked("q1", [("d1", 1.0)]), _ranked("q1", [("d2", 1.0)])], "t")
 
 
-def test_format_run_validation(tmp_path):
-    path = tmp_path / "x"
+def test_format_run_validation():
     cases = [
         ("t", {"q1": [("d1", 0.1), ("d2", 0.9)]}, ["increases"]),
         ("t", {"q1": [("d1", 0.9), ("d1", 0.5)]}, ["duplicate"]),
@@ -193,9 +192,8 @@ def test_format_run_validation(tmp_path):
     for tag, rankings, names in cases:
         run = RunFile(tag, {q: [ScoredDoc(d, s) for d, s in pairs] for q, pairs in rankings.items()})
         with pytest.raises(IntegrityError) as caught:
-            write_run(run, path)
+            format_run(run)
         assert all(name in str(caught.value) for name in names)
-        assert not path.exists()
 
 
 def test_check_run_token_accepts_only_what_read_run_reads_as_one_field():

@@ -5,7 +5,7 @@ import logging
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from clir.index import RankedList, build_index, search
 from clir.pipeline import (
     TAIL_DROP,
     TAIL_KEEP,
+    DocumentMemo,
     PipelineConfig,
     read_config,
     run_first_stage,
@@ -521,6 +522,22 @@ def test_analyzers_differing_in_stopwords_do_not_share_vectors(ja_index):
     with_stop, _ = run_two_stage(q, ja_index, corpus, _cfg(n=4), stop, JA)
     plain, _ = run_two_stage(q, ja_index, corpus, _cfg(n=4), EN, JA)
     assert _entries(with_stop) != _entries(plain)
+
+
+def test_equal_analyzer_configs_share_a_bucket():
+    # the frozen config is its own memo key: equal settings, one bucket
+    memo = DocumentMemo()
+    one = AnalyzerConfig(lang="en", stopword_list=["library"])
+    other = AnalyzerConfig(lang="en", stopword_list={"library"})
+    assert one is not other
+
+    def store(analyzer):
+        return memo.bucket(CHANNEL_MT, None, "en", analyzer)[0]
+
+    assert store(one) is store(other)
+    assert store(EN) is not store(one)
+    with pytest.raises(FrozenInstanceError):
+        one.lowercase = False
 
 
 # ------------------------------------------------------------ settings file

@@ -4,7 +4,6 @@ similarity, geometric-mean combination, and the full re-ranking pass."""
 import math
 import random
 import sys
-from array import array
 from collections import Counter
 
 import pytest
@@ -160,16 +159,15 @@ def test_result_records_are_slotted():
 
 
 def test_a_stored_document_keeps_no_count_dict():
-    # term-major: a document is its term numbers in token order and its
-    # seconds; its counts live only in the per-term maps
+    # term-major: a document is only its seconds; its counts live only in
+    # the per-term maps
     store = TranslatedDocs()
     store.add("d1", dict(zip("bb aa".split(), (2, 1))), 0.25)
     store.add("d2", dict.fromkeys("aa cc".split(), 1))
     assert not hasattr(store, "__dict__")
-    assert store.docs == {"d1": (array("I", [0, 1]), 0.25), "d2": (array("I", [1, 2]), 0.0)}
-    assert store.terms == ["bb", "aa", "cc"]
+    assert TranslatedDocs.__slots__ == ("docs", "postings")
+    assert store.docs == {"d1": 0.25, "d2": 0.0}
     assert store.postings == {"bb": {"d1": 2}, "aa": {"d1": 1, "d2": 1}, "cc": {"d2": 1}}
-    assert store.vector("d1") == TermVector(counts={"bb": 2, "aa": 1}, max_tf=2)
     assert "d2" in store and "d3" not in store
 
 
@@ -358,10 +356,10 @@ _BEYOND_HEAD = {"x00": "a b c d e", "x01": "a a", "x02": "e"}
 
 
 def _defined_jsim(q, d, df, num_docs):
-    # the weights written out, summed in the order of the smaller vector
+    # the weights written out, summed in query order
     total = 0.0
-    for t in q if len(q) <= len(d) else d:
-        if t in q and t in d and df.get(t, 0) >= 1:
+    for t in q:
+        if t in d and df.get(t, 0) >= 1:
             idf = math.log(num_docs / df[t])
             total += ((1.0 + math.log(q[t])) * idf) * ((1.0 + math.log(d[t])) * idf)
     return total
@@ -369,13 +367,13 @@ def _defined_jsim(q, d, df, num_docs):
 
 @settings(max_examples=150, deadline=None)
 @given(case=_rerank_cases())
-# d03 is shorter than the query, so its terms are summed in its own order,
-# which here gives a different last bit than the query's order
+# d03 is shorter than the query and still sums in query order, which here
+# gives a different last bit than its own term order would
 @example(case=([("d00", 0.9), ("d01", 0.9), ("d02", 0.5), ("d03", 0.2)],
                {"d00": "", "d01": "b d d", "d02": "c", "d03": "e c b"},
                "z z z d c b e", CombineParams(), "documents"))
-# d01 is as long as the query and d02 a term shorter; each sums in a
-# different last bit in query order than in its own order
+# d01 is as long as the query and d02 a term shorter; both sum in query
+# order, which gives each a different last bit than its own order would
 @example(case=([("d00", 0.9), ("d01", 0.9), ("d02", 0.5), ("d03", 0.2)],
                {"d00": "d", "d01": "a b c d", "d02": "a c a d d", "d03": "b e b"},
                "d b d a c", CombineParams(), "store"))
@@ -389,9 +387,8 @@ def _defined_jsim(q, d, df, num_docs):
                CombineParams(), "store"))
 def test_rerank_equals_its_definition_bit_for_bit(case):
     # the definition: df counted over every term of every translated vector,
-    # score_inner_product without precomputed weights (checked against the
-    # weights written out), then the order by combined score, its logarithm
-    # and doc_id
+    # score_inner_product (checked against the weights written out), then the
+    # order by combined score, its logarithm and doc_id
     entries, texts, query_text, p, form = case
     docs = {d: Document(doc_id=d, lang="en", abstract=t) for d, t in texts.items() if t is not None}
     vecs = {d: document_vector(doc, CFG) for d, doc in docs.items()}

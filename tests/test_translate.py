@@ -237,7 +237,7 @@ def test_mt_sentence_mode():
     })
     out = translate_query_mt(
         _query("middleware construction in network collaboration"), adapter,
-        "sentence", EN, JA,
+        MT_SENTENCE, EN, JA,
     )
     assert out.terms.counts == {
         "middleware": 1, "construction": 1, "network": 1, "collaboration": 1
@@ -247,19 +247,19 @@ def test_mt_sentence_mode():
 
 
 def test_mt_empty_description():
-    out = translate_query_mt(_query("   "), TableAdapter({}), "sentence", EN, JA)
+    out = translate_query_mt(_query("   "), TableAdapter({}), MT_SENTENCE, EN, JA)
     assert out.terms.counts == {}
     assert out.unresolved == []
 
 
 def test_mt_identity_adapter_echoes_analyzed_source():
-    out = translate_query_mt(_query("Alpha beta alpha"), IdentityAdapter(), "sentence", EN, EN)
+    out = translate_query_mt(_query("Alpha beta alpha"), IdentityAdapter(), MT_SENTENCE, EN, EN)
     assert out.terms.counts == {"alpha": 2, "beta": 1}
 
 
 def test_mt_phrase_mode_translates_units_independently():
     adapter = TableAdapter({"digital": "dejitaru", "libraries": "toshokan"})
-    out = translate_query_mt(_query("digital libraries"), adapter, "phrase", EN, JA)
+    out = translate_query_mt(_query("digital libraries"), adapter, MT_PHRASE, EN, JA)
     assert out.terms.counts == {"dejitaru": 1, "toshokan": 1}
     assert out.method == MT_PHRASE
 
@@ -269,27 +269,22 @@ def test_mt_phrase_mode_groups_dictionary_phrases():
     adapter = TableAdapter({"digital libraries": "denshi", "digital": "WRONG",
                             "libraries": "WRONG"})
     phrases = BilingualDictionary({"digital libraries": ["denshi"]})
-    out = translate_query_mt(_query("digital libraries"), adapter, "phrase", EN, JA,
+    out = translate_query_mt(_query("digital libraries"), adapter, MT_PHRASE, EN, JA,
                              phrases=phrases)
     assert out.terms.counts == {"denshi": 1}
 
 
 def test_mt_phrase_mode_sums_duplicate_outputs():
     adapter = TableAdapter({"car": "kuruma", "automobile": "kuruma"})
-    out = translate_query_mt(_query("car automobile"), adapter, "phrase", EN, JA)
+    out = translate_query_mt(_query("car automobile"), adapter, MT_PHRASE, EN, JA)
     assert out.terms.counts == {"kuruma": 2}
 
 
 def test_mt_phrase_mode_empty_output_is_unresolved():
     adapter = TableAdapter({"known": "x", "gone": ""})
-    out = translate_query_mt(_query("known gone"), adapter, "phrase", EN, JA)
+    out = translate_query_mt(_query("known gone"), adapter, MT_PHRASE, EN, JA)
     assert out.terms.counts == {"x": 1}
     assert out.unresolved == ["gone"]
-
-
-def test_mt_rejects_unknown_mode():
-    with pytest.raises(ConfigError):
-        translate_query_mt(_query("x"), IdentityAdapter(), "paragraph", EN, JA)
 
 
 # -------------------------------------------------------------- combination
