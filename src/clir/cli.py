@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import logging
 import sys
+from itertools import islice
 
 from clir.corpus import (
     CHARACTER_BIGRAM,
@@ -393,11 +394,12 @@ def cmd_search2(args) -> int:
         run_lines = iter(text.splitlines(keepends=True))
         lines = []
         for ranked in ranked_lists:
-            for entry in ranked.entries:
-                if hasattr(entry, "esim"):
-                    lines.append(f"# {ranked.query_id} {entry.doc_id} esim={entry.esim!r} "
-                                 f"jsim={entry.jsim!r} sim={entry.sim!r}\n")
+            for doc_id, esim, jsim, sim in zip(ranked.doc_ids, ranked.esims, ranked.jsims,
+                                               ranked.scores):
+                lines.append(f"# {ranked.query_id} {doc_id} esim={esim!r} jsim={jsim!r} "
+                             f"sim={sim!r}\n")
                 lines.append(next(run_lines))
+            lines.extend(islice(run_lines, len(ranked.doc_ids) - len(ranked.esims)))
         text = "".join(lines)
     _emit(text, args.out)
     return 0

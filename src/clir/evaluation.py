@@ -9,12 +9,13 @@ File formats follow the TREC conventions: judgments as
 import logging
 import math
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import count
+from operator import lt
 
 from clir.errors import IntegrityError, ParseError
 from clir.files import read_lines
-from clir.index import RankedList, ScoredDoc
+from clir.index import RankedList
 from clir.pipeline import DocumentMemo, first_stage_depth, run_first_stage, run_second_stage
 from clir.pipeline import run_two_stage  # noqa: F401  perfbench's tracer wraps this name
 
@@ -129,32 +130,36 @@ class EvalReport:
 class RunFile:
     """Ranked results per query plus the tag naming the producing system.
 
-    Each ranking is a sequence of entries in rank order; an entry is anything
-    with ``doc_id`` and ``score``, such as a ``ScoredDoc`` or a re-ranked
-    entry.
+    Each ranking is the query's ``RankedList``. ``format_run`` also takes a
+    list of records with ``doc_id`` and ``score`` in rank order, which it
+    reads as ``RankedList(query_id, records)``.
     """
 
     tag: str
-    rankings: dict[str, Sequence] = field(default_factory=dict)
+    rankings: dict[str, RankedList] = field(default_factory=dict)
 
 
 def run_from_ranked(ranked_lists, tag: str) -> RunFile:
-    """A run holding each ranked list's entries as given, not copied."""
+    """A run holding each ranked list as given, not copied."""
     run = RunFile(tag=tag)
     for ranked in ranked_lists:
         if ranked.query_id in run.rankings:
             raise IntegrityError(f"duplicate ranking for query {ranked.query_id!r}")
-        run.rankings[ranked.query_id] = ranked.entries
+        run.rankings[ranked.query_id] = ranked
     return run
 
 
-def _check_ranking(query_id, entries, where=""):
+def _check_ranking(query_id, ranked, where=""):
+    doc_ids, scores = ranked.doc_ids, ranked.scores
+    if len(set(doc_ids)) == len(doc_ids) and not any(map(lt, scores[:-1], scores[1:])):
+        return
+    # something failed: find the first position that fails
     seen = set()
-    for pos, entry in enumerate(entries):
-        if entry.doc_id in seen:
-            raise IntegrityError(f"{where}query {query_id!r}: duplicate document {entry.doc_id!r}")
-        seen.add(entry.doc_id)
-        if pos and entry.score > entries[pos - 1].score:
+    for pos, doc_id in enumerate(doc_ids):
+        if doc_id in seen:
+            raise IntegrityError(f"{where}query {query_id!r}: duplicate document {doc_id!r}")
+        seen.add(doc_id)
+        if pos and scores[pos] > scores[pos - 1]:
             raise IntegrityError(f"{where}query {query_id!r}: score increases at rank {pos + 1}")
 
 
@@ -182,11 +187,13 @@ def format_run(run: RunFile) -> str:
     ``check_run_token`` and the query ids ``check_query_id``, so
     ``read_run`` reads it back."""
     lines = []
-    for query_id, entries in run.rankings.items():
-        if not entries:
+    for query_id, ranked in run.rankings.items():
+        if not isinstance(ranked, RankedList):
+            ranked = RankedList(query_id, ranked)
+        doc_ids = ranked.doc_ids
+        if not doc_ids:
             continue
-        _check_ranking(query_id, entries)
-        doc_ids = [entry.doc_id for entry in entries]
+        _check_ranking(query_id, ranked)
         try:
             check_run_token(run.tag)
             check_query_id(query_id)
@@ -196,8 +203,8 @@ def format_run(run: RunFile) -> str:
                     check_run_token(doc_id, "doc id")
         except ValueError as exc:
             raise IntegrityError(f"query {query_id!r}: {exc}") from None
-        for rank, entry in enumerate(entries, 1):
-            lines.append(f"{query_id} Q0 {entry.doc_id} {rank} {entry.score!r} {run.tag}\n")
+        lines += [f"{query_id} Q0 {doc_id} {rank} {score!r} {run.tag}\n"
+                  for doc_id, rank, score in zip(doc_ids, count(1), ranked.scores)]
     return "".join(lines)
 
 
@@ -227,9 +234,13 @@ def read_run(path) -> RunFile:
         elif tag != run.tag:
             raise IntegrityError(f"{path}:{line_no}: mixed run tags {run.tag!r} and {tag!r}")
         last_rank[query_id] = rank
-        run.rankings.setdefault(query_id, []).append(ScoredDoc(doc_id=doc_id, score=score))
-    for query_id, entries in run.rankings.items():
-        _check_ranking(query_id, entries, f"{path}: ")
+        ranked = run.rankings.get(query_id)
+        if ranked is None:
+            ranked = run.rankings[query_id] = RankedList(query_id)
+        ranked.doc_ids.append(doc_id)
+        ranked.scores.append(score)
+    for query_id, ranked in run.rankings.items():
+        _check_ranking(query_id, ranked, f"{path}: ")
     return run
 
 
@@ -249,8 +260,9 @@ def evaluate_run(run: RunFile, qrels: Qrels, strict: bool = True) -> EvalReport:
             skipped.append(query_id)
             logger.warning("query %s has no relevant documents; excluded from the mean", query_id)
             continue
-        entries = run.rankings.get(query_id, [])
-        per_query_ap[query_id] = average_precision([e.doc_id for e in entries], relevant)
+        ranked = run.rankings.get(query_id)
+        doc_ids = [] if ranked is None else ranked.doc_ids
+        per_query_ap[query_id] = average_precision(doc_ids, relevant)
     return EvalReport(
         per_query_ap=per_query_ap,
         mean_ap=mean_ap(per_query_ap) if per_query_ap else 0.0,
@@ -484,7 +496,7 @@ def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
                 if key not in stage_ones:
                     t0 = time.perf_counter()
                     ranked = run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=deepest)
-                    stage_ones[key] = ranked.entries, time.perf_counter() - t0
+                    stage_ones[key] = ranked, time.perf_counter() - t0
                 stage_one, first_stage_s = stage_ones[key]
                 if system.two_stage:
                     ranked, timing = run_second_stage(
@@ -493,7 +505,8 @@ def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
                     rerank_s += timing.rerank_s
                     total_s += timing.total_s
                 else:
-                    ranked = RankedList(query_id=query.query_id, entries=stage_one[:n])
+                    ranked = RankedList(query.query_id, doc_ids=stage_one.doc_ids[:n],
+                                        scores=stage_one.scores[:n])
                     total_s += first_stage_s
                 ranked_lists.append(ranked)
             tag = f"{system.name}-n{n}"

@@ -43,10 +43,40 @@ class ScoredDoc:
 
 @dataclass(slots=True)
 class RankedList:
-    """Scored documents in rank order (scores non-increasing, ids distinct)."""
+    """Scored documents in rank order (scores non-increasing, ids distinct),
+    kept as columns.
+
+    ``doc_ids`` and ``scores`` are parallel lists. A re-ranked head also has
+    ``esims`` and ``jsims``, each document's two stage scores, parallel to
+    the first ``len(esims)`` positions, where ``scores`` holds the combined
+    score. ``RankedList(query_id, entries)`` takes the columns from records:
+    ``RerankedEntry`` records for the head, then ``ScoredDoc`` records.
+    """
 
     query_id: str
-    entries: list
+    doc_ids: list
+    scores: list
+    esims: list
+    jsims: list
+
+    def __init__(self, query_id, entries=(), *, doc_ids=None, scores=None, esims=None, jsims=None):
+        if doc_ids is None:
+            head = [e for e in entries if not isinstance(e, ScoredDoc)]
+            doc_ids, scores = [e.doc_id for e in entries], [e.score for e in entries]
+            esims, jsims = [e.esim for e in head], [e.jsim for e in head]
+        self.query_id, self.doc_ids, self.scores = query_id, doc_ids, scores
+        self.esims = [] if esims is None else esims
+        self.jsims = [] if jsims is None else jsims
+
+    @property
+    def entries(self):
+        """The ranking as records, built afresh on each access and not kept:
+        a ``RerankedEntry`` per re-ranked document, then a ``ScoredDoc`` each."""
+        from clir.rerank import RerankedEntry  # clir.rerank imports this module
+
+        k = len(self.esims)
+        return [*map(RerankedEntry, self.doc_ids[:k], self.esims, self.jsims, self.scores[:k]),
+                *map(ScoredDoc, self.doc_ids[k:], self.scores[k:])]
 
 
 @dataclass
@@ -184,7 +214,7 @@ def search(index, query_terms, top_n, query_id=""):
     Scores accumulate term at a time into one dot product per document
     ordinal, and every document's cosine is then computed at once. One
     stable sort of the ordinals by score ranks them, and the first ``top_n``
-    become ``ScoredDoc`` entries. Zero-scoring documents are omitted, so the
+    become the ranking's columns. Zero-scoring documents are omitted, so the
     result may be shorter than ``top_n``. Ties break by ascending doc_id
     (ordinal order is doc_id order) for deterministic runs, so a shallower
     search is a prefix of a deeper one.
@@ -193,7 +223,7 @@ def search(index, query_terms, top_n, query_id=""):
         raise ValueError("top_n must be >= 1")
     qw = weighted_query(index, query_terms)
     if not qw:
-        return RankedList(query_id=query_id, entries=[])
+        return RankedList(query_id)
     # summed left to right, like the document norms: builtin sum() of floats
     # is compensated from Python 3.12 on and would move the last bit
     sq = 0.0
@@ -219,10 +249,10 @@ def search(index, query_terms, top_n, query_id=""):
     top = ranked[:top_n]
     values = list(map(scores.__getitem__, top))
     values[:clamped] = repeat(1.0, min(clamped, len(values)))
-    if values[-1] == 0.0:  # zero-scoring documents are left out; map stops with values
+    if values[-1] == 0.0:  # zero-scoring documents are left out
         del values[values.index(0.0):]
-    return RankedList(query_id=query_id,
-                      entries=list(map(ScoredDoc, map(index.doc_ids.__getitem__, top), values)))
+        del top[len(values):]
+    return RankedList(query_id, doc_ids=list(map(index.doc_ids.__getitem__, top)), scores=values)
 
 
 # keys of a saved index's analyzer settings, with the JSON types they hold

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from clir.errors import ConfigError, NoPairError, NotFoundError, ParseError, TranslationError
 from clir.files import read_lines
-from clir.index import RankedList, ScoredDoc, search
+from clir.index import RankedList, search
 from clir.rerank import CombineParams, TranslatedDocs, document_vector, rerank
 from clir.translate import (
     CHANNEL_MT,
@@ -232,19 +232,12 @@ def run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=None):
 _run_first_stage = run_first_stage
 
 
-def _rescaled_tail(tail, floor):
-    # First-stage scores need not sit below the combined scores above them;
-    # remap into (0, floor) keeping the original order and ties.
-    top = tail[0].score
-    return [ScoredDoc(e.doc_id, floor * e.score / (2.0 * top)) for e in tail]
-
-
 def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
     """Translate the head of a first-stage ranking, re-rank it and, under
     tail "keep", append the rest of the first ``first_stage_depth(cfg)``
     entries of ``stage_one`` below it.
 
-    ``stage_one`` is the query's ranked first-stage entries, at least as
+    ``stage_one`` is the query's first-stage ``RankedList``, at least as
     deep as the config needs. Each head document is translated and analysed
     once per ``cfg``: later runs take its vector from ``cfg.doc_memo``. Its
     title, keywords and abstract go to the translator through the same memo,
@@ -256,16 +249,15 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
     producing ``stage_one``.
     """
     t_run = time.perf_counter()
-    head = stage_one[: cfg.n_intermediate]
-    tail = stage_one[cfg.n_intermediate : first_stage_depth(cfg)]
+    n = cfg.n_intermediate
+    head = RankedList(query.query_id, doc_ids=stage_one.doc_ids[:n], scores=stage_one.scores[:n])
 
     adapter = cfg.resolve_doc_adapter()
     stored, used = cfg.doc_memo.bucket(cfg.doc_channel, adapter, query.lang, cfg_src)
     adapter = cfg.doc_memo.translator(adapter)
     charged_s = 0.0
     t0 = time.perf_counter()
-    for entry in head:
-        doc_id = entry.doc_id
+    for doc_id in head.doc_ids:
         if doc_id in used:
             continue
         hit = stored.docs.get(doc_id)
@@ -287,22 +279,18 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
     translation_s = time.perf_counter() - t0 + charged_s
 
     t0 = time.perf_counter()
-    reranked = rerank(
-        RankedList(query_id=query.query_id, entries=head),
-        stored,
-        query,
-        cfg_src,
-        cfg.combine,
-    )
+    ranked = rerank(head, stored, query, cfg_src, cfg.combine)
     rerank_s = time.perf_counter() - t0
 
-    entries = list(reranked.entries)
-    if cfg.tail_policy == TAIL_KEEP and tail and entries:
-        entries.extend(_rescaled_tail(tail, entries[-1].sim))
+    tail = stage_one.scores[n : first_stage_depth(cfg)]
+    if cfg.tail_policy == TAIL_KEEP and tail and ranked.scores:
+        # First-stage scores need not sit below the combined scores above
+        # them; remap into (0, floor) keeping the original order and ties.
+        floor, top = ranked.scores[-1], tail[0]
+        ranked.doc_ids += stage_one.doc_ids[n : n + len(tail)]
+        ranked.scores += [floor * score / (2.0 * top) for score in tail]
     total_s = first_stage_s + time.perf_counter() - t_run + charged_s
-    return RankedList(query_id=query.query_id, entries=entries), TimingRecord(
-        translation_s=translation_s, rerank_s=rerank_s, total_s=total_s
-    )
+    return ranked, TimingRecord(translation_s=translation_s, rerank_s=rerank_s, total_s=total_s)
 
 
 def run_two_stage(query, index, corpus, cfg, cfg_src, cfg_tgt):
@@ -315,9 +303,7 @@ def run_two_stage(query, index, corpus, cfg, cfg_src, cfg_tgt):
     """
     t_run = time.perf_counter()
     stage_one = _run_first_stage(query, index, cfg, cfg_src, cfg_tgt)
-    return run_second_stage(
-        query, stage_one.entries, corpus, cfg, cfg_src, time.perf_counter() - t_run
-    )
+    return run_second_stage(query, stage_one, corpus, cfg, cfg_src, time.perf_counter() - t_run)
 
 
 def read_config(path):

@@ -15,15 +15,15 @@ smaller side: the intersection's size is n_t, and the term's contribution,
 computed once per distinct tf, is added only where the term occurs. Every
 document's score is thus summed in query order, which is the definition
 ``score_inner_product`` writes out. The combination and the final order are
-computed on whole lists too, and a ``RerankedEntry`` is made only for each
-document in its final place.
+computed on whole lists too, and the result is the ranking's columns in
+their final order: no record is made per document.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 from itertools import groupby, repeat
-from operator import attrgetter, lt, mul
+from operator import lt, mul
 
 from clir.corpus import TermVector, analyze, indexable_text
 from clir.index import RankedList
@@ -58,7 +58,8 @@ class RerankStats:
 
 @dataclass(slots=True)
 class RerankedEntry:
-    """One re-ranked document with both stage scores and their combination."""
+    """One re-ranked document with both stage scores and their combination,
+    as ``RankedList.entries`` shows it."""
 
     doc_id: str
     esim: float  # first-stage score
@@ -208,7 +209,9 @@ class TranslatedDocs:
 
 
 def rerank(first_stage, translated_docs, source_query, cfg, p):
-    """Re-order the first-stage retrieval by the combined score.
+    """Re-order the first-stage retrieval by the combined score: a
+    ``RankedList`` whose ``scores`` are the combined scores and whose
+    ``esims`` and ``jsims`` are every document's two stage scores.
 
     ``translated_docs`` holds the query-language renditions: a
     ``TranslatedDocs``, which may hold documents beyond the retrieved ones,
@@ -219,11 +222,10 @@ def rerank(first_stage, translated_docs, source_query, cfg, p):
     combined score break by its logarithm (see ``combine_scores``), then by
     ascending doc_id.
     """
-    entries = first_stage.entries
-    if not entries:
-        return RankedList(query_id=first_stage.query_id, entries=[])
+    doc_ids = first_stage.doc_ids
+    if not doc_ids:
+        return RankedList(first_stage.query_id)
 
-    doc_ids = list(map(attrgetter("doc_id"), entries))
     store = translated_docs
     if not isinstance(store, TranslatedDocs):
         store = TranslatedDocs()
@@ -234,7 +236,7 @@ def rerank(first_stage, translated_docs, source_query, cfg, p):
                     doc = document_vector(doc, cfg)
                 store.add(doc_id, doc.counts)
     query_vec = analyze(source_query.description, cfg)
-    n = len(entries)
+    n = len(doc_ids)
     positions = dict(zip(doc_ids, range(n)))
     postings = store.postings
     # the retrieved documents holding each query term; their number is its n_t
@@ -261,10 +263,11 @@ def rerank(first_stage, translated_docs, source_query, cfg, p):
                 contribution = table[tf] = weight * (rerank_tf(tf) * idf)
             jsims[positions[doc_id]] += contribution
 
-    esims = list(map(attrgetter("score"), entries))
+    esims = first_stage.scores
     sims = _combine_all(esims, jsims, p)
     order = sorted(range(n), key=sims.__getitem__, reverse=True)
     if len(set(sims)) < n:
         order = _order_ties(order, doc_ids, esims, jsims, sims, p)
-    reranked = [RerankedEntry(doc_ids[i], esims[i], jsims[i], sims[i]) for i in order]
-    return RankedList(query_id=first_stage.query_id, entries=reranked)
+    doc_ids, esims, jsims, sims = (list(map(column.__getitem__, order))
+                                   for column in (doc_ids, esims, jsims, sims))
+    return RankedList(first_stage.query_id, doc_ids=doc_ids, scores=sims, esims=esims, jsims=jsims)

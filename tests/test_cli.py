@@ -309,8 +309,8 @@ def test_search_writes_a_parseable_run(ws, tmp_path):
                  "--tag", "one", "--out", str(out)]) == 0
     run = read_run(out)
     assert run.tag == "one"
-    assert [e.doc_id for e in run.rankings["q1"]][0] == "j1"
-    assert run.rankings["q2"]
+    assert run.rankings["q1"].doc_ids[0] == "j1"
+    assert run.rankings["q2"].doc_ids
 
 
 def test_search_without_method_is_plain_monolingual(ws, tmp_path):
@@ -322,7 +322,7 @@ def test_search_without_method_is_plain_monolingual(ws, tmp_path):
                  "--out", str(out)]) == 0
     run = read_run(out)
     assert run.tag == "plain"
-    assert [e.doc_id for e in run.rankings["q1"]][0] == "e1"
+    assert run.rankings["q1"].doc_ids[0] == "e1"
 
 
 def test_search_respects_depth_flag(ws, tmp_path):
@@ -331,7 +331,7 @@ def test_search_respects_depth_flag(ws, tmp_path):
                  "--method", "mts", "--mock-table", str(ws.table),
                  "--n", "1", "--out", str(out)]) == 0
     run = read_run(out)
-    assert all(len(entries) == 1 for entries in run.rankings.values())
+    assert all(len(r.doc_ids) == 1 for r in run.rankings.values())
 
 
 def test_search2_run_and_timing(ws, tmp_path, capsys):
@@ -344,7 +344,7 @@ def test_search2_run_and_timing(ws, tmp_path, capsys):
     assert "timing q2 " in err
     run = read_run(out)
     assert run.tag == "mts+mt"
-    assert [e.doc_id for e in run.rankings["q1"]][0] == "j1"
+    assert run.rankings["q1"].doc_ids[0] == "j1"
 
 
 def test_search2_survives_undecodable_translator_output(ws, tmp_path, caplog):
@@ -368,7 +368,7 @@ def test_search2_survives_undecodable_translator_output(ws, tmp_path, caplog):
                      "--n", "5", "--out", str(out)]) == 0
     assert "j3 kept untranslated" in caplog.text
     run = read_run(out)
-    assert "j3" in [e.doc_id for e in run.rankings["q1"]]
+    assert "j3" in run.rankings["q1"].doc_ids
 
 
 # search2's run file and sweep's output with its seconds masked, recorded
@@ -472,7 +472,7 @@ def test_search2_and_sweep_keep_a_document_missing_from_the_corpus(ws, tmp_path,
                      "--query-file", str(ws.queries), "--method", "mts",
                      "--mock-table", str(ws.table), "--n", "5", "--out", str(out)]) == 0
     assert "query q2: document j3 kept untranslated: no document 'j3'" in caplog.text
-    assert "j3" in [e.doc_id for e in read_run(out).rankings["q2"]]
+    assert "j3" in read_run(out).rankings["q2"].doc_ids
     assert main(["sweep", "--index", str(ws.index), "--corpus", str(corpus),
                  "--query-file", str(ws.queries), "--qrels", str(ws.qrels),
                  "--ns", "2,5", "--method", "mts", "--mock-table", str(ws.table)]) == 0
@@ -527,6 +527,19 @@ def test_search2_verbose_interleaves_component_scores(ws, tmp_path, capsys):
     assert stripped == plain.read_text(encoding="utf-8")
     run = read_run(wordy)  # comment lines are ignored by the reader
     assert run.rankings
+    # under tail "keep" each re-ranked line keeps its comment, and the tail's
+    # lines follow without one
+    keep = ["--tail", "keep", "--depth", "6"]
+    assert main(base + keep + ["--out", str(plain)]) == 0
+    assert main(base + keep + ["--verbose", "--out", str(wordy)]) == 0
+    lines = wordy.read_text(encoding="utf-8").splitlines()
+    assert "".join(l + "\n" for l in lines if not l.startswith("#")) == plain.read_text(
+        encoding="utf-8")
+    assert sum(l.startswith("#") for l in lines) == len(comments)
+    assert len(lines) > 2 * len(comments)
+    for comment, line in zip(lines, lines[1:]):
+        if comment.startswith("#"):
+            assert comment.split()[1:3] == line.split()[0:3:2]
 
 
 def test_search2_output_is_byte_identical_across_runs(ws, tmp_path):
@@ -648,7 +661,7 @@ def test_config_file_fills_unset_flags(ws, tmp_path):
                  "--config", str(cfg), "--out", str(out)]) == 0
     run = read_run(out)
     assert run.tag == "mine"
-    assert all(len(entries) == 1 for entries in run.rankings.values())
+    assert all(len(r.doc_ids) == 1 for r in run.rankings.values())
 
 
 def test_command_line_overrides_config(ws, tmp_path):
@@ -658,7 +671,7 @@ def test_command_line_overrides_config(ws, tmp_path):
     assert main(["search", "--index", str(ws.index), "--query-file", str(ws.queries),
                  "--config", str(cfg), "--n", "3", "--out", str(out)]) == 0
     run = read_run(out)
-    assert any(len(entries) > 1 for entries in run.rankings.values())
+    assert any(len(r.doc_ids) > 1 for r in run.rankings.values())
 
 
 def test_config_rejects_unknown_keys_and_bad_values(ws, tmp_path, capsys):
@@ -704,8 +717,8 @@ def test_search2_flag_values_are_usage_errors_or_finite_runs(ws, n, depth, tail,
     assert status in (0, 1)
     if status == 0:
         run = read_run(out)
-        assert all(math.isfinite(e.score) for entries in run.rankings.values()
-                   for e in entries)
+        assert all(math.isfinite(score) for r in run.rankings.values()
+                   for score in r.scores)
 
 
 def test_inputs_are_not_modified(ws, tmp_path):

@@ -9,6 +9,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import synth
 from clir.corpus import AnalyzerConfig, Corpus, Document, Query
@@ -42,6 +44,7 @@ from clir.pipeline import (
     run_first_stage,
     run_two_stage,
 )
+from clir.rerank import RerankedEntry
 from clir.translate import MT_SENTENCE, TableAdapter, TranslationMethod
 
 EN = AnalyzerConfig(lang="en")
@@ -171,6 +174,42 @@ def test_run_round_trip(tmp_path):
     assert back.rankings == run.rankings  # repr round-trips floats exactly
 
 
+_SCORES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def _records(draw):
+    """A ranking as records in rank order: a re-ranked head of
+    ``RerankedEntry`` records, then a ``ScoredDoc`` tail; either may be empty."""
+    doc_ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), unique=True, max_size=8))
+    n = len(doc_ids)
+    scores = sorted(draw(st.lists(_SCORES, min_size=n, max_size=n)), reverse=True)
+    k = draw(st.integers(0, n))
+    esims = draw(st.lists(_SCORES, min_size=k, max_size=k))
+    jsims = draw(st.lists(_SCORES, min_size=k, max_size=k))
+    return [*map(RerankedEntry, doc_ids[:k], esims, jsims, scores[:k]),
+            *map(ScoredDoc, doc_ids[k:], scores[k:])]
+
+
+@given(_records())
+def test_a_ranking_reads_the_same_as_records_and_as_columns(entries):
+    ranked = RankedList("q", entries)
+    assert ranked.entries == entries
+    k = len(ranked.esims)
+    assert all(isinstance(e, RerankedEntry) for e in entries[:k])
+    assert all(isinstance(e, ScoredDoc) for e in entries[k:])
+    assert ranked.doc_ids == [e.doc_id for e in entries]
+    assert ranked.scores == [e.score for e in entries]
+    assert ranked.esims == [e.esim for e in entries[:k]]
+    assert ranked.jsims == [e.jsim for e in entries[:k]]
+    # one writer: the same lines from columns and from records, and the
+    # lines a per-record f-string writes
+    text = format_run(RunFile("t", {"q": ranked}))
+    assert text == format_run(RunFile("t", {"q": entries}))
+    assert text == "".join(f"q Q0 {e.doc_id} {rank} {e.score!r} t\n"
+                           for rank, e in enumerate(entries, 1))
+
+
 def test_run_from_ranked_rejects_duplicate_query():
     with pytest.raises(IntegrityError):
         run_from_ranked([_ranked("q1", [("d1", 1.0)]), _ranked("q1", [("d2", 1.0)])], "t")
@@ -212,7 +251,7 @@ def test_read_run_skips_comments_and_blanks(tmp_path):
         encoding="utf-8",
     )
     run = read_run(path)
-    assert [e.doc_id for e in run.rankings["q1"]] == ["d1", "d2"]
+    assert run.rankings["q1"].doc_ids == ["d1", "d2"]
 
 
 def test_read_run_errors(tmp_path):
@@ -240,8 +279,8 @@ def test_read_run_interleaved_queries(tmp_path):
         "q1 Q0 d1 1 0.9 t\nq2 Q0 d7 1 0.4 t\nq1 Q0 d2 2 0.8 t\n", encoding="utf-8"
     )
     run = read_run(path)
-    assert [e.doc_id for e in run.rankings["q1"]] == ["d1", "d2"]
-    assert [e.doc_id for e in run.rankings["q2"]] == ["d7"]
+    assert run.rankings["q1"].doc_ids == ["d1", "d2"]
+    assert run.rankings["q2"].doc_ids == ["d7"]
 
 
 # ------------------------------------------------------------- run scoring
@@ -571,14 +610,49 @@ def test_sweep_cells_equal_runs_with_a_fresh_config_per_cell(tail, monkeypatch):
             want = [run_first_stage(q, s.index, cfg, s.src_cfg, s.tgt_cfg, depth=n)
                     for q in s.queries]
         tag = f"{system.name}-n{n}"
-        assert runs[tag].rankings == {r.query_id: r.entries for r in want}
+        assert runs[tag].rankings == {r.query_id: r for r in want}
         assert point.mean_ap == evaluate_run(run_from_ranked(want, tag), s.qrels).mean_ap
         assert point.total_s >= point.translation_s + point.rerank_s
     # the cells differ, so the comparison above is not vacuous
     assert len({p.mean_ap for p in points}) > 3
     if tail == TAIL_KEEP:
-        assert max(len(e) for e in runs["true-n2"].rankings.values()) == 10
-        assert max(len(e) for e in runs["skew-n2"].rankings.values()) == 8
+        assert max(len(r.doc_ids) for r in runs["true-n2"].rankings.values()) == 10
+        assert max(len(r.doc_ids) for r in runs["skew-n2"].rankings.values()) == 8
+
+
+@pytest.fixture
+def records_built(monkeypatch):
+    """How many ``ScoredDoc`` and ``RerankedEntry`` records are made while
+    the test runs, whichever name they are made through."""
+    built = Counter()
+    for record in (ScoredDoc, RerankedEntry):
+        def counted(self, *args, _init=record.__init__, _name=record.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(record, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("tail", [TAIL_DROP, TAIL_KEEP])
+def test_sweep_builds_no_record_per_ranked_document(tail, records_built):
+    s, systems = _two_method_sweep(tail, [])
+    points = sweep_n(s.queries, s.index, s.corpus, systems,
+                     lambda q: s.src_cfg, s.tgt_cfg, s.qrels, [2, 4, 7])
+    assert len(points) == 9 and all(p.mean_ap > 0.0 for p in points)
+    assert records_built == Counter()
+
+
+def test_a_two_stage_run_and_its_run_file_build_no_record(records_built):
+    s, systems = _two_method_sweep(TAIL_KEEP, [])
+    cfg = replace(systems[0].cfg, n_intermediate=3)
+    ranked = run_two_stage(s.queries[0], s.index, s.corpus, cfg, s.src_cfg, s.tgt_cfg)[0]
+    text = format_run(run_from_ranked([ranked], "t"))
+    assert text.count("\n") == len(ranked.doc_ids) == 10
+    assert records_built == Counter()
+    # the records appear only when asked for, which shows the count sees them
+    ranked.entries
+    assert records_built == Counter(RerankedEntry=3, ScoredDoc=7)
 
 
 def test_sweep_translates_each_query_once_per_method_in_hook_order():
@@ -619,8 +693,7 @@ def _doc_sweep(make_adapter, depths=(2, 4, 7)):
     for system in systems:
         for n in depths if system.two_stage else ():
             heads[system.name, n] = [
-                [e.doc_id for e in run_first_stage(q, s.index, system.cfg, s.src_cfg,
-                                                   s.tgt_cfg, depth=n).entries]
+                run_first_stage(q, s.index, system.cfg, s.src_cfg, s.tgt_cfg, depth=n).doc_ids
                 for q in s.queries
             ]
     return s, systems, list(depths), heads, adapter

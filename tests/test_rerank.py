@@ -151,6 +151,7 @@ def test_combine_params_validation():
 def test_result_records_are_slotted():
     # one allocation per record: no per-instance __dict__, no extra attributes
     records = [ScoredDoc("d", 0.5), RankedList("q", []), RerankedEntry("d", 0.5, 2.0, 1.0),
+               RankedList("q", doc_ids=["d"], scores=[1.0], esims=[0.5], jsims=[2.0]),
                TermVector.empty()]
     for record in records:
         assert not hasattr(record, "__dict__")
