@@ -11,7 +11,6 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from itertools import count
-from operator import lt
 
 from clir.errors import IntegrityError, ParseError
 from clir.files import read_lines
@@ -130,9 +129,10 @@ class EvalReport:
 class RunFile:
     """Ranked results per query plus the tag naming the producing system.
 
-    Each ranking is the query's ``RankedList``. ``format_run`` also takes a
-    list of records with ``doc_id`` and ``score`` in rank order, which it
-    reads as ``RankedList(query_id, records)``.
+    Each ranking is the query's ``RankedList``. Only ``format_run`` also
+    takes a list of ``ScoredDoc`` or ``RerankedEntry`` records in rank order,
+    which it reads as ``RankedList(query_id, records)``; ``evaluate_run``
+    reads the columns and takes ``RankedList`` only.
     """
 
     tag: str
@@ -151,9 +151,6 @@ def run_from_ranked(ranked_lists, tag: str) -> RunFile:
 
 def _check_ranking(query_id, ranked, where=""):
     doc_ids, scores = ranked.doc_ids, ranked.scores
-    if len(set(doc_ids)) == len(doc_ids) and not any(map(lt, scores[:-1], scores[1:])):
-        return
-    # something failed: find the first position that fails
     seen = set()
     for pos, doc_id in enumerate(doc_ids):
         if doc_id in seen:
@@ -189,6 +186,8 @@ def format_run(run: RunFile) -> str:
     lines = []
     for query_id, ranked in run.rankings.items():
         if not isinstance(ranked, RankedList):
+            # perfbench's checks.run_texts passes ScoredDoc lists; drop this
+            # branch once it passes the RankedList
             ranked = RankedList(query_id, ranked)
         doc_ids = ranked.doc_ids
         if not doc_ids:
