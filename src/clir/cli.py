@@ -8,6 +8,7 @@ Results go to stdout or the --out file; diagnostics and timing to stderr.
 import argparse
 import contextlib
 import logging
+import re
 import sys
 from itertools import islice
 
@@ -18,7 +19,7 @@ from clir.corpus import (
     load_corpus,
     load_queries,
 )
-from clir.errors import ClirError, ConfigError, IntegrityError
+from clir.errors import ClirError, ConfigError, IntegrityError, ParseError
 from clir.evaluation import (
     SignTestResult,
     SweepSystem,
@@ -45,7 +46,6 @@ from clir.pipeline import (
     TAIL_DROP,
     TAIL_KEEP,
     PipelineConfig,
-    read_config,
     run_first_stage,
     run_two_stage,
 )
@@ -85,6 +85,27 @@ _CONFIG_KEYS = {
     "mock-table": str,
     "tag": str,
 }
+
+# "#" opens a comment at the start of a line or after whitespace only
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def read_config(path):
+    """Read a ``key = value`` settings file; keys mirror the CLI flag names."""
+    values = {}
+    for line_no, raw in read_lines(path):
+        line = _COMMENT.split(raw, 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError("expected 'key = value'", path, line_no)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if not key:
+            raise ParseError("empty key", path, line_no)
+        values[key] = value.strip()
+    return values
+
 
 # values of flags left unset on the command line and in the --config file
 _DEFAULTS = {

@@ -88,15 +88,6 @@ class TermVector:
     def empty(cls):
         return cls(counts={}, max_tf=0)
 
-    def get(self, term, default=0):
-        return self.counts.get(term, default)
-
-    def __contains__(self, term):
-        return term in self.counts
-
-    def __len__(self):
-        return len(self.counts)
-
 
 def tokenize(text, cfg):
     """Return the ordered token stream of ``text`` under ``cfg``.
@@ -164,9 +155,6 @@ class Corpus:
     def __iter__(self):
         return iter(self._docs.values())
 
-    def __contains__(self, doc_id):
-        return doc_id in self._docs
-
     def get(self, doc_id):
         try:
             return self._docs[doc_id]
@@ -214,11 +202,11 @@ def _require_str(record, key, path, line_no, allow_empty=False):
     return value
 
 
-def load_corpus(path, declared_langs=None):
+def load_corpus(path):
     """Load a JSON-lines collection, one document object per line.
 
-    Duplicate ids and undeclared languages are fatal; unresolved pair links are
-    only reported (see ``Corpus.dangling_pairs``).
+    Duplicate ids are fatal; the languages are those the documents carry.
+    Unresolved pair links are only reported (see ``Corpus.dangling_pairs``).
     """
     documents = []
     seen = set()
@@ -238,7 +226,7 @@ def load_corpus(path, declared_langs=None):
         seen.add(doc_id)
         documents.append(Document(doc_id=doc_id, lang=lang, title=title, keywords=list(keywords),
                                   abstract=abstract, pair_id=pair_id))
-    corpus = Corpus(documents, declared_langs)
+    corpus = Corpus(documents)
     dangling = corpus.dangling_pairs()
     if dangling:
         logger.warning("%s: %d unresolved pair link(s), e.g. %s", path, len(dangling), dangling[0])

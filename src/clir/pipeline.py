@@ -6,35 +6,25 @@ cost/accuracy knob the whole design revolves around.
 """
 
 import logging
-import re
 import time
 from dataclasses import dataclass, field
 
-from clir.errors import ConfigError, NoPairError, NotFoundError, ParseError, TranslationError
-from clir.files import read_lines
+from clir.errors import ConfigError, NoPairError, NotFoundError, TranslationError
 from clir.index import RankedList, search
 from clir.rerank import CombineParams, TranslatedDocs, document_vector, rerank
 from clir.translate import (
     CHANNEL_MT,
-    DICT_PHRASE,
     DOC_CHANNELS,
-    MT_PHRASE,
-    MT_SENTENCE,
     MTAdapter,
     TranslationMethod,
-    combine_translations,
     translate_document,
-    translate_query_dict,
-    translate_query_mt,
+    translate_query,
 )
 
 logger = logging.getLogger(__name__)
 
 TAIL_DROP = "drop"
 TAIL_KEEP = "keep"
-
-# "#" opens a comment at the start of a line or after whitespace only
-_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 class _RememberingAdapter(MTAdapter):
@@ -173,27 +163,6 @@ class TimingRecord:
     total_s: float
 
 
-def translate_query(query, method, index, cfg_src, cfg_tgt, adapter=None):
-    """Produce target-language query terms with the configured method.
-
-    ``adapter``, when given, is called in place of ``method.adapter``.
-    """
-    adapter = method.adapter if adapter is None else adapter
-    if method.kind == MT_SENTENCE:
-        return translate_query_mt(query, adapter, MT_SENTENCE, cfg_src, cfg_tgt)
-    if method.kind == MT_PHRASE:
-        return translate_query_mt(
-            query, adapter, MT_PHRASE, cfg_src, cfg_tgt, phrases=method.dictionary
-        )
-    if method.kind == DICT_PHRASE:
-        return translate_query_dict(query, method.dictionary, index, cfg_src)
-    mt = translate_query_mt(
-        query, adapter, MT_PHRASE, cfg_src, cfg_tgt, phrases=method.dictionary
-    )
-    by_dict = translate_query_dict(query, method.dictionary, index, cfg_src)
-    return combine_translations(mt, by_dict)
-
-
 def _check_langs(index, cfg_tgt):
     if index.lang != cfg_tgt.lang:
         raise ConfigError(
@@ -305,19 +274,3 @@ def run_two_stage(query, index, corpus, cfg, cfg_src, cfg_tgt):
     stage_one = _run_first_stage(query, index, cfg, cfg_src, cfg_tgt)
     return run_second_stage(query, stage_one, corpus, cfg, cfg_src, time.perf_counter() - t_run)
 
-
-def read_config(path):
-    """Read a ``key = value`` settings file; keys mirror the CLI flag names."""
-    values = {}
-    for line_no, raw in read_lines(path):
-        line = _COMMENT.split(raw, 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError("expected 'key = value'", path, line_no)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ParseError("empty key", path, line_no)
-        values[key] = value.strip()
-    return values

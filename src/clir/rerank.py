@@ -193,9 +193,6 @@ class TranslatedDocs:
         self.docs = {}
         self.postings = {}
 
-    def __contains__(self, doc_id):
-        return doc_id in self.docs
-
     def add(self, doc_id, counts, seconds=0.0):
         """Store ``counts`` ({term: tf}, tf >= 1) as ``doc_id``'s vector."""
         postings = self.postings

@@ -36,7 +36,7 @@ class BilingualDictionary:
     def __init__(self, entries):
         self.entries = {}
         for phrase, candidates in entries.items():
-            key = tuple(phrase.split()) if isinstance(phrase, str) else tuple(phrase)
+            key = tuple(phrase.split())
             if not key:
                 raise ConfigError("dictionary entry with empty source phrase")
             cleaned = [c.strip() for c in candidates if c and c.strip()]
@@ -47,13 +47,6 @@ class BilingualDictionary:
                 if cand not in bucket:
                     bucket.append(cand)
         self.max_phrase_len = max((len(k) for k in self.entries), default=0)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __contains__(self, phrase):
-        key = tuple(phrase.split()) if isinstance(phrase, str) else tuple(phrase)
-        return key in self.entries
 
     @classmethod
     def from_file(cls, path):
@@ -199,21 +192,42 @@ class TranslatedQuery:
     lang: str
 
 
+def translate_query(query, method, index, cfg_src, cfg_tgt, adapter):
+    """Target-language query terms by ``method``.
+
+    ``adapter`` is the translator to call; dictionary phrase translation
+    calls none. Sentence MT sends the whole description and analyzes the
+    output; a blank description gives an empty vector without a call. The
+    other methods tokenize the description once with ``cfg_src``: phrase MT
+    translates each unit, dictionary phrase translation segments the tokens
+    against ``method.dictionary`` and picks candidates by their document
+    frequency in ``index``, the target collection, and combined merges the
+    two with ``combine_translations``.
+    """
+    if method.kind == MT_SENTENCE:
+        if not query.description.strip():
+            return TranslatedQuery(TermVector.empty(), MT_SENTENCE, [], cfg_tgt.lang)
+        out = adapter.translate(query.description, query.lang, cfg_tgt.lang)
+        return TranslatedQuery(analyze(out, cfg_tgt), MT_SENTENCE, [], cfg_tgt.lang)
+    tokens = tokenize(query.description, cfg_src)
+    if method.kind == DICT_PHRASE:
+        return _by_dictionary(tokens, method.dictionary, index)
+    by_mt = _by_phrase_mt(tokens, method.dictionary, adapter, query.lang, cfg_tgt)
+    if method.kind == MT_PHRASE:
+        return by_mt
+    return combine_translations(by_mt, _by_dictionary(tokens, method.dictionary, index))
+
+
 def _candidate_df(candidate, index):
     # A multi-token candidate occurs in at most min(df of its tokens) documents.
     return min((index.df.get(tok, 0) for tok in candidate.split()), default=0)
 
 
-def translate_query_dict(query, dictionary, target_index, cfg):
-    """Dictionary-based phrase translation of a query.
-
-    The analyzed source token stream is segmented greedily, longest phrase
-    first. Each matched phrase contributes the candidate with the highest
-    document frequency in the target collection (ties break lexicographically);
-    tokens no phrase covers are reported as unresolved. The ``cfg`` analyzer is
-    the source-language one; dictionary entries must be in its normal form.
-    """
-    tokens = tokenize(query.description, cfg)
+def _by_dictionary(tokens, dictionary, target_index):
+    # Greedy segmentation, longest phrase first. Each matched phrase gives the
+    # candidate with the highest document frequency in the target collection
+    # (ties break lexicographically); tokens no phrase covers are unresolved.
+    # Dictionary entries must be in the source analyzer's normal form.
     counts = Counter()
     unresolved = []
     i = 0
@@ -242,23 +256,11 @@ def translate_query_dict(query, dictionary, target_index, cfg):
     )
 
 
-def translate_query_mt(query, adapter, mode, cfg_src, cfg_tgt, phrases=None):
-    """Adapter-based query translation.
-
-    ``mode`` is ``MT_SENTENCE`` or ``MT_PHRASE``. Sentence mode sends the
-    whole description through the adapter and analyzes the output. Phrase
-    mode analyzes the source first and translates each content token
-    independently; adjacent token pairs listed in ``phrases`` are kept
-    together as units. Outputs are merged by summing term frequencies.
-    """
-    if not query.description.strip():
-        return TranslatedQuery(TermVector.empty(), mode, [], cfg_tgt.lang)
-
-    if mode == MT_SENTENCE:
-        out = adapter.translate(query.description, query.lang, cfg_tgt.lang)
-        return TranslatedQuery(analyze(out, cfg_tgt), MT_SENTENCE, [], cfg_tgt.lang)
-
-    tokens = tokenize(query.description, cfg_src)
+def _by_phrase_mt(tokens, phrases, adapter, src_lang, cfg_tgt):
+    # Each content token is translated on its own, except that adjacent pairs
+    # listed in ``phrases`` stay together as one unit; outputs are merged by
+    # summing term frequencies, and a unit whose output analyzes to nothing
+    # is unresolved.
     units = []
     i = 0
     while i < len(tokens):
@@ -276,8 +278,7 @@ def translate_query_mt(query, adapter, mode, cfg_src, cfg_tgt, phrases=None):
     counts = Counter()
     unresolved = []
     for unit in units:
-        out = adapter.translate(unit, query.lang, cfg_tgt.lang)
-        vec = analyze(out, cfg_tgt)
+        vec = analyze(adapter.translate(unit, src_lang, cfg_tgt.lang), cfg_tgt)
         if vec.counts:
             counts.update(vec.counts)
         elif unit not in unresolved:

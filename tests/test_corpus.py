@@ -35,7 +35,6 @@ def test_analyze_empty_input():
     vec = analyze("", AnalyzerConfig(lang="en"))
     assert vec.counts == {}
     assert vec.max_tf == 0
-    assert len(vec) == 0
 
 
 def test_analyze_repeated_terms_track_max_tf():
@@ -176,32 +175,33 @@ def _record(doc_id, lang="en", **extra):
 def test_load_corpus_basic(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(path, [_record("d1"), _record("d2"), _record("d3")])
-    corpus = load_corpus(path, ["en"])
+    corpus = load_corpus(path)
     assert len(corpus) == 3
     assert corpus.get("d2").title == "t"
-    assert "d3" in corpus
+    assert [d.doc_id for d in corpus] == ["d1", "d2", "d3"]
 
 
 def test_load_corpus_duplicate_id(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(path, [_record("d1"), _record("d1")])
     with pytest.raises(IntegrityError, match="d1"):
-        load_corpus(path, ["en"])
+        load_corpus(path)
 
 
 def test_load_corpus_undeclared_language(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(path, [_record("d1", lang="fr")])
+    # the loader collects the languages it reads; a declared set is enforced
+    corpus = load_corpus(path)
+    assert corpus.declared_langs == ("fr",)
     with pytest.raises(IntegrityError, match="fr"):
-        load_corpus(path, ["en"])
-    # without a declared set the language is simply collected
-    assert load_corpus(path).declared_langs == ("fr",)
+        Corpus(corpus, ["en"])
 
 
 def test_load_corpus_dangling_pair_reported_not_fatal(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(path, [_record("e1", pair_id="x9"), _record("e2")])
-    corpus = load_corpus(path, ["en"])
+    corpus = load_corpus(path)
     assert len(corpus) == 2
     assert corpus.dangling_pairs() == [("e1", "x9")]
 
@@ -212,7 +212,7 @@ def test_load_corpus_parse_error_carries_line_number(tmp_path):
         fh.write(json.dumps(_record("d1")) + "\n")
         fh.write("{not json\n")
     with pytest.raises(ParseError) as exc_info:
-        load_corpus(path, ["en"])
+        load_corpus(path)
     assert exc_info.value.line_no == 2
     assert ":2:" in str(exc_info.value)
 
@@ -223,7 +223,7 @@ def test_load_corpus_missing_field(tmp_path):
     del rec["abstract"]
     _write_jsonl(path, [rec])
     with pytest.raises(ParseError, match="abstract"):
-        load_corpus(path, ["en"])
+        load_corpus(path)
 
 
 def test_filter_lang_subsets():

@@ -774,7 +774,7 @@ def test_sweep_retries_a_failed_document_in_every_run_and_never_stores_it(monkey
     store = memos[0]
     assert all(memo.buckets is store.buckets for memo in memos)
     assert store.buckets
-    assert all(bad not in bucket for bucket in store.buckets.values())
+    assert all(bad not in bucket.docs for bucket in store.buckets.values())
 
 
 def test_sweep_rejects_bad_depths():

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clir.pipeline
+from clir.cli import read_config
 from clir.corpus import AnalyzerConfig, Corpus, Document, Query, analyze
 from clir.errors import ConfigError, ParseError, TranslationError
 from clir.index import RankedList, build_index, search
@@ -19,10 +21,8 @@ from clir.pipeline import (
     TAIL_KEEP,
     DocumentMemo,
     PipelineConfig,
-    read_config,
     run_first_stage,
     run_two_stage,
-    translate_query,
 )
 from clir.rerank import CombineParams, rerank
 from clir.translate import (
@@ -39,6 +39,7 @@ from clir.translate import (
     TableAdapter,
     TranslationMethod,
     translate_document,
+    translate_query,
 )
 
 EN = AnalyzerConfig(lang="en")
@@ -146,7 +147,7 @@ def test_translate_query_dispatch(ja_index):
         (COMBINED, {"toshokan": 2}),
     ]:
         method = TranslationMethod(kind=kind, adapter=adapter, dictionary=dictionary)
-        out = translate_query(q, method, ja_index, EN, JA)
+        out = translate_query(q, method, ja_index, EN, JA, adapter)
         assert out.terms.counts == want, kind
 
 
@@ -160,6 +161,22 @@ def test_first_stage_equals_plain_search_after_translation(ja_index):
     assert [(e.doc_id, e.score) for e in got.entries] == [
         (e.doc_id, e.score) for e in want.entries
     ]
+
+
+def test_stages_call_the_translate_query_bound_in_pipeline(ja_index, monkeypatch):
+    # a tracer times query translation by rebinding clir.pipeline.translate_query,
+    # so both stages must look the name up when they run
+    calls = []
+
+    def recorder(query, *args, **kwargs):
+        calls.append(query.query_id)
+        return translate_query(query, *args, **kwargs)
+
+    monkeypatch.setattr(clir.pipeline, "translate_query", recorder)
+    got = run_first_stage(_query("library", qid="a"), ja_index, _cfg(n=10), EN, JA)
+    assert got.doc_ids == search(ja_index, analyze("toshokan", JA), 10).doc_ids
+    run_two_stage(_query("library", qid="b"), ja_index, _bilingual_corpus(), _cfg(), EN, JA)
+    assert calls == ["a", "b"]
 
 
 def test_language_mismatch_rejected(ja_index):
@@ -507,7 +524,7 @@ def test_document_missing_from_the_corpus_is_kept_and_not_stored(caplog):
     by_id = {e.doc_id: e for e in final.entries}
     assert set(by_id) == {"j1", "j2"}
     assert by_id["j2"].jsim == 0.0
-    assert all("j2" not in stored for stored in cfg.doc_memo.buckets.values())
+    assert all("j2" not in stored.docs for stored in cfg.doc_memo.buckets.values())
 
 
 def test_analyzers_differing_in_stopwords_do_not_share_vectors(ja_index):

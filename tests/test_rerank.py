@@ -169,7 +169,7 @@ def test_a_stored_document_keeps_no_count_dict():
     assert TranslatedDocs.__slots__ == ("docs", "postings")
     assert store.docs == {"d1": 0.25, "d2": 0.0}
     assert store.postings == {"bb": {"d1": 2}, "aa": {"d1": 1, "d2": 1}, "cc": {"d2": 1}}
-    assert "d2" in store and "d3" not in store
+    assert "d2" in store.docs and "d3" not in store.docs
 
 
 def test_entry_score_property_exposes_combined_value():

@@ -18,18 +18,19 @@ from clir.translate import (
     CHANNEL_MT,
     COMBINED,
     DICT_PHRASE,
+    METHOD_KINDS,
     MT_PHRASE,
     MT_SENTENCE,
     BilingualDictionary,
     CommandAdapter,
     IdentityAdapter,
+    MTAdapter,
     TableAdapter,
     TranslatedQuery,
     TranslationMethod,
     combine_translations,
     translate_document,
-    translate_query_dict,
-    translate_query_mt,
+    translate_query,
 )
 
 EN = AnalyzerConfig(lang="en")
@@ -46,6 +47,16 @@ def _query(text, lang="en"):
     return Query(query_id="q", lang=lang, description=text)
 
 
+def _by_dict(text, dictionary, index):
+    method = TranslationMethod(kind=DICT_PHRASE, dictionary=dictionary)
+    return translate_query(_query(text), method, index, EN, JA, None)
+
+
+def _by_mt(text, adapter, kind, cfg_tgt=JA, phrases=None):
+    method = TranslationMethod(kind=kind, adapter=adapter, dictionary=phrases)
+    return translate_query(_query(text), method, None, EN, cfg_tgt, adapter)
+
+
 # ---------------------------------------------------------------- dictionary
 
 
@@ -56,9 +67,9 @@ def test_dictionary_from_file(tmp_path):
         encoding="utf-8",
     )
     d = BilingualDictionary.from_file(path)
-    assert len(d) == 2
-    assert "library" in d
-    assert "digital library" in d
+    assert len(d.entries) == 2
+    assert ("library",) in d.entries
+    assert ("digital", "library") in d.entries
     assert d.max_phrase_len == 2
     assert d.entries[("library",)] == ["toshokan", "raiburari"]
 
@@ -86,7 +97,7 @@ def test_dict_translation_prefers_frequent_candidate():
         texts[f"d{i}"] += " x"
     index = _index_from_texts(texts)
     d = BilingualDictionary({"term": ["x", "y"]})
-    out = translate_query_dict(_query("term"), d, index, EN)
+    out = _by_dict("term", d, index)
     assert out.terms.counts == {"y": 1}
     assert out.method == DICT_PHRASE
     assert out.unresolved == []
@@ -95,7 +106,7 @@ def test_dict_translation_prefers_frequent_candidate():
 def test_dict_translation_tie_breaks_lexicographically():
     index = _index_from_texts({"d1": "aa bb", "d2": "aa bb"})
     d = BilingualDictionary({"term": ["bb", "aa"]})
-    out = translate_query_dict(_query("term"), d, index, EN)
+    out = _by_dict("term", d, index)
     assert out.terms.counts == {"aa": 1}
 
 
@@ -106,14 +117,14 @@ def test_dict_translation_longest_match_wins():
         "libraries": ["toshokan"],
         "digital libraries": ["denshi toshokan"],
     })
-    out = translate_query_dict(_query("digital libraries"), d, index, EN)
+    out = _by_dict("digital libraries", d, index)
     assert out.terms.counts == {"denshi": 1, "toshokan": 1}
 
 
 def test_dict_translation_unmatched_goes_to_unresolved():
     index = _index_from_texts({"d1": "x"})
     d = BilingualDictionary({"known": ["x"]})
-    out = translate_query_dict(_query("known mystery"), d, index, EN)
+    out = _by_dict("known mystery", d, index)
     assert out.terms.counts == {"x": 1}
     assert out.unresolved == ["mystery"]
     assert all(t not in out.terms.counts for t in out.unresolved)
@@ -122,15 +133,14 @@ def test_dict_translation_unmatched_goes_to_unresolved():
 def test_dict_translation_repeated_source_token_accumulates():
     index = _index_from_texts({"d1": "x"})
     d = BilingualDictionary({"term": ["x"]})
-    out = translate_query_dict(_query("term term"), d, index, EN)
+    out = _by_dict("term term", d, index)
     assert out.terms.counts == {"x": 2}
 
 
 def test_single_candidate_dictionary_ignores_index_statistics():
     d = BilingualDictionary({"cat": ["neko"], "big cat": ["oneko"]})
-    q = _query("big cat sat")
-    first = translate_query_dict(q, d, _index_from_texts({"d1": "neko neko"}), EN)
-    second = translate_query_dict(q, d, _index_from_texts({"d1": "oneko", "d2": "zzz"}), EN)
+    first = _by_dict("big cat sat", d, _index_from_texts({"d1": "neko neko"}))
+    second = _by_dict("big cat sat", d, _index_from_texts({"d1": "oneko", "d2": "zzz"}))
     assert first.terms == second.terms
     assert first.unresolved == second.unresolved == ["sat"]
 
@@ -143,7 +153,7 @@ def test_dict_translation_emits_only_candidate_terms():
     allowed = {tok for cands in entries.values() for c in cands for tok in c.split()}
     for _ in range(20):
         words = [rng.choice([f"w{i}" for i in range(6)] + ["junk"]) for _ in range(5)]
-        out = translate_query_dict(_query(" ".join(words)), d, index, EN)
+        out = _by_dict(" ".join(words), d, index)
         assert set(out.terms.counts) <= allowed
 
 
@@ -235,10 +245,7 @@ def test_mt_sentence_mode():
         "middleware construction in network collaboration":
             "middleware construction network collaboration"
     })
-    out = translate_query_mt(
-        _query("middleware construction in network collaboration"), adapter,
-        MT_SENTENCE, EN, JA,
-    )
+    out = _by_mt("middleware construction in network collaboration", adapter, MT_SENTENCE)
     assert out.terms.counts == {
         "middleware": 1, "construction": 1, "network": 1, "collaboration": 1
     }
@@ -247,19 +254,44 @@ def test_mt_sentence_mode():
 
 
 def test_mt_empty_description():
-    out = translate_query_mt(_query("   "), TableAdapter({}), MT_SENTENCE, EN, JA)
+    out = _by_mt("   ", TableAdapter({}), MT_SENTENCE)
     assert out.terms.counts == {}
     assert out.unresolved == []
 
 
+class _LoggingAdapter(MTAdapter):
+    """Echoes its input and keeps every text it was sent."""
+
+    def __init__(self):
+        self.texts = []
+
+    def translate(self, text, src, tgt):
+        self.texts.append(text)
+        return text
+
+
+@pytest.mark.parametrize("description", ["", "   ", "\t\n"], ids=["empty", "spaces", "tab"])
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_blank_description_sends_nothing_under_every_method(kind, description):
+    adapter = _LoggingAdapter()
+    method = TranslationMethod(kind=kind, adapter=adapter,
+                               dictionary=BilingualDictionary({"term": ["x"]}))
+    index = _index_from_texts({"d1": "x"})
+    out = translate_query(_query(description), method, index, EN, JA, adapter)
+    assert adapter.texts == []
+    assert out.terms.counts == {}
+    assert out.unresolved == []
+    assert (out.method, out.lang) == (kind, "ja")
+
+
 def test_mt_identity_adapter_echoes_analyzed_source():
-    out = translate_query_mt(_query("Alpha beta alpha"), IdentityAdapter(), MT_SENTENCE, EN, EN)
+    out = _by_mt("Alpha beta alpha", IdentityAdapter(), MT_SENTENCE, cfg_tgt=EN)
     assert out.terms.counts == {"alpha": 2, "beta": 1}
 
 
 def test_mt_phrase_mode_translates_units_independently():
     adapter = TableAdapter({"digital": "dejitaru", "libraries": "toshokan"})
-    out = translate_query_mt(_query("digital libraries"), adapter, MT_PHRASE, EN, JA)
+    out = _by_mt("digital libraries", adapter, MT_PHRASE)
     assert out.terms.counts == {"dejitaru": 1, "toshokan": 1}
     assert out.method == MT_PHRASE
 
@@ -269,20 +301,19 @@ def test_mt_phrase_mode_groups_dictionary_phrases():
     adapter = TableAdapter({"digital libraries": "denshi", "digital": "WRONG",
                             "libraries": "WRONG"})
     phrases = BilingualDictionary({"digital libraries": ["denshi"]})
-    out = translate_query_mt(_query("digital libraries"), adapter, MT_PHRASE, EN, JA,
-                             phrases=phrases)
+    out = _by_mt("digital libraries", adapter, MT_PHRASE, phrases=phrases)
     assert out.terms.counts == {"denshi": 1}
 
 
 def test_mt_phrase_mode_sums_duplicate_outputs():
     adapter = TableAdapter({"car": "kuruma", "automobile": "kuruma"})
-    out = translate_query_mt(_query("car automobile"), adapter, MT_PHRASE, EN, JA)
+    out = _by_mt("car automobile", adapter, MT_PHRASE)
     assert out.terms.counts == {"kuruma": 2}
 
 
 def test_mt_phrase_mode_empty_output_is_unresolved():
     adapter = TableAdapter({"known": "x", "gone": ""})
-    out = translate_query_mt(_query("known gone"), adapter, MT_PHRASE, EN, JA)
+    out = _by_mt("known gone", adapter, MT_PHRASE)
     assert out.terms.counts == {"x": 1}
     assert out.unresolved == ["gone"]
 
