@@ -69,24 +69,17 @@ class AnalyzerConfig:
 
 @dataclass(slots=True)
 class TermVector:
-    """Term frequencies of one text, with the maximum frequency cached."""
+    """Term frequencies of one text."""
 
     counts: dict
-    max_tf: int
 
     @classmethod
     def from_tokens(cls, tokens):
-        counts = dict(Counter(tokens))
-        return cls(counts=counts, max_tf=max(counts.values()) if counts else 0)
+        return cls(dict(Counter(tokens)))
 
     @classmethod
     def from_counts(cls, counts):
-        counts = {t: int(f) for t, f in counts.items() if f > 0}
-        return cls(counts=counts, max_tf=max(counts.values()) if counts else 0)
-
-    @classmethod
-    def empty(cls):
-        return cls(counts={}, max_tf=0)
+        return cls({t: int(f) for t, f in counts.items() if f > 0})
 
 
 def tokenize(text, cfg):

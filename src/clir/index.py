@@ -197,12 +197,14 @@ def weighted_query(index, query_terms):
     Terms absent from the collection carry no usable document frequency and are
     dropped; terms present in every document weigh zero and are dropped too.
     """
+    counts = query_terms.counts
+    max_tf = max(counts.values(), default=0)
     weights = {}
-    for term, tf in query_terms.counts.items():
+    for term, tf in counts.items():
         df = index.df.get(term)
         if not df:
             continue
-        w = weight_atc(tf, query_terms.max_tf, df, index.num_docs)
+        w = weight_atc(tf, max_tf, df, index.num_docs)
         if w > 0.0:
             weights[term] = w
     return weights

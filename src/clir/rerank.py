@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import lt, mul
 
-from clir.corpus import TermVector, analyze, indexable_text
+from clir.corpus import analyze, indexable_text
 from clir.index import RankedList
 
 _MAX_SCORE = sys.float_info.max
@@ -212,12 +212,12 @@ def rerank(first_stage, translated_docs, source_query, cfg, p):
 
     ``translated_docs`` holds the query-language renditions: a
     ``TranslatedDocs``, which may hold documents beyond the retrieved ones,
-    or a mapping from doc_id to the translated Document or its
-    ``document_vector`` under ``cfg``, from which the same view is built
-    first. Retrieved documents missing from it (failed translations) score
-    zero in the second stage but stay in the list. Exact ties of the
-    combined score break by its logarithm (see ``combine_scores``), then by
-    ascending doc_id.
+    or a mapping from doc_id to the translated Document, whose
+    ``document_vector`` under ``cfg`` is put in the same view first.
+    Retrieved documents missing from it (failed translations) score zero in
+    the second stage but stay in the list. Exact ties of the combined score
+    break by its logarithm (see ``combine_scores``), then by ascending
+    doc_id.
     """
     doc_ids = first_stage.doc_ids
     if not doc_ids:
@@ -229,9 +229,7 @@ def rerank(first_stage, translated_docs, source_query, cfg, p):
         for doc_id in doc_ids:
             doc = translated_docs.get(doc_id)
             if doc is not None:
-                if not isinstance(doc, TermVector):
-                    doc = document_vector(doc, cfg)
-                store.add(doc_id, doc.counts)
+                store.add(doc_id, document_vector(doc, cfg).counts)
     query_vec = analyze(source_query.description, cfg)
     n = len(doc_ids)
     positions = dict(zip(doc_ids, range(n)))

@@ -6,7 +6,6 @@ translation disambiguates candidates by their document frequency in the target
 collection.
 """
 
-import logging
 import shlex
 import subprocess
 import time
@@ -17,8 +16,6 @@ from clir.corpus import Document, TermVector, analyze, pair_lookup, tokenize
 from clir.errors import ConfigError, ParseError, TranslationError
 from clir.files import read_lines
 
-logger = logging.getLogger(__name__)
-
 MT_SENTENCE = "mt-sentence"
 MT_PHRASE = "mt-phrase"
 DICT_PHRASE = "dict-phrase"
@@ -28,6 +25,8 @@ METHOD_KINDS = (MT_SENTENCE, MT_PHRASE, DICT_PHRASE, COMBINED)
 CHANNEL_MT = "mt"
 CHANNEL_HT = "ht"
 DOC_CHANNELS = (CHANNEL_MT, CHANNEL_HT)
+
+COMMAND_TIMEOUT_S = 60.0
 
 
 class BilingualDictionary:
@@ -85,13 +84,13 @@ class MTAdapter:
 class CommandAdapter(MTAdapter):
     """External translator process: argv plus the two language tags as arguments,
     source text on stdin, translation on stdout, exit status 0 on success.
-    Both streams are UTF-8; output that does not decode is a failed call."""
+    Both streams are UTF-8; output that does not decode is a failed call, and
+    so is a call still running after ``COMMAND_TIMEOUT_S`` seconds."""
 
-    def __init__(self, command, timeout_s=60.0):
+    def __init__(self, command):
         self.argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not self.argv:
             raise ConfigError("empty translator command")
-        self.timeout_s = timeout_s
 
     def translate(self, text, src, tgt):
         try:
@@ -100,7 +99,7 @@ class CommandAdapter(MTAdapter):
                 input=text,
                 capture_output=True,
                 encoding="utf-8",
-                timeout=self.timeout_s,
+                timeout=COMMAND_TIMEOUT_S,
             )
         except UnicodeDecodeError as exc:
             raise TranslationError(
@@ -206,7 +205,7 @@ def translate_query(query, method, index, cfg_src, cfg_tgt, adapter):
     """
     if method.kind == MT_SENTENCE:
         if not query.description.strip():
-            return TranslatedQuery(TermVector.empty(), MT_SENTENCE, [], cfg_tgt.lang)
+            return TranslatedQuery(TermVector.from_counts({}), MT_SENTENCE, [], cfg_tgt.lang)
         out = adapter.translate(query.description, query.lang, cfg_tgt.lang)
         return TranslatedQuery(analyze(out, cfg_tgt), MT_SENTENCE, [], cfg_tgt.lang)
     tokens = tokenize(query.description, cfg_src)

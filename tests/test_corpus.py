@@ -28,19 +28,16 @@ def test_analyze_counts_and_stopwords():
     cfg = AnalyzerConfig(lang="en", stopword_list={"in"})
     vec = analyze("Digital Libraries in distributed systems", cfg)
     assert vec.counts == {"digital": 1, "libraries": 1, "distributed": 1, "systems": 1}
-    assert vec.max_tf == 1
 
 
 def test_analyze_empty_input():
     vec = analyze("", AnalyzerConfig(lang="en"))
     assert vec.counts == {}
-    assert vec.max_tf == 0
 
 
-def test_analyze_repeated_terms_track_max_tf():
+def test_analyze_counts_repeated_terms():
     vec = analyze("data data data base", AnalyzerConfig(lang="en"))
     assert vec.counts == {"data": 3, "base": 1}
-    assert vec.max_tf == 3
 
 
 def test_character_bigram_window():
@@ -125,9 +122,7 @@ def test_analyze_deterministic_and_bounded():
         second = analyze(text, cfg)
         assert first == second
         assert sum(first.counts.values()) <= len(text.split())
-        if first.counts:
-            assert first.max_tf == max(first.counts.values())
-            assert all(f >= 1 for f in first.counts.values())
+        assert all(f >= 1 for f in first.counts.values())
 
 
 def test_bigram_terms_have_length_two_or_one():
@@ -149,7 +144,7 @@ def test_word_terms_contain_no_whitespace():
 def test_term_vector_from_counts_drops_nonpositive():
     vec = TermVector.from_counts({"a": 2, "b": 0, "c": -1})
     assert vec.counts == {"a": 2}
-    assert vec.max_tf == 2
+    assert TermVector.__slots__ == ("counts",)
 
 
 def test_indexable_text_joins_nonempty_fields():
@@ -224,6 +219,17 @@ def test_load_corpus_missing_field(tmp_path):
     _write_jsonl(path, [rec])
     with pytest.raises(ParseError, match="abstract"):
         load_corpus(path)
+
+
+def test_load_corpus_rejects_a_bad_keyword_or_pair_id_naming_its_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    for field, value in [("keywords", ["ok", 3]), ("keywords", "a b"), ("pair_id", ""),
+                         ("pair_id", 7)]:
+        _write_jsonl(path, [_record("d1"), _record("d2", **{field: value})])
+        with pytest.raises(ParseError, match=field) as exc_info:
+            load_corpus(path)
+        assert exc_info.value.line_no == 2
+        assert f"{path}:2:" in str(exc_info.value)
 
 
 def test_filter_lang_subsets():

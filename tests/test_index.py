@@ -62,6 +62,14 @@ def test_weight_atc_frozen_value():
     assert weight_atc(1, 4, 1, 8) == pytest.approx(1.2996509635498974, abs=1e-9)
 
 
+def test_query_weights_take_the_maximum_of_the_query_counts():
+    # every count takes part, that of a term outside the collection too
+    index = build_index(_corpus_from_texts({"d1": "a b", "d2": "c", "d3": "a"}), CFG)
+    terms = TermVector({"a": 3, "c": 1, "zz": 5})
+    assert weighted_query(index, terms) == {"a": weight_atc(3, 5, 2, 3),
+                                            "c": weight_atc(1, 5, 1, 3)}
+
+
 def test_build_index_counts():
     index = build_index(
         _corpus_from_texts({"d3": "c", "d1": "a a b", "d2": "b c"}), CFG
@@ -297,6 +305,19 @@ def test_load_index_rejects_missing_analyzer(tmp_path):
     for broken, message in cases:
         path.write_text(json.dumps(broken), encoding="utf-8")
         with pytest.raises(IntegrityError, match=message) as exc_info:
+            load_index(path)
+        assert str(path) in str(exc_info.value)
+
+
+def test_load_index_rejects_invalid_analyzer_settings(tmp_path):
+    # each value has the right JSON type, but no analyzer takes it
+    path, payload = _saved_payload(tmp_path)
+    for bad in ({"min_token_len": 0}, {"tokenizer_kind": "sentencepiece"},
+                {"tokenizer_kind": CHARACTER_BIGRAM, "min_token_len": 2},
+                {"stopword_list": [["a"]]}):
+        broken = {**payload, "analyzer": {**payload["analyzer"], **bad}}
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        with pytest.raises(IntegrityError, match="bad analyzer settings") as exc_info:
             load_index(path)
         assert str(path) in str(exc_info.value)
 

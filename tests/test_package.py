@@ -1,6 +1,6 @@
-"""The package as a whole: what ``clir`` exports, and no import in its
-modules that nothing uses. Standard library only, so it runs wherever the
-tests run."""
+"""The package as a whole: what ``clir`` exports, and no import or
+module-level name in its modules that nothing uses. Standard library only,
+so it runs wherever the tests run."""
 
 import ast
 import re
@@ -58,6 +58,64 @@ def test_the_import_check_flags_only_unused_unexplained_names():
         "    return dumps(args)\n"
     )
     assert _unused_imports(source) == [(1, "os"), (2, "os"), (5, "loads"), (8, "version")]
+
+
+def _assigned_names(node):
+    """The names a module-level statement binds by assignment, dunders aside."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)
+            and not (name.id.startswith("__") and name.id.endswith("__"))]
+
+
+def _unread_module_names(sources):
+    """{module: [(line, name)]} of each name a module-level assignment binds,
+    dunders aside, that its own module never reads and no other module of
+    ``sources`` ({dotted module name: source}) imports."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {(node.module, alias.name) for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unread = {}
+    for module, tree in trees.items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found = [(node.lineno, name) for node in tree.body for name in _assigned_names(node)
+                 if name not in read and (module, name) not in imported]
+        if found:
+            unread[module] = found
+    return unread
+
+
+def test_no_module_binds_a_name_nothing_reads():
+    sources = {f"clir.{path.stem}" if path.stem != "__init__" else "clir":
+               path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_module_names(sources) == {}
+
+
+def test_the_name_check_flags_only_names_nothing_reads():
+    sources = {
+        "clir.a": (
+            "__all__ = []\n"
+            "X = 1\n"
+            "_Y = 2\n"
+            "Z: int = 3\n"
+            "P, (Q, R) = 4, (5, 6)\n"
+            "S = T = 7\n"
+            "\n"
+            "def f():\n"
+            "    return X + Q\n"
+        ),
+        "clir.b": "from clir.a import Z, T\nW = 8\nW += 1\n",
+    }
+    assert _unread_module_names(sources) == {
+        "clir.a": [(3, "_Y"), (5, "P"), (5, "R"), (6, "S")],
+        "clir.b": [(2, "W")],
+    }
 
 
 def _readme_library_names():

@@ -152,7 +152,7 @@ def test_result_records_are_slotted():
     # one allocation per record: no per-instance __dict__, no extra attributes
     records = [ScoredDoc("d", 0.5), RankedList("q", []), RerankedEntry("d", 0.5, 2.0, 1.0),
                RankedList("q", doc_ids=["d"], scores=[1.0], esims=[0.5], jsims=[2.0]),
-               TermVector.empty()]
+               TermVector.from_counts({})]
     for record in records:
         assert not hasattr(record, "__dict__")
         with pytest.raises(AttributeError):
@@ -319,6 +319,27 @@ def test_rerank_orders_underflowed_scores_by_their_logarithm():
     assert [e.doc_id for e in got.entries] == ["dd", "db", "da", "de", "dc", "dg"]
 
 
+@pytest.mark.parametrize("entries, texts", [
+    # 1e100 and 1.2069 ** 3000 are finite, their product is not
+    ([("da", 1e100), ("db", 0.5), ("dc", 0.25)], {"da": "t", "db": "u", "dc": "u u"}),
+    ([("da", math.inf), ("db", 0.5), ("dc", 0.25)], {"da": "t", "db": "u", "dc": "u u"}),
+    # inf times 0.0001 ** 3000, which underflows to 0.0: NaN
+    ([("da", math.inf), ("db", 0.5)], {"da": "u", "db": "t"}),
+], ids=["finite-powers", "inf", "inf-times-zero"])
+def test_rerank_saturates_as_combine_scores_does(entries, texts):
+    p = CombineParams(beta=3000.0)
+    got = _run_engine(entries, texts, "t", p)
+    want = sorted(
+        (-combine_scores(esim, jsim, p),
+         -(p.alpha * math.log(esim) + p.beta * math.log(jsim if jsim > 0.0 else p.epsilon)),
+         doc_id, esim, jsim)
+        for doc_id, esim, jsim in zip(got.doc_ids, got.esims, got.jsims))
+    assert got.scores[0] == sys.float_info.max
+    assert [(e.doc_id, e.esim, e.jsim, e.sim) for e in got.entries] == [
+        (doc_id, esim, jsim, -neg_sim) for neg_sim, _, doc_id, esim, jsim in want]
+    assert sorted(zip(got.doc_ids, got.esims)) == entries
+
+
 def test_rerank_empty_input():
     first = RankedList(query_id="q7", entries=[])
     out = rerank(first, {}, Query(query_id="q7", lang="en", description="x"),
@@ -349,10 +370,10 @@ def _rerank_cases(draw):
     return entries, texts, query, p, draw(st.sampled_from(_FORMS))
 
 
-# how rerank receives the translations: Documents, their vectors, or a
-# term-major store that also holds documents outside the head, as the store
-# shared by the cells of a sweep does
-_FORMS = ("documents", "vectors", "store")
+# how rerank receives the translations: Documents, or a term-major store
+# that also holds documents outside the head, as the store shared by the
+# cells of a sweep does
+_FORMS = ("documents", "store")
 _BEYOND_HEAD = {"x00": "a b c d e", "x01": "a a", "x02": "e"}
 
 
@@ -382,7 +403,7 @@ def _defined_jsim(q, d, df, num_docs):
 # the whole list is combined again pair by pair; d02's zero esim is floored
 @example(case=([("d00", 3.0), ("d01", 0.9), ("d02", 0.0)],
                {"d00": "a", "d01": "a b", "d02": "b"}, "a b",
-               CombineParams(alpha=1000.0), "vectors"))
+               CombineParams(alpha=1000.0), "documents"))
 # every translation of the head failed
 @example(case=([("d00", 0.9), ("d01", 0.5)], {"d00": None, "d01": None}, "a b",
                CombineParams(), "store"))
@@ -420,7 +441,7 @@ def test_rerank_equals_its_definition_bit_for_bit(case):
         for doc_id, vec in vecs.items():
             translated.add(doc_id, vec.counts)
     else:
-        translated = vecs if form == "vectors" else docs
+        translated = docs
     got = rerank(first, translated, query, CFG, p)
     assert [(e.doc_id, e.esim, e.jsim, e.sim) for e in got.entries] == [r[2:] for r in rows]
     assert {e.doc_id for e in got.entries} == {d for d, _ in entries}

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clir.translate
 from clir.corpus import AnalyzerConfig, Corpus, Document, Query
 from clir.errors import ConfigError, NoPairError, ParseError, TranslationError
 from clir.index import build_index
@@ -225,9 +226,10 @@ def test_command_adapter_missing_binary():
         adapter.translate("x", "en", "ja")
 
 
-def test_command_adapter_timeout(tmp_path):
+def test_command_adapter_timeout(tmp_path, monkeypatch):
+    monkeypatch.setattr(clir.translate, "COMMAND_TIMEOUT_S", 0.5)
     argv = _write_script(tmp_path, "import time\ntime.sleep(5)\n")
-    adapter = CommandAdapter(argv, timeout_s=0.5)
+    adapter = CommandAdapter(argv)
     with pytest.raises(TranslationError):
         adapter.translate("slow input", "en", "ja")
 
@@ -380,7 +382,6 @@ def test_combine_translations_is_commutative(counts, unresolved):
     a, b = (_tq(c, u) for c, u in zip(counts, unresolved))
     ab, ba = combine_translations(a, b), combine_translations(b, a)
     assert ab.terms.counts == ba.terms.counts
-    assert ab.terms.max_tf == ba.terms.max_tf
     assert set(ab.unresolved) == set(ba.unresolved)
 
 
@@ -410,6 +411,19 @@ def test_translate_document_ht_missing_pair():
     corpus = _paired_corpus()
     with pytest.raises(NoPairError):
         translate_document(corpus.get("e2"), CHANNEL_HT, corpus=corpus)
+
+
+def test_translate_document_ht_needs_the_corpus():
+    with pytest.raises(ConfigError, match="corpus"):
+        translate_document(_paired_corpus().get("e1"), CHANNEL_HT)
+
+
+def test_translate_document_mt_sends_no_empty_field():
+    adapter = _LoggingAdapter()
+    doc = Document(doc_id="d", lang="en", title="library", keywords=["k", ""], abstract="")
+    out = translate_document(doc, CHANNEL_MT, adapter=adapter, target_lang="ja")
+    assert (out.title, out.keywords, out.abstract) == ("library", ["k", ""], "")
+    assert adapter.texts == ["library", "k"]
 
 
 def test_translate_document_identity_adapter_swaps_language_only():
