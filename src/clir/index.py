@@ -17,6 +17,17 @@ doc_id order. Postings hold ordinals and the norms are one dense list, so
 ``search`` accumulates dot products in a flat list and scores every document
 with builtins iterating in C. Ordinal order is doc_id order, so ties break the
 same either way.
+
+A query term at the query's maximum tf weighs exactly its idf factor, which
+``_derive`` keeps per term. The first search that weighs a term so keeps an
+``array('d')`` of ``idf * weight`` per posting on the index, and later ones
+add those products instead of multiplying again: at most one array per term,
+8 bytes per posting, and none before the first search. The products are the
+same float operations as ``w * weight``, so every score keeps its bits.
+
+Only documents that can reach the top ``top_n`` are sorted: a floor is read
+from a sorted sample of every 8th score, and the documents at or above it are
+ranked when they are at least ``top_n``. Otherwise all documents are.
 """
 
 import json
@@ -25,8 +36,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
-from operator import mul, truediv
+from itertools import chain, compress, repeat
+from operator import ge, mul, truediv
 
 from clir.corpus import AnalyzerConfig, analyze, indexable_text
 from clir.errors import ConfigError, IntegrityError
@@ -83,13 +94,17 @@ class RankedList:
 class InvertedIndex:
     """Term counts of the indexed documents and the tables derived from them.
 
-    ``df`` is counted on construction. ``doc_ids``, ``doc_norms`` and
-    ``postings`` are derived together on first use and kept.
+    ``df`` is counted on construction. ``doc_ids``, ``doc_norms``,
+    ``postings`` and ``idf`` are derived together on first use and kept.
+    ``products`` starts empty: ``search`` keeps there, for each term it has
+    weighed at exactly its idf factor, an ``array('d')`` of ``idf * weight``
+    parallel to the term's postings.
     """
 
     analyzer: AnalyzerConfig
     documents: dict  # doc_id -> {term: tf} in token order; empty documents included
     df: dict = field(init=False)  # term -> number of documents containing it
+    products: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.df = dict(Counter(chain.from_iterable(self.documents.values())))
@@ -121,6 +136,11 @@ class InvertedIndex:
         """Term -> (list of ordinals ascending, array('d') of their weight_atc weights)."""
         return self._tables[2]
 
+    @property
+    def idf(self):
+        """Term -> its idf factor, log(num_docs / df)."""
+        return self._tables[3]
+
 
 def _tf_factor(tf, max_tf):
     return 0.5 + 0.5 * tf / max_tf
@@ -140,8 +160,8 @@ def weight_atc(tf, max_tf, df, num_docs):
 
 
 def _derive(documents, df):
-    """The doc_ids, norms and postings of ``documents`` (doc_id -> {term: tf},
-    tf >= 1), whose document frequencies are ``df``.
+    """The doc_ids, norms, postings and idf factors of ``documents``
+    (doc_id -> {term: tf}, tf >= 1), whose document frequencies are ``df``.
 
     Each weight is ``weight_atc``'s product of the same two factors, the idf
     factor computed once per term and the tf factor once per distinct tf of
@@ -170,7 +190,7 @@ def _derive(documents, df):
             weights.append(w)
             sq += w * w
         doc_norms.append(math.sqrt(sq) or math.inf)
-    return doc_ids, doc_norms, postings
+    return doc_ids, doc_norms, postings, idf
 
 
 def build_index(corpus, cfg):
@@ -214,12 +234,15 @@ def search(index, query_terms, top_n, query_id=""):
     """First-stage retrieval: top ``top_n`` documents by cosine similarity.
 
     Scores accumulate term at a time into one dot product per document
-    ordinal, and every document's cosine is then computed at once. One
-    stable sort of the ordinals by score ranks them, and the first ``top_n``
-    become the ranking's columns. Zero-scoring documents are omitted, so the
-    result may be shorter than ``top_n``. Ties break by ascending doc_id
-    (ordinal order is doc_id order) for deterministic runs, so a shallower
-    search is a prefix of a deeper one.
+    ordinal, and every document's cosine is then computed at once. A term
+    weighed at exactly its idf factor adds the index's kept products, built
+    at its first such search; any other weight multiplies its postings on
+    the fly. One stable sort by score ranks the candidates ``_candidates``
+    picks, and the first ``top_n`` become the ranking's columns.
+    Zero-scoring documents are omitted, so the result may be shorter than
+    ``top_n``. Ties break by ascending doc_id (ordinal order is doc_id
+    order) for deterministic runs, so a shallower search is a prefix of a
+    deeper one.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
@@ -236,12 +259,18 @@ def search(index, query_terms, top_n, query_id=""):
     acc = [0.0] * index.num_docs
     for term, w in qw.items():
         ordinals, weights = index.postings[term]
-        for ordinal, dw in zip(ordinals, weights):
-            acc[ordinal] += w * dw
+        if w == index.idf[term]:  # the term's tf is the query's maximum
+            products = index.products.get(term)
+            if products is None:
+                products = index.products[term] = array("d", map(mul, repeat(w), weights))
+        else:
+            products = map(mul, repeat(w), weights)
+        for ordinal, product in zip(ordinals, products):
+            acc[ordinal] += product
 
     scores = list(map(truediv, acc, map(mul, repeat(qnorm), index.doc_norms)))
     # a stable sort: equal scores stay in ordinal order
-    ranked = sorted(range(index.num_docs), key=scores.__getitem__, reverse=True)
+    ranked = sorted(_candidates(scores, top_n), key=scores.__getitem__, reverse=True)
     # a cosine that rounds above 1.0 is clamped to 1.0, where it ties with
     # the other documents at 1.0 and ranks among them by ordinal
     clamped = 0
@@ -255,6 +284,26 @@ def search(index, query_terms, top_n, query_id=""):
         del values[values.index(0.0):]
         del top[len(values):]
     return RankedList(query_id, doc_ids=list(map(index.doc_ids.__getitem__, top)), scores=values)
+
+
+def _candidates(scores, top_n):
+    """The ordinals, ascending, that a ranking of ``scores`` (non-negative
+    cosines) must sort to find its first ``top_n``.
+
+    The floor is the score at index ``top_n // 8 + 1`` of every 8th score
+    sorted, capped at 1.0. When it is positive and at least ``top_n`` scores
+    reach it, the top ``top_n`` scores and every score of 1.0 or more are
+    among those that do, which are returned. Otherwise, or when the sample
+    is too short to place the floor, every ordinal is.
+    """
+    n = len(scores)
+    if 16 * (top_n // 8 + 2) < n:  # the sample holds twice the floor's index
+        floor = min(sorted(scores[::8], reverse=True)[top_n // 8 + 1], 1.0)
+        if floor > 0.0:
+            candidates = list(compress(range(n), map(ge, scores, repeat(floor))))
+            if len(candidates) >= top_n:
+                return candidates
+    return range(n)
 
 
 # keys of a saved index's analyzer settings, with the JSON types they hold

@@ -344,13 +344,13 @@ _BIGRAM_TEXT = st.text(alphabet="あいうえお ", max_size=10)
 
 
 @st.composite
-def _corpora(draw):
+def _corpora(draw, min_docs=1, max_docs=12):
     """A small corpus (empty documents allowed, doc_ids in no particular
     order), its analyzer, and a few queries in the same alphabet."""
     kind = draw(st.sampled_from([WHITESPACE_WORD, CHARACTER_BIGRAM]))
     texts = _WORD_TEXT if kind == WHITESPACE_WORD else _BIGRAM_TEXT
     docs = draw(st.dictionaries(st.text(alphabet="dxz019", min_size=1, max_size=3), texts,
-                                min_size=1, max_size=12))
+                                min_size=min_docs, max_size=max_docs))
     queries = draw(st.lists(texts, min_size=1, max_size=3))
     return AnalyzerConfig(lang="xx", tokenizer_kind=kind), docs, queries
 
@@ -418,12 +418,15 @@ def test_tables_are_derived_once_where_they_are_used(tmp_path, monkeypatch):
     query = _query_vec("a c")
     path = tmp_path / "idx.json"
 
-    # building and saving, all `clir index` does, derives nothing
-    save_index(build_index(corpus, CFG), path)
-    assert calls == []
-    # loading derives once, before it returns, and searching derives no more
+    # building and saving, all `clir index` does, derives nothing and keeps
+    # no product array
+    saved = build_index(corpus, CFG)
+    save_index(saved, path)
+    assert calls == [] and saved.products == {}
+    # loading derives once, before it returns, and keeps no product array;
+    # searching derives no more
     loaded = load_index(path)
-    assert len(calls) == 1
+    assert len(calls) == 1 and loaded.products == {}
     for depth in (1, 10):
         search(loaded, query, depth)
     assert len(calls) == 1
@@ -483,6 +486,10 @@ def _exhaustive_ranking(index, terms):
                ["c e b d"]), depths=[1, 3])
 def test_search_is_a_prefix_of_the_exhaustive_ranking(case, depths):
     # ties are frequent: the alphabet is small and documents may repeat
+    _check_prefix(case, depths)
+
+
+def _check_prefix(case, depths):
     cfg, docs, queries = case
     k, k2 = sorted(depths)
     index = build_index(_corpus_from_texts(docs, lang="xx"), cfg)
@@ -495,3 +502,114 @@ def test_search_is_a_prefix_of_the_exhaustive_ranking(case, depths):
         assert pairs == _exhaustive_ranking(index, terms)[:k2]
         assert len({doc_id for doc_id, _ in pairs}) == len(pairs)
         assert all(a >= b for (_, a), (_, b) in zip(pairs, pairs[1:]))
+
+
+def _spread(texts, num_docs):
+    """``num_docs`` documents d00, d01, … whose text cycles through ``texts``,
+    so that text i is at every ordinal i modulo len(texts)."""
+    return {f"d{i:02d}": texts[i % len(texts)] for i in range(num_docs)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_corpora(min_docs=40, max_docs=150),
+       depths=st.lists(st.integers(1, 15), min_size=2, max_size=2))
+# every even document ties with the sampled ones at the floor; the depth-3
+# ranking keeps the lowest ordinals among the 24 tied candidates
+@example(case=(AnalyzerConfig(lang="xx"), _spread(["a b", "c"], 48), ["a"]), depths=[3, 7])
+# d00, d08, … score just above 1 and d01, d09, … exactly 1: all clamp to 1.0
+# and rank by ordinal, so the floor, read from the sample above 1, must be
+# capped at 1.0 for d01 to be a candidate
+@example(case=(AnalyzerConfig(lang="xx"),
+               _spread(["c h e b", "c b e h", "a c", "a f", "h a", "a h b g", "a", "h g e"], 40),
+               ["c h e b"]), depths=[2, 5])
+# only the sampled documents match, each fewer query terms than the one
+# before, so 3 scores reach the floor against a depth of 8: all are sorted
+@example(case=(AnalyzerConfig(lang="xx"),
+               {f"d{i:03d}": " ".join("abcdefghijklm"[:13 - i // 8]) if i % 8 == 0 else "z"
+                for i in range(104)},
+               ["a b c d e f g h i j k l m"]), depths=[8, 12])
+def test_search_over_more_documents_is_a_prefix_of_the_exhaustive_ranking(case, depths):
+    # past 32 documents at these depths, search sorts only the candidates
+    # above its sampled floor
+    _check_prefix(case, depths)
+
+
+def _first(scores, ordinals, top_n):
+    """The first ``top_n`` ordinals as ``search`` ranks them: a stable sort
+    by score, with the scores of 1.0 or more ranked among themselves by
+    ordinal."""
+    ranked = sorted(ordinals, key=scores.__getitem__, reverse=True)
+    clamped = sum(scores[o] >= 1.0 for o in ranked)
+    ranked[:clamped] = sorted(ranked[:clamped])
+    return ranked[:top_n]
+
+
+_FLOOR_EDGE = [0.0, 0.25, 0.5, 1.0, 1.0000000000000002]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=st.lists(st.sampled_from(_FLOOR_EDGE) | st.floats(0.0, 1.5), max_size=300),
+       top_n=st.integers(1, 40))
+# ties at the floor: every even score equals the sampled ones
+@example(scores=[0.5, 0.0] * 32, top_n=8)
+# the sample reads above 1.0, and the scores at 1.0 must stay candidates
+@example(scores=[1.0000000000000002, 1.0, 0.3, 0.3] * 16, top_n=2)
+# 3 scores reach the floor (the third-highest sampled), fewer than top_n:
+# every ordinal is a candidate
+@example(scores=[0.0 if i % 8 else 1.0 - i / 1000 for i in range(104)], top_n=8)
+def test_candidates_hold_the_first_top_n(scores, top_n):
+    candidates = clir.index._candidates(scores, top_n)
+    everything = range(len(scores))
+    assert _first(scores, candidates, top_n) == _first(scores, everything, top_n)
+    if candidates != everything:
+        assert list(candidates) == sorted(candidates)
+        assert len(candidates) >= top_n and min(map(scores.__getitem__, candidates)) > 0.0
+
+
+def test_product_arrays_hold_idf_times_weight_per_posting():
+    index = build_index(_corpus_from_texts(
+        {"d1": "a a b c", "d2": "a c c", "d3": "b d", "d4": "c", "d5": ""}), CFG)
+    for text in ("a b c d", "a a b", "c"):
+        search(index, _query_vec(text), 10)
+    assert set(index.products) == {"a", "b", "c", "d"}
+    for term, products in index.products.items():
+        idf = math.log(index.num_docs / index.df[term])
+        ordinals, weights = index.postings[term]
+        assert products.tobytes() == array("d", [idf * w for w in weights]).tobytes()
+        assert len(products) == len(ordinals)
+
+
+def test_product_arrays_are_built_at_a_terms_first_full_weight_search():
+    index = build_index(_corpus_from_texts(
+        {"d1": "a a b c", "d2": "a c c", "d3": "b d", "d4": "c"}), CFG)
+    assert index.products == {}
+    # a weighs its idf factor (tf 2 is the maximum), b less (tf 1)
+    terms = _query_vec("a a b")
+    qw = weighted_query(index, terms)
+    assert qw["a"] == index.idf["a"] and qw["b"] < index.idf["b"]
+    cold = search(index, terms, 10)
+    assert set(index.products) == {"a"}
+    kept = index.products["a"]
+    warm = search(index, terms, 10)
+    assert warm == cold and index.products["a"] is kept
+    assert [(e.doc_id, e.score) for e in cold.entries] == _exhaustive_ranking(index, terms)
+    # b is at full weight only once it is the query's most frequent term
+    search(index, _query_vec("b"), 10)
+    assert set(index.products) == {"a", "b"} and index.products["a"] is kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_corpora())
+def test_searches_are_the_same_cold_and_warm(case):
+    cfg, docs, queries = case
+    index = build_index(_corpus_from_texts(docs, lang="xx"), cfg)
+    vectors = [analyze(text, cfg) for text in queries]
+    cold = [search(index, terms, 5) for terms in vectors]
+    assert [search(index, terms, 5) for terms in vectors] == cold
+    # a product array exactly for each term searched at its idf factor
+    assert set(index.products) == {term for terms in vectors
+                                   for term, w in weighted_query(index, terms).items()
+                                   if w == index.idf[term]}
+    for terms, ranking in zip(vectors, cold):
+        assert [(e.doc_id, e.score) for e in ranking.entries] == \
+            _exhaustive_ranking(index, terms)[:5]
