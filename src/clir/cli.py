@@ -21,9 +21,7 @@ from clir.corpus import (
 )
 from clir.errors import ClirError, ConfigError, IntegrityError, ParseError
 from clir.evaluation import (
-    SignTestResult,
     SweepSystem,
-    WilcoxonResult,
     check_depths,
     check_level,
     check_query_id,
@@ -442,12 +440,10 @@ def cmd_eval(args) -> int:
             (report.per_query_ap[q], other_report.per_query_ap[q])
             for q in sorted(report.per_query_ap)
         ]
-        # with no judged query the tests carry no information, as for equal runs
-        result = (wilcoxon_signed_test(pairs, level=args.level) if pairs
-                  else WilcoxonResult.no_information())
+        result = wilcoxon_signed_test(pairs, level=args.level)
         blocks.append(format_comparison(run.tag or "run-a", other.tag or "run-b", result))
         if args.sign_test:
-            s = sign_test(pairs, level=args.level) if pairs else SignTestResult.no_information()
+            s = sign_test(pairs, level=args.level)
             p_text = "NA" if s.p_value is None else f"{s.p_value:.6g}"
             blocks.append(
                 f"sign_test\tn\t{s.n}\tpositive\t{s.num_positive}\tnegative\t{s.num_negative}"

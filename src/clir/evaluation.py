@@ -342,13 +342,10 @@ def wilcoxon_signed_test(pairs, level: float = 0.05) -> WilcoxonResult:
     Zero differences are dropped; tied absolute differences get average
     ranks. Up to ``EXACT_CUTOFF`` non-zero pairs the p-value is exact over
     all sign assignments, beyond that a normal approximation with continuity
-    and tie corrections is used. All-zero differences yield a flagged
-    no-information result rather than an exception.
+    and tie corrections is used. No pairs, or all-zero differences, yield a
+    flagged no-information result rather than an exception.
     """
     check_level(level)
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one pair")
     diffs = [a - b for a, b in pairs if a != b]
     n = len(diffs)
     if n == 0:
@@ -397,11 +394,10 @@ class SignTestResult:
 
 
 def sign_test(pairs, level: float = 0.05) -> SignTestResult:
-    """Two-sided sign test on (score_a, score_b) pairs, zero differences dropped."""
+    """Two-sided sign test on (score_a, score_b) pairs, zero differences
+    dropped. No pairs, or all-zero differences, carry no information."""
     check_level(level)
     pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one pair")
     pos = sum(1 for a, b in pairs if a > b)
     neg = sum(1 for a, b in pairs if a < b)
     n = pos + neg

@@ -53,6 +53,21 @@ class ScoredDoc:
 
 
 @dataclass(slots=True)
+class RerankedEntry:
+    """One re-ranked document with both stage scores and their combination,
+    as ``RankedList.entries`` shows it."""
+
+    doc_id: str
+    esim: float  # first-stage score
+    jsim: float  # second-stage score
+    sim: float  # combined score used for the final ordering
+
+    @property
+    def score(self):
+        return self.sim
+
+
+@dataclass(slots=True)
 class RankedList:
     """Scored documents in rank order (scores non-increasing, ids distinct),
     kept as columns.
@@ -83,8 +98,6 @@ class RankedList:
     def entries(self):
         """The ranking as records, built afresh on each access and not kept:
         a ``RerankedEntry`` per re-ranked document, then a ``ScoredDoc`` each."""
-        from clir.rerank import RerankedEntry  # clir.rerank imports this module
-
         k = len(self.esims)
         return [*map(RerankedEntry, self.doc_ids[:k], self.esims, self.jsims, self.scores[:k]),
                 *map(ScoredDoc, self.doc_ids[k:], self.scores[k:])]

@@ -56,21 +56,6 @@ class RerankStats:
     df: dict  # term -> documents among those containing it
 
 
-@dataclass(slots=True)
-class RerankedEntry:
-    """One re-ranked document with both stage scores and their combination,
-    as ``RankedList.entries`` shows it."""
-
-    doc_id: str
-    esim: float  # first-stage score
-    jsim: float  # second-stage score
-    sim: float  # combined score used for the final ordering
-
-    @property
-    def score(self):
-        return self.sim
-
-
 def rerank_tf(f):
     """Dampened term-frequency factor; an absent term contributes nothing."""
     if f <= 0:

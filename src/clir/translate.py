@@ -164,9 +164,10 @@ class IdentityAdapter(MTAdapter):
 class TranslationMethod:
     """One of the four query translation setups.
 
-    Sentence MT translates the whole description; phrase MT translates
-    extracted words and phrases one by one; dictionary phrase translation
-    segments the query against a bilingual dictionary; combined merges the
+    Sentence MT translates the whole description. The other three share one
+    segmentation of the query against the bilingual dictionary, if any:
+    phrase MT translates its units one by one, dictionary phrase translation
+    picks a candidate for each matched phrase, and combined merges the
     phrase-MT and dictionary outputs with doubled shared terms.
     """
 
@@ -197,24 +198,46 @@ def translate_query(query, method, index, cfg_src, cfg_tgt, adapter):
     ``adapter`` is the translator to call; dictionary phrase translation
     calls none. Sentence MT sends the whole description and analyzes the
     output; a blank description gives an empty vector without a call. The
-    other methods tokenize the description once with ``cfg_src``: phrase MT
-    translates each unit, dictionary phrase translation segments the tokens
-    against ``method.dictionary`` and picks candidates by their document
-    frequency in ``index``, the target collection, and combined merges the
-    two with ``combine_translations``.
+    other methods tokenize the description once with ``cfg_src`` and segment
+    the tokens once against ``method.dictionary`` (``_segment``): phrase MT
+    translates each unit, dictionary phrase translation picks each matched
+    unit's candidate by its document frequency in ``index``, the target
+    collection, and combined merges the two with ``combine_translations``.
     """
     if method.kind == MT_SENTENCE:
         if not query.description.strip():
             return TranslatedQuery(TermVector.from_counts({}), MT_SENTENCE, [], cfg_tgt.lang)
         out = adapter.translate(query.description, query.lang, cfg_tgt.lang)
         return TranslatedQuery(analyze(out, cfg_tgt), MT_SENTENCE, [], cfg_tgt.lang)
-    tokens = tokenize(query.description, cfg_src)
+    units = _segment(tokenize(query.description, cfg_src), method.dictionary)
     if method.kind == DICT_PHRASE:
-        return _by_dictionary(tokens, method.dictionary, index)
-    by_mt = _by_phrase_mt(tokens, method.dictionary, adapter, query.lang, cfg_tgt)
+        return _by_dictionary(units, index)
+    by_mt = _by_phrase_mt(units, adapter, query.lang, cfg_tgt)
     if method.kind == MT_PHRASE:
         return by_mt
-    return combine_translations(by_mt, _by_dictionary(tokens, method.dictionary, index))
+    return combine_translations(by_mt, _by_dictionary(units, index))
+
+
+def _segment(tokens, dictionary):
+    # The query's units in order, each (unit text, candidates or None): greedy
+    # segmentation, longest dictionary phrase first, and each token no phrase
+    # covers a unit of its own, without candidates. With no dictionary every
+    # token is a unit. Dictionary entries must be in the source analyzer's
+    # normal form.
+    longest = dictionary.max_phrase_len if dictionary is not None else 0
+    units = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        for span in range(min(longest, n - i), 0, -1):
+            candidates = dictionary.entries.get(tuple(tokens[i : i + span]))
+            if candidates:
+                break
+        else:
+            span, candidates = 1, None
+        units.append((" ".join(tokens[i : i + span]), candidates))
+        i += span
+    return units
 
 
 def _candidate_df(candidate, index):
@@ -222,31 +245,19 @@ def _candidate_df(candidate, index):
     return min((index.df.get(tok, 0) for tok in candidate.split()), default=0)
 
 
-def _by_dictionary(tokens, dictionary, target_index):
-    # Greedy segmentation, longest phrase first. Each matched phrase gives the
-    # candidate with the highest document frequency in the target collection
-    # (ties break lexicographically); tokens no phrase covers are unresolved.
-    # Dictionary entries must be in the source analyzer's normal form.
+def _by_dictionary(units, target_index):
+    # Each matched unit gives the candidate with the highest document
+    # frequency in the target collection (ties break lexicographically);
+    # units without candidates are unresolved.
     counts = Counter()
     unresolved = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        match = None
-        for span in range(min(dictionary.max_phrase_len, n - i), 0, -1):
-            candidates = dictionary.entries.get(tuple(tokens[i : i + span]))
-            if candidates:
-                match = (span, candidates)
-                break
-        if match is None:
-            if tokens[i] not in unresolved:
-                unresolved.append(tokens[i])
-            i += 1
+    for unit, candidates in units:
+        if candidates is None:
+            if unit not in unresolved:
+                unresolved.append(unit)
             continue
-        span, candidates = match
         best = min(candidates, key=lambda c: (-_candidate_df(c, target_index), c))
         counts.update(best.split())
-        i += span
     return TranslatedQuery(
         terms=TermVector.from_counts(counts),
         method=DICT_PHRASE,
@@ -255,28 +266,12 @@ def _by_dictionary(tokens, dictionary, target_index):
     )
 
 
-def _by_phrase_mt(tokens, phrases, adapter, src_lang, cfg_tgt):
-    # Each content token is translated on its own, except that adjacent pairs
-    # listed in ``phrases`` stay together as one unit; outputs are merged by
-    # summing term frequencies, and a unit whose output analyzes to nothing
-    # is unresolved.
-    units = []
-    i = 0
-    while i < len(tokens):
-        if (
-            phrases is not None
-            and i + 1 < len(tokens)
-            and (tokens[i], tokens[i + 1]) in phrases.entries
-        ):
-            units.append(tokens[i] + " " + tokens[i + 1])
-            i += 2
-        else:
-            units.append(tokens[i])
-            i += 1
-
+def _by_phrase_mt(units, adapter, src_lang, cfg_tgt):
+    # Each unit is translated on its own; outputs are merged by summing term
+    # frequencies, and a unit whose output analyzes to nothing is unresolved.
     counts = Counter()
     unresolved = []
-    for unit in units:
+    for unit, _ in units:
         vec = analyze(adapter.translate(unit, src_lang, cfg_tgt.lang), cfg_tgt)
         if vec.counts:
             counts.update(vec.counts)

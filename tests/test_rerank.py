@@ -11,10 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clir.corpus import AnalyzerConfig, Document, Query, TermVector, analyze
-from clir.index import RankedList, ScoredDoc
+from clir.index import RankedList, RerankedEntry, ScoredDoc
 from clir.rerank import (
     CombineParams,
-    RerankedEntry,
     RerankStats,
     TranslatedDocs,
     combine_scores,

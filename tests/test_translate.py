@@ -320,6 +320,122 @@ def test_mt_phrase_mode_empty_output_is_unresolved():
     assert out.unresolved == ["gone"]
 
 
+# ------------------------------------------------------------- segmentation
+
+
+class _Recorder(MTAdapter):
+    """Echoes each text and keeps the texts it was sent, in order."""
+
+    def __init__(self):
+        self.sent = []
+
+    def translate(self, text, src, tgt):
+        self.sent.append(text)
+        return text
+
+
+def _pair_units(tokens, phrases):
+    # Reference: the adjacent-pair rule phrase MT once had of its own. A pair
+    # listed in ``phrases`` is one unit, every other token a unit alone.
+    units = []
+    i = 0
+    while i < len(tokens):
+        pair = tuple(tokens[i : i + 2])
+        if phrases is not None and len(pair) == 2 and pair in phrases.entries:
+            units.append(tokens[i] + " " + tokens[i + 1])
+            i += 2
+        else:
+            units.append(tokens[i])
+            i += 1
+    return units
+
+
+def _longest_match(tokens, dictionary, index):
+    # Reference: dictionary translation's own greedy loop, longest phrase
+    # first, as (term counts, unresolved tokens).
+    counts = Counter()
+    unresolved = []
+    i = 0
+    while i < len(tokens):
+        for span in range(min(dictionary.max_phrase_len, len(tokens) - i), 0, -1):
+            candidates = dictionary.entries.get(tuple(tokens[i : i + span]))
+            if candidates:
+                df = {c: min(index.df.get(t, 0) for t in c.split()) for c in candidates}
+                counts.update(min(candidates, key=lambda c: (-df[c], c)).split())
+                i += span
+                break
+        else:
+            if tokens[i] not in unresolved:
+                unresolved.append(tokens[i])
+            i += 1
+    return dict(counts), unresolved
+
+
+_SOURCE = st.sampled_from("abcde")
+_SEG_INDEX = _index_from_texts({"d1": "x y z", "d2": "y z", "d3": "z w"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(_SOURCE, max_size=10),
+       entries=st.none() | st.dictionaries(
+           st.lists(_SOURCE, min_size=1, max_size=2).map(" ".join),
+           st.lists(st.sampled_from(["x", "y", "z", "w", "x y", "v"]), min_size=1, max_size=3),
+           min_size=1, max_size=8))
+def test_segmentation_with_phrases_of_at_most_two_tokens_keeps_both_old_rules(tokens, entries):
+    dictionary = None if entries is None else BilingualDictionary(entries)
+    text = " ".join(tokens)
+    recorder = _Recorder()
+    _by_mt(text, recorder, MT_PHRASE, phrases=dictionary)
+    assert recorder.sent == _pair_units(tokens, dictionary)
+    if dictionary is not None:
+        out = _by_dict(text, dictionary, _SEG_INDEX)
+        assert (out.terms.counts, out.unresolved) == _longest_match(tokens, dictionary, _SEG_INDEX)
+        combined = _Recorder()
+        method = TranslationMethod(kind=COMBINED, adapter=combined, dictionary=dictionary)
+        translate_query(_query(text), method, _SEG_INDEX, EN, JA, combined)
+        assert combined.sent == recorder.sent
+
+
+def test_a_three_token_phrase_is_one_unit_under_every_method():
+    dictionary = BilingualDictionary({
+        "digital library": ["denshi toshokan"],
+        "digital library system": ["denshi toshokan shisutemu"],
+    })
+    adapter = TableAdapter({"digital library system": "denshi toshokan shisutemu",
+                            "digital library": "WRONG", "system": "WRONG", "search": ""})
+    text = "digital library system search"
+    recorder = _Recorder()
+    _by_mt(text, recorder, MT_PHRASE, phrases=dictionary)
+    assert recorder.sent == ["digital library system", "search"]
+    index = _index_from_texts({"d1": "denshi toshokan shisutemu"})
+    by_dict = _by_dict(text, dictionary, index)
+    assert by_dict.terms.counts == {"denshi": 1, "toshokan": 1, "shisutemu": 1}
+    assert by_dict.unresolved == ["search"]
+    method = TranslationMethod(kind=COMBINED, adapter=adapter, dictionary=dictionary)
+    out = translate_query(_query(text), method, index, EN, JA, adapter)
+    assert out.terms.counts == {"denshi": 2, "toshokan": 2, "shisutemu": 2}
+    assert out.unresolved == ["search"]
+
+
+@pytest.mark.parametrize("kind,segmentations",
+                         [(MT_SENTENCE, 0), (MT_PHRASE, 1), (DICT_PHRASE, 1), (COMBINED, 1)])
+def test_one_translation_segments_the_query_once(monkeypatch, kind, segmentations):
+    calls = []
+    segment = clir.translate._segment
+
+    def counting(tokens, dictionary):
+        calls.append(tokens)
+        return segment(tokens, dictionary)
+
+    monkeypatch.setattr(clir.translate, "_segment", counting)
+    dictionary = BilingualDictionary({"digital library": ["denshi toshokan"]})
+    adapter = IdentityAdapter()
+    method = TranslationMethod(kind=kind, adapter=adapter, dictionary=dictionary)
+    index = _index_from_texts({"d1": "denshi toshokan"})
+    translate_query(_query("digital library search"), method, index, EN, JA, adapter)
+    assert len(calls) == segmentations
+
+
 # -------------------------------------------------------------- combination
 
 
