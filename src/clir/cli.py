@@ -10,6 +10,7 @@ import contextlib
 import logging
 import re
 import sys
+from collections import namedtuple
 from itertools import islice
 
 from clir.corpus import (
@@ -69,19 +70,32 @@ METHOD_FLAGS = {
     "mpbt": COMBINED,
 }
 
-# keys accepted in a --config file; values mirror the same-named flags
-_CONFIG_KEYS = {
-    "n": int,
-    "method": str,
-    "doc-channel": str,
-    "alpha": float,
-    "beta": float,
-    "epsilon": float,
-    "tail": str,
-    "adapter-cmd": str,
-    "dict": str,
-    "mock-table": str,
-    "tag": str,
+# stage 1: a flag of every query verb; stage 2: of the two-stage verbs only
+_Setting = namedtuple("_Setting", "stage help type choices metavar",
+                      defaults=(str, None, None))
+
+# Every run setting, in --help order: a flag and the same-named --config key.
+# None has a default here: a setting left unset is not passed on, so the
+# library's default applies (--n's 1000 is in _pipeline_config).
+SETTINGS = {
+    "n": _Setting(1, "retrieval depth of the first stage (default 1000)", int, metavar="N"),
+    "method": _Setting(1, "query translation method (default mts with the identity adapter)",
+                       choices=sorted(METHOD_FLAGS)),
+    "adapter-cmd": _Setting(1, "external translator command; receives source and target "
+                               "language as arguments, text on stdin, and prints the translation",
+                            metavar="CMD"),
+    "mock-table": _Setting(1, "exact-match translation table file", metavar="PATH"),
+    "dict": _Setting(1, "bilingual dictionary file", metavar="PATH"),
+    "tag": _Setting(1, "run tag (default: derived from the method)", metavar="TAG"),
+    "doc-channel": _Setting(2, "how retrieved documents come back to the query language: machine "
+                               "translation or comparable human-written pairs (default mt)",
+                            choices=(CHANNEL_MT, CHANNEL_HT)),
+    "alpha": _Setting(2, "exponent on the original-query score (default 1)", float, metavar="A"),
+    "beta": _Setting(2, "exponent on the translated-query score (default 1)", float, metavar="B"),
+    "epsilon": _Setting(2, "floor substituted for zero scores before combining (default 0.0001)",
+                        float, metavar="E"),
+    "tail": _Setting(2, "below the re-ranked block, drop first-stage results or keep them "
+                        "(default drop)", choices=(TAIL_DROP, TAIL_KEEP)),
 }
 
 # "#" opens a comment at the start of a line or after whitespace only
@@ -103,17 +117,6 @@ def read_config(path):
             raise ParseError("empty key", path, line_no)
         values[key] = value.strip()
     return values
-
-
-# values of flags left unset on the command line and in the --config file
-_DEFAULTS = {
-    "n": 1000,
-    "doc_channel": CHANNEL_MT,
-    "tail": TAIL_DROP,
-    "alpha": 1.0,
-    "beta": 1.0,
-    "epsilon": 0.0001,
-}
 
 
 class UsageError(Exception):
@@ -143,36 +146,16 @@ def _add_common(p):
     p.add_argument("--verbose", "-v", action="store_true", help="more diagnostics on stderr")
 
 
-def _add_translation_flags(p):
+def _add_run_flags(p, two_stage=False):
     p.add_argument("--config", metavar="PATH",
                    help="key = value file supplying defaults for the flags below")
-    p.add_argument("--n", type=int, metavar="N",
-                   help="retrieval depth of the first stage (default 1000)")
-    p.add_argument("--method", choices=sorted(METHOD_FLAGS),
-                   help="query translation method (default mts with the identity adapter)")
-    p.add_argument("--adapter-cmd", metavar="CMD",
-                   help="external translator command; receives source and target language "
-                        "as arguments, text on stdin, and prints the translation")
-    p.add_argument("--mock-table", metavar="PATH", help="exact-match translation table file")
-    p.add_argument("--dict", metavar="PATH", help="bilingual dictionary file")
-    p.add_argument("--tag", metavar="TAG", help="run tag (default: derived from the method)")
-
-
-def _add_second_stage_flags(p):
-    p.add_argument("--doc-channel", choices=(CHANNEL_MT, CHANNEL_HT),
-                   help="how retrieved documents come back to the query language: "
-                        "machine translation or comparable human-written pairs (default mt)")
-    p.add_argument("--alpha", type=float, metavar="A",
-                   help="exponent on the original-query score (default 1)")
-    p.add_argument("--beta", type=float, metavar="B",
-                   help="exponent on the translated-query score (default 1)")
-    p.add_argument("--epsilon", type=float, metavar="E",
-                   help="floor substituted for zero scores before combining (default 0.0001)")
-    p.add_argument("--tail", choices=(TAIL_DROP, TAIL_KEEP),
-                   help="below the re-ranked block, drop first-stage results or keep them "
-                        "(default drop)")
-    p.add_argument("--depth", type=int, default=1000, metavar="K",
-                   help="output depth with --tail keep (default 1000)")
+    for key, setting in SETTINGS.items():
+        if setting.stage == 1 or two_stage:
+            p.add_argument("--" + key, type=setting.type, choices=setting.choices,
+                           metavar=setting.metavar, help=setting.help)
+    if two_stage:
+        p.add_argument("--depth", type=int, metavar="K",
+                       help="output depth with --tail keep (default 1000)")
 
 
 def build_parser() -> _Parser:
@@ -200,7 +183,7 @@ def build_parser() -> _Parser:
                        description="Translate each query and rank documents against the index.")
     p.add_argument("--index", required=True, metavar="PATH", help="index file")
     p.add_argument("--query-file", required=True, metavar="PATH", help="JSON-lines queries")
-    _add_translation_flags(p)
+    _add_run_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_search)
 
@@ -212,8 +195,7 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, metavar="PATH",
                    help="collection holding the indexed documents and any comparable pairs")
     p.add_argument("--query-file", required=True, metavar="PATH", help="JSON-lines queries")
-    _add_translation_flags(p)
-    _add_second_stage_flags(p)
+    _add_run_flags(p, two_stage=True)
     _add_common(p)
     p.set_defaults(func=cmd_search2)
 
@@ -247,8 +229,7 @@ def build_parser() -> _Parser:
                    help="truncate after the first stage (1) or re-rank (2, default)")
     p.add_argument("--lenient", action="store_true",
                    help="count partially relevant documents as relevant")
-    _add_translation_flags(p)
-    _add_second_stage_flags(p)
+    _add_run_flags(p, two_stage=True)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -256,22 +237,25 @@ def build_parser() -> _Parser:
 
 
 def _merge_config(args):
-    """Fill unset translation/pipeline flags from the --config file, then
-    apply the documented defaults; a run tag that cannot be one field of a
-    run line is a usage error, before any data file is read."""
-    if getattr(args, "config", None):
-        for key, raw in read_config(args.config).items():
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{args.config}: unknown configuration key {key!r}")
-            dest = key.replace("-", "_")
-            if getattr(args, dest, None) is None:
-                try:
-                    setattr(args, dest, _CONFIG_KEYS[key](raw))
-                except ValueError:
-                    raise ConfigError(
-                        f"{args.config}: bad value for configuration key {key!r}: {raw!r}"
-                    ) from None
-    for dest, value in _DEFAULTS.items():
+    """Fill the settings the command line left unset from the --config file,
+    which is checked as a whole, whatever the verb and the command line: an
+    unknown key or a value that does not parse as its setting's type is a
+    data error, a value outside its setting's choices a usage error, and a
+    key the verb has no flag for is ignored. A run tag that cannot be one
+    field of a run line is a usage error. All before any data file is read."""
+    path = getattr(args, "config", None)
+    for key, raw in (read_config(path) if path else {}).items():
+        setting = SETTINGS.get(key)
+        if setting is None:
+            raise ConfigError(f"{path}: unknown configuration key {key!r}")
+        try:
+            value = setting.type(raw)
+        except ValueError:
+            raise ConfigError(f"{path}: bad value for configuration key {key!r}: {raw!r}") from None
+        if setting.choices and value not in setting.choices:
+            _usage_error(f"{path}: bad value for configuration key {key!r}: {raw!r} "
+                         f"(choose from {', '.join(setting.choices)})")
+        dest = key.replace("-", "_")
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
     if getattr(args, "tag", None):
@@ -307,29 +291,41 @@ def _build_method(args, adapter):
     """
     if args.method is None:
         return TranslationMethod(kind=MT_SENTENCE, adapter=adapter or IdentityAdapter())
-    if args.method not in METHOD_FLAGS:
-        _usage_error(f"unknown method {args.method!r}")
     dictionary = BilingualDictionary.from_file(args.dict) if args.dict else None
     with _usage_errors():
         return TranslationMethod(kind=METHOD_FLAGS[args.method], adapter=adapter,
                                  dictionary=dictionary)
 
 
-def _pipeline_config(args, n, doc_channel):
-    """The two-stage settings the flags describe, checked before any
-    collection file is loaded."""
-    adapter = _build_adapter(args)
-    method = _build_method(args, adapter)
+def _given(args, **dests):
+    """{parameter: value} of each flag, named by its dest, that the command
+    line or the --config file set; the library's defaults stand for the rest."""
+    return {param: getattr(args, dest) for param, dest in dests.items()
+            if getattr(args, dest, None) is not None}
+
+
+def _pipeline_config(args, n, two_stage=True):
+    """The settings the flags describe, checked before any collection file is
+    loaded. ``n`` None is --n's default 1000, the one default the CLI keeps:
+    ``n_intermediate`` has none in the library. Stage one alone never
+    translates documents, so its channel is ht, which needs no adapter."""
+    method = _build_method(args, _build_adapter(args))
+    settings = _given(args, doc_channel="doc_channel", output_depth="depth", tail_policy="tail")
+    if not two_stage:
+        settings["doc_channel"] = CHANNEL_HT
     with _usage_errors():
         return PipelineConfig(
-            n_intermediate=n,
+            n_intermediate=1000 if n is None else n,
             translation_method=method,
-            doc_channel=doc_channel,
-            combine=CombineParams(alpha=args.alpha, beta=args.beta, epsilon=args.epsilon),
-            output_depth=args.depth,
-            tail_policy=args.tail,
-            doc_adapter=adapter,
+            combine=CombineParams(**_given(args, alpha="alpha", beta="beta", epsilon="epsilon")),
+            **settings,
         )
+
+
+def _source_analyzer(query):
+    """Analyzer settings of a query's own language, for its translation and
+    for the re-rank against it."""
+    return AnalyzerConfig(lang=query.lang)
 
 
 def _default_tag(args, suffix=""):
@@ -378,16 +374,11 @@ def cmd_index(args) -> int:
 
 
 def cmd_search(args) -> int:
-    method = _build_method(args, _build_adapter(args))
-    # stage one alone, as in sweep --stage 1: no documents come back, so no channel adapter
-    with _usage_errors():
-        cfg = PipelineConfig(n_intermediate=args.n, translation_method=method,
-                             doc_channel=CHANNEL_HT)
+    cfg = _pipeline_config(args, args.n, two_stage=False)
     index = load_index(args.index)
     queries = _load_run_queries(args.query_file)
     run = run_from_ranked(
-        [run_first_stage(q, index, cfg, AnalyzerConfig(lang=q.lang), index.analyzer)
-         for q in queries],
+        [run_first_stage(q, index, cfg, _source_analyzer(q), index.analyzer) for q in queries],
         _default_tag(args),
     )
     _emit(format_run(run), args.out)
@@ -395,18 +386,18 @@ def cmd_search(args) -> int:
 
 
 def cmd_search2(args) -> int:
-    cfg = _pipeline_config(args, args.n, args.doc_channel)
+    cfg = _pipeline_config(args, args.n)
     index = load_index(args.index)
     corpus = load_corpus(args.corpus)
     queries = _load_run_queries(args.query_file)
     ranked_lists = []
     for query in queries:
-        cfg_src = AnalyzerConfig(lang=query.lang)
-        ranked, timing = run_two_stage(query, index, corpus, cfg, cfg_src, index.analyzer)
+        ranked, timing = run_two_stage(query, index, corpus, cfg, _source_analyzer(query),
+                                       index.analyzer)
         print(f"timing {query.query_id} translation_s={timing.translation_s:.3f} "
               f"rerank_s={timing.rerank_s:.3f} total_s={timing.total_s:.3f}", file=sys.stderr)
         ranked_lists.append(ranked)
-    text = format_run(run_from_ranked(ranked_lists, _default_tag(args, "+" + args.doc_channel)))
+    text = format_run(run_from_ranked(ranked_lists, _default_tag(args, "+" + cfg.doc_channel)))
     if args.verbose:
         # the same run lines, each re-ranked document preceded by a comment
         # carrying its component scores
@@ -461,18 +452,16 @@ def cmd_sweep(args) -> int:
     with _usage_errors():
         check_depths(ns)
     two_stage = args.stage == 2
-    # checked at the largest depth, so no per-depth config can fail later;
-    # stage 1 never translates documents, so its channel needs no adapter
-    cfg = _pipeline_config(args, ns[-1], args.doc_channel if two_stage else CHANNEL_HT)
+    # checked at the largest depth, so no per-depth config can fail later
+    cfg = _pipeline_config(args, ns[-1], two_stage)
     index = load_index(args.index)
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.query_file)
     qrels = load_qrels(args.qrels)
-    name = _default_tag(args, "+" + args.doc_channel if two_stage else "")
+    name = _default_tag(args, "+" + cfg.doc_channel if two_stage else "")
     system = SweepSystem(name=name, cfg=cfg, two_stage=two_stage)
     points = sweep_n(
-        queries, index, corpus, [system],
-        lambda q: AnalyzerConfig(lang=q.lang), index.analyzer,
+        queries, index, corpus, [system], _source_analyzer, index.analyzer,
         qrels, ns, strict=not args.lenient,
     )
     _emit(format_sweep(points) + "\n", args.out)

@@ -336,6 +336,13 @@ def check_level(level):
     return level
 
 
+def _no_information(pairs, result_type):
+    """``result_type``'s no-information result, logged with its reason."""
+    why = "all paired differences are zero" if pairs else "no pairs to compare"
+    logger.warning("%s; test carries no information", why)
+    return result_type.no_information()
+
+
 def wilcoxon_signed_test(pairs, level: float = 0.05) -> WilcoxonResult:
     """Two-sided matched-pairs signed-rank test on (score_a, score_b) pairs.
 
@@ -346,11 +353,11 @@ def wilcoxon_signed_test(pairs, level: float = 0.05) -> WilcoxonResult:
     flagged no-information result rather than an exception.
     """
     check_level(level)
+    pairs = list(pairs)
     diffs = [a - b for a, b in pairs if a != b]
     n = len(diffs)
     if n == 0:
-        logger.warning("all paired differences are zero; test carries no information")
-        return WilcoxonResult.no_information()
+        return _no_information(pairs, WilcoxonResult)
     doubled = _signed_ranks(diffs)
     w_plus_doubled = sum(r for r, d in zip(doubled, diffs) if d > 0)
     w_minus_doubled = sum(doubled) - w_plus_doubled
@@ -402,8 +409,7 @@ def sign_test(pairs, level: float = 0.05) -> SignTestResult:
     neg = sum(1 for a, b in pairs if a < b)
     n = pos + neg
     if n == 0:
-        logger.warning("all paired differences are zero; test carries no information")
-        return SignTestResult.no_information()
+        return _no_information(pairs, SignTestResult)
     k = min(pos, neg)
     tail = sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n
     p = min(1.0, 2.0 * tail)

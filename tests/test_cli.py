@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, the five verbs end to end, settings
 files, and output stability."""
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clir.cli import main
+from clir.cli import SETTINGS, main
 from clir.evaluation import read_run
+from clir.pipeline import PipelineConfig
+from clir.rerank import CombineParams
 from clir.translate import TableAdapter
 
 JA_TEXTS = {
@@ -684,6 +687,121 @@ def test_config_rejects_unknown_keys_and_bad_values(ws, tmp_path, capsys):
     cfg.write_text("n = plenty\n", encoding="utf-8")
     assert main(["search", "--index", str(ws.index), "--query-file", str(ws.queries),
                  "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("verb, line, flags, status", [
+    ("search", "n = plenty", ["--n", "3"], 2),
+    ("search2", "n = plenty", ["--n", "3"], 2),
+    ("search", "method = bogus", ["--method", "mts"], 1),
+    ("sweep", "method = bogus", ["--method", "mts"], 1),
+    ("search", "doc-channel = x", [], 1),
+    ("search", "tail = x", [], 1),
+])
+def test_the_whole_config_file_is_checked_whatever_the_command_line_and_verb(
+        ws, tmp_path, capsys, verb, line, flags, status):
+    # no data file exists: the file is refused before any is read
+    absent = str(tmp_path / "absent")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 2\n{line}\n", encoding="utf-8")
+    args = {"search": ["search"], "search2": ["search2", "--corpus", absent],
+            "sweep": ["sweep", "--corpus", absent, "--qrels", absent, "--ns", "1"]}[verb]
+    assert main(args + ["--index", absent, "--query-file", absent, *flags,
+                        "--config", str(cfg)]) == status
+    err = capsys.readouterr().err
+    assert f"configuration key {line.split()[0]!r}" in err and absent not in err
+
+
+def test_a_config_file_shared_with_search2_leaves_search_alone(ws, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("doc-channel = ht\nalpha = 2\ntail = keep\n", encoding="utf-8")
+    runs = []
+    for extra in ([], ["--config", str(cfg)]):
+        out = tmp_path / f"run{len(runs)}.txt"
+        assert main(["search", "--index", str(ws.index), "--query-file", str(ws.queries),
+                     "--method", "mts", "--mock-table", str(ws.table), *extra,
+                     "--out", str(out)]) == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
+
+
+_MTS = ["--method", "mts", "--mock-table", "{table}"]
+# each setting of the table: a value other than its default, and the flags
+# that make a run with it valid
+_SETTING_CASES = {
+    "n": ("3", _MTS),
+    "method": ("mtp", ["--mock-table", "{table}"]),
+    "adapter-cmd": ("{adapter_cmd}", ["--method", "mtp"]),
+    "mock-table": ("{table}", ["--method", "mts"]),
+    "dict": ("{dictionary}", ["--method", "pbt", "--doc-channel", "ht"]),
+    "tag": ("mine", _MTS),
+    "doc-channel": ("ht", _MTS),
+    "alpha": ("2", _MTS),
+    "beta": ("0.5", _MTS),
+    "epsilon": ("0.5", _MTS),
+    "tail": ("keep", _MTS + ["--n", "2", "--depth", "4"]),
+}
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every PipelineConfig the CLI builds, in order."""
+    configs = []
+
+    def record(*args, **kwargs):
+        configs.append(PipelineConfig(*args, **kwargs))
+        return configs[-1]
+
+    monkeypatch.setattr("clir.cli.PipelineConfig", record)
+    return configs
+
+
+def _settings_of(cfg):
+    method = cfg.translation_method
+    return (method.kind, type(method.adapter), getattr(method.adapter, "__dict__", None),
+            method.dictionary is not None, cfg.n_intermediate, cfg.output_depth,
+            cfg.doc_channel, cfg.tail_policy, cfg.combine,
+            cfg.resolve_doc_adapter() is method.adapter)
+
+
+@pytest.mark.parametrize("key", list(SETTINGS))
+def test_a_setting_from_the_config_file_equals_the_same_flag(ws, tmp_path, recorded, key):
+    script = tmp_path / "mt.py"
+    script.write_text(
+        "import sys\n"
+        f"table = {({**WORDS, **JA_TO_EN})!r}\n"
+        "print(' '.join(table.get(w, w) for w in sys.stdin.read().split()))\n",
+        encoding="utf-8",
+    )
+    paths = {"table": ws.table, "dictionary": ws.dictionary,
+             "adapter_cmd": shlex.join([sys.executable, "-S", str(script)])}
+    value, flags = _SETTING_CASES[key]
+    value = value.format(**paths)
+    flags = [flag.format(**paths) for flag in flags]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    runs = []
+    for setting in ([f"--{key}", value], ["--config", str(cfg)]):
+        out = tmp_path / f"run{len(runs)}.txt"
+        assert main(["search2", "--index", str(ws.index), "--corpus", str(ws.corpus),
+                     "--query-file", str(ws.queries), *flags, *setting,
+                     "--out", str(out)]) == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
+    assert len(recorded) == 2
+    assert _settings_of(recorded[0]) == _settings_of(recorded[1])
+
+
+def test_unset_settings_take_the_library_defaults(ws, tmp_path, recorded):
+    absent = str(tmp_path / "absent")
+    for args in (["search"], ["search2", "--corpus", absent]):
+        assert main(args + ["--index", absent, "--query-file", absent]) == 2
+    search, search2 = recorded
+    defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)
+                if f.init and f.default is not dataclasses.MISSING}
+    assert {name: getattr(search2, name) for name in defaults} == defaults
+    assert {name: getattr(search, name) for name in defaults} == {**defaults, "doc_channel": "ht"}
+    assert search.combine == search2.combine == CombineParams()
+    assert search.n_intermediate == search2.n_intermediate == 1000
 
 
 def test_flag_value_ranges_checked(ws):

@@ -459,6 +459,18 @@ def test_sign_test_degenerate_inputs():
     assert sign_test([]) == res
 
 
+@pytest.mark.parametrize("test", [wilcoxon_signed_test, sign_test])
+@pytest.mark.parametrize("pairs, reason", [
+    ([], "no pairs to compare"),
+    ([(0.4, 0.4), (0.1, 0.1)], "all paired differences are zero"),
+])
+def test_a_no_information_result_logs_why(caplog, test, pairs, reason):
+    with caplog.at_level(logging.WARNING, logger="clir.evaluation"):
+        res = test(pairs)
+    assert res == type(res).no_information()
+    assert [r.getMessage() for r in caplog.records] == [f"{reason}; test carries no information"]
+
+
 @pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, 1.0, 2.0, -0.1])
 def test_significance_level_must_lie_strictly_between_0_and_1(level):
     pairs = [(1.0, 0.0)] * 6

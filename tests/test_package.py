@@ -8,6 +8,7 @@ import types
 from pathlib import Path
 
 import clir
+from clir.cli import SETTINGS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "clir"
@@ -133,3 +134,10 @@ def test_clir_exports_exactly_the_names_readme_imports_from_it():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(names)
+
+
+def test_readme_lists_exactly_the_settings_as_config_keys():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("`--config FILE` supplies", 1)[1].split("\n\n", 1)[0]
+    listed = paragraph.split("The keys are", 1)[1].split(":", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`([^`]+)`", listed) == list(SETTINGS)
