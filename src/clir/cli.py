@@ -52,9 +52,7 @@ from clir.rerank import CombineParams
 from clir.translate import (
     CHANNEL_HT,
     CHANNEL_MT,
-    COMBINED,
-    DICT_PHRASE,
-    MT_PHRASE,
+    METHOD_KINDS,
     MT_SENTENCE,
     BilingualDictionary,
     CommandAdapter,
@@ -62,13 +60,6 @@ from clir.translate import (
     TableAdapter,
     TranslationMethod,
 )
-
-METHOD_FLAGS = {
-    "mts": MT_SENTENCE,
-    "mtp": MT_PHRASE,
-    "pbt": DICT_PHRASE,
-    "mpbt": COMBINED,
-}
 
 # stage 1: a flag of every query verb; stage 2: of the two-stage verbs only
 _Setting = namedtuple("_Setting", "stage help type choices metavar",
@@ -80,7 +71,7 @@ _Setting = namedtuple("_Setting", "stage help type choices metavar",
 SETTINGS = {
     "n": _Setting(1, "retrieval depth of the first stage (default 1000)", int, metavar="N"),
     "method": _Setting(1, "query translation method (default mts with the identity adapter)",
-                       choices=sorted(METHOD_FLAGS)),
+                       choices=sorted(METHOD_KINDS)),
     "adapter-cmd": _Setting(1, "external translator command; receives source and target "
                                "language as arguments, text on stdin, and prints the translation",
                             metavar="CMD"),
@@ -103,8 +94,10 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def read_config(path):
-    """Read a ``key = value`` settings file; keys mirror the CLI flag names."""
+    """Read a ``key = value`` settings file; keys mirror the CLI flag names
+    and each may appear once."""
     values = {}
+    first_lines = {}
     for line_no, raw in read_lines(path):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
@@ -115,7 +108,11 @@ def read_config(path):
         key = key.strip()
         if not key:
             raise ParseError("empty key", path, line_no)
+        if key in values:
+            raise ParseError(f"configuration key {key!r} repeated; first set on line "
+                             f"{first_lines[key]}", path, line_no)
         values[key] = value.strip()
+        first_lines[key] = line_no
     return values
 
 
@@ -238,8 +235,8 @@ def build_parser() -> _Parser:
 
 def _merge_config(args):
     """Fill the settings the command line left unset from the --config file,
-    which is checked as a whole, whatever the verb and the command line: an
-    unknown key or a value that does not parse as its setting's type is a
+    which is checked as a whole, whatever the verb and the command line: a
+    repeated or unknown key or a value that does not parse as its type is a
     data error, a value outside its setting's choices a usage error, and a
     key the verb has no flag for is ignored. A run tag that cannot be one
     field of a run line is a usage error. All before any data file is read."""
@@ -293,8 +290,7 @@ def _build_method(args, adapter):
         return TranslationMethod(kind=MT_SENTENCE, adapter=adapter or IdentityAdapter())
     dictionary = BilingualDictionary.from_file(args.dict) if args.dict else None
     with _usage_errors():
-        return TranslationMethod(kind=METHOD_FLAGS[args.method], adapter=adapter,
-                                 dictionary=dictionary)
+        return TranslationMethod(kind=args.method, adapter=adapter, dictionary=dictionary)
 
 
 def _given(args, **dests):

@@ -14,16 +14,15 @@ intersects the retrieved documents with that term's map, in C, walking the
 smaller side: the intersection's size is n_t, and the term's contribution,
 computed once per distinct tf, is added only where the term occurs. Every
 document's score is thus summed in query order, which is the definition
-``score_inner_product`` writes out. The combination and the final order are
-computed on whole lists too, and the result is the ranking's columns in
-their final order: no record is made per document.
+``score_inner_product`` writes out. ``rerank`` then maps ``combine_scores``
+over the two score columns and orders whole lists, and the result is the
+ranking's columns in their final order: no record is made per document.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 from itertools import groupby, repeat
-from operator import lt, mul
 
 from clir.corpus import analyze, indexable_text
 from clir.index import RankedList
@@ -100,21 +99,19 @@ def score_inner_product(query_terms, doc_terms, stats):
     return total
 
 
-def _floored(score, p):
-    return score if score > 0.0 else p.epsilon
-
-
 def combine_scores(esim, jsim, p):
     """Weighted geometric-mean combination of the two stage scores.
 
     A zero on either side would erase the other, so zeros are replaced by the
     small positive floor ``p.epsilon`` first. The result is always finite: a
-    product beyond the float range saturates at the largest float. With large
-    exponents it can underflow to 0.0 or saturate for several documents at
-    once; ``rerank`` orders such ties by the combination's logarithm.
+    product beyond the float range saturates at the largest float. ``rerank``
+    maps it over the head's two score columns. With large exponents it can
+    underflow to 0.0 or saturate for several documents at once; ``rerank``
+    orders such ties by the combination's logarithm.
     """
     try:
-        score = _floored(esim, p) ** p.alpha * _floored(jsim, p) ** p.beta
+        score = ((esim if esim > 0.0 else p.epsilon) ** p.alpha
+                 * (jsim if jsim > 0.0 else p.epsilon) ** p.beta)
     except OverflowError:
         return _MAX_SCORE
     return score if score < _MAX_SCORE else _MAX_SCORE
@@ -123,28 +120,8 @@ def combine_scores(esim, jsim, p):
 def _log_combined(esim, jsim, p):
     """alpha ln e + beta ln j with the floors of ``combine_scores``: the same
     order as the combination, without its underflow and saturation."""
-    return p.alpha * math.log(_floored(esim, p)) + p.beta * math.log(_floored(jsim, p))
-
-
-def _combine_all(esims, jsims, p):
-    """``combine_scores`` of each pair, bit for bit, with builtins iterating in C.
-
-    A power that overflows raises, and the whole list is then combined again
-    one pair at a time. A product that is not below the largest float (inf,
-    or NaN from an infinite score) saturates; ``min`` takes the largest
-    float first, so a NaN saturates as it does in ``combine_scores``.
-    """
-    eps = p.epsilon
-    # flooring every score costs less than looking for one that needs it
-    e = map(pow, [s if s > 0.0 else eps for s in esims], repeat(p.alpha))
-    j = map(pow, [s if s > 0.0 else eps for s in jsims], repeat(p.beta))
-    try:
-        sims = list(map(mul, e, j))
-    except OverflowError:
-        return list(map(combine_scores, esims, jsims, repeat(p)))
-    if all(map(lt, sims, repeat(_MAX_SCORE))):
-        return sims
-    return list(map(min, repeat(_MAX_SCORE), sims))
+    return (p.alpha * math.log(esim if esim > 0.0 else p.epsilon)
+            + p.beta * math.log(jsim if jsim > 0.0 else p.epsilon))
 
 
 def _order_ties(order, doc_ids, esims, jsims, sims, p):
@@ -244,7 +221,7 @@ def rerank(first_stage, translated_docs, source_query, cfg, p):
             jsims[positions[doc_id]] += contribution
 
     esims = first_stage.scores
-    sims = _combine_all(esims, jsims, p)
+    sims = list(map(combine_scores, esims, jsims, repeat(p)))
     order = sorted(range(n), key=sims.__getitem__, reverse=True)
     if len(set(sims)) < n:
         order = _order_ties(order, doc_ids, esims, jsims, sims, p)

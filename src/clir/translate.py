@@ -16,10 +16,10 @@ from clir.corpus import Document, TermVector, analyze, pair_lookup, tokenize
 from clir.errors import ConfigError, ParseError, TranslationError
 from clir.files import read_lines
 
-MT_SENTENCE = "mt-sentence"
-MT_PHRASE = "mt-phrase"
-DICT_PHRASE = "dict-phrase"
-COMBINED = "combined"
+MT_SENTENCE = "mts"
+MT_PHRASE = "mtp"
+DICT_PHRASE = "pbt"
+COMBINED = "mpbt"
 METHOD_KINDS = (MT_SENTENCE, MT_PHRASE, DICT_PHRASE, COMBINED)
 
 CHANNEL_MT = "mt"

@@ -244,6 +244,21 @@ def test_method_prerequisites_enforced(ws):
     assert main(args + ["--method", "mpbt", "--mock-table", str(ws.table)]) == 1
 
 
+@pytest.mark.parametrize("method, extra, missing", [
+    ("mts", [], "translator adapter"),
+    ("mtp", [], "translator adapter"),
+    ("pbt", [], "bilingual dictionary"),
+    ("mpbt", ["--mock-table", "{table}"], "bilingual dictionary"),
+    ("mpbt", ["--dict", "{dictionary}"], "translator adapter"),
+])
+def test_a_method_missing_its_prerequisite_is_named_as_the_flag_value(
+        ws, capsys, method, extra, missing):
+    extra = [flag.format(table=ws.table, dictionary=ws.dictionary) for flag in extra]
+    assert main(["search", "--index", str(ws.index), "--query-file", str(ws.queries),
+                 "--method", method, *extra]) == 1
+    assert f"method {method!r} needs a {missing}" in capsys.readouterr().err
+
+
 def test_bad_depth_lists_rejected(ws):
     base = ["sweep", "--index", str(ws.index), "--corpus", str(ws.corpus),
             "--query-file", str(ws.queries), "--qrels", str(ws.qrels),
@@ -689,6 +704,19 @@ def test_config_rejects_unknown_keys_and_bad_values(ws, tmp_path, capsys):
                  "--config", str(cfg)]) == 2
 
 
+def test_a_repeated_config_key_is_a_data_error(ws, tmp_path, capsys):
+    # were only each key's last value read, this file would run
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = plenty\nn = 3\nmethod = bogus\nmethod = mts\nmock-table = {ws.table}\n",
+                   encoding="utf-8")
+    out = tmp_path / "run.txt"
+    assert main(["search", "--index", str(ws.index), "--query-file", str(ws.queries),
+                 "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"clir: {cfg}:2: configuration key 'n' repeated; first set on line 1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb, line, flags, status", [
     ("search", "n = plenty", ["--n", "3"], 2),
     ("search2", "n = plenty", ["--n", "3"], 2),
@@ -702,7 +730,7 @@ def test_the_whole_config_file_is_checked_whatever_the_command_line_and_verb(
     # no data file exists: the file is refused before any is read
     absent = str(tmp_path / "absent")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"n = 2\n{line}\n", encoding="utf-8")
+    cfg.write_text(f"alpha = 2\n{line}\n", encoding="utf-8")
     args = {"search": ["search"], "search2": ["search2", "--corpus", absent],
             "sweep": ["sweep", "--corpus", absent, "--qrels", absent, "--ns", "1"]}[verb]
     assert main(args + ["--index", absent, "--query-file", absent, *flags,

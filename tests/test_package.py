@@ -1,6 +1,6 @@
-"""The package as a whole: what ``clir`` exports, and no import or
-module-level name in its modules that nothing uses. Standard library only,
-so it runs wherever the tests run."""
+"""The package as a whole: what ``clir`` exports, and no import,
+module-level name, function or class in its modules that nothing uses.
+Standard library only, so it runs wherever the tests run."""
 
 import ast
 import re
@@ -74,10 +74,18 @@ def _assigned_names(node):
             and not (name.id.startswith("__") and name.id.endswith("__"))]
 
 
-def _unread_module_names(sources):
-    """{module: [(line, name)]} of each name a module-level assignment binds,
-    dunders aside, that its own module never reads and no other module of
-    ``sources`` ({dotted module name: source}) imports."""
+def _defined_names(node):
+    """The name a module-level ``def`` or ``class`` binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    return []
+
+
+def _unread_module_names(sources, bound=_assigned_names, read_outside=frozenset()):
+    """{module: [(line, name)]} of each name that ``bound`` finds a
+    module-level statement binding, that its own module never reads, no
+    other module of ``sources`` ({dotted module name: source}) imports and
+    ``read_outside`` does not hold."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     imported = {(node.module, alias.name) for tree in trees.values() for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -85,17 +93,42 @@ def _unread_module_names(sources):
     for module, tree in trees.items():
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        found = [(node.lineno, name) for node in tree.body for name in _assigned_names(node)
-                 if name not in read and (module, name) not in imported]
+        found = [(node.lineno, name) for node in tree.body for name in bound(node)
+                 if name not in read and (module, name) not in imported
+                 and name not in read_outside]
         if found:
             unread[module] = found
     return unread
 
 
+def _package_sources():
+    return {f"clir.{path.stem}" if path.stem != "__init__" else "clir":
+            path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _identifiers(source):
+    """Every name, attribute and imported name that ``source`` mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
 def test_no_module_binds_a_name_nothing_reads():
-    sources = {f"clir.{path.stem}" if path.stem != "__init__" else "clir":
-               path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    assert _unread_module_names(sources) == {}
+    assert _unread_module_names(_package_sources()) == {}
+
+
+def test_no_module_defines_a_function_or_class_nothing_reads():
+    # a reference implementation that only the tests call counts as read
+    read_outside = set()
+    for path in sorted([*(ROOT / "tests").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]):
+        read_outside |= _identifiers(path.read_text(encoding="utf-8"))
+    assert _unread_module_names(_package_sources(), _defined_names, read_outside) == {}
 
 
 def test_the_name_check_flags_only_names_nothing_reads():
@@ -116,6 +149,38 @@ def test_the_name_check_flags_only_names_nothing_reads():
     assert _unread_module_names(sources) == {
         "clir.a": [(3, "_Y"), (5, "P"), (5, "R"), (6, "S")],
         "clir.b": [(2, "W")],
+    }
+
+
+def test_the_definition_check_flags_only_defs_and_classes_nothing_reads():
+    sources = {
+        "clir.a": (
+            "def used():\n"
+            "    return _helper()\n"
+            "\n"
+            "def _helper():\n"
+            "    return 1\n"
+            "\n"
+            "def _left_behind(x):\n"
+            "    return x\n"
+            "\n"
+            "class Exported:\n"
+            "    pass\n"
+            "\n"
+            "class _Dead:\n"
+            "    def method(self):\n"
+            "        return _helper\n"
+            "\n"
+            "async def reference():\n"
+            "    pass\n"
+            "\n"
+            "X = 1\n"
+        ),
+        "clir.b": "from clir.a import Exported\n",
+    }
+    outside = _identifiers("from clir.a import used\nimport clir.a\nclir.a.reference()\n")
+    assert _unread_module_names(sources, _defined_names, outside) == {
+        "clir.a": [(7, "_left_behind"), (13, "_Dead")],
     }
 
 

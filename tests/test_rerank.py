@@ -398,8 +398,8 @@ def _defined_jsim(q, d, df, num_docs):
 @example(case=([("d00", 0.9), ("d01", 0.9), ("d02", 0.5), ("d03", 0.2)],
                {"d00": "d", "d01": "a b c d", "d02": "a c a d d", "d03": "b e b"},
                "d b d a c", CombineParams(), "store"))
-# 3.0 ** 1000 overflows while the other pairs combine to finite scores, so
-# the whole list is combined again pair by pair; d02's zero esim is floored
+# 3.0 ** 1000 overflows and saturates at the largest float while the other
+# pairs combine to finite scores; d02's zero esim is floored
 @example(case=([("d00", 3.0), ("d01", 0.9), ("d02", 0.0)],
                {"d00": "a", "d01": "a b", "d02": "b"}, "a b",
                CombineParams(alpha=1000.0), "documents"))

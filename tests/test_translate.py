@@ -37,6 +37,10 @@ from clir.translate import (
 EN = AnalyzerConfig(lang="en")
 JA = AnalyzerConfig(lang="ja")
 
+# ids of the tests parametrized by method, each method spelled out
+METHOD_IDS = {MT_SENTENCE: "mt-sentence", MT_PHRASE: "mt-phrase",
+              DICT_PHRASE: "dict-phrase", COMBINED: "combined"}
+
 
 def _index_from_texts(texts: dict[str, str], lang="ja"):
     cfg = AnalyzerConfig(lang=lang)
@@ -273,7 +277,7 @@ class _LoggingAdapter(MTAdapter):
 
 
 @pytest.mark.parametrize("description", ["", "   ", "\t\n"], ids=["empty", "spaces", "tab"])
-@pytest.mark.parametrize("kind", METHOD_KINDS)
+@pytest.mark.parametrize("kind", METHOD_KINDS, ids=METHOD_IDS.get)
 def test_blank_description_sends_nothing_under_every_method(kind, description):
     adapter = _LoggingAdapter()
     method = TranslationMethod(kind=kind, adapter=adapter,
@@ -418,7 +422,8 @@ def test_a_three_token_phrase_is_one_unit_under_every_method():
 
 
 @pytest.mark.parametrize("kind,segmentations",
-                         [(MT_SENTENCE, 0), (MT_PHRASE, 1), (DICT_PHRASE, 1), (COMBINED, 1)])
+                         [(MT_SENTENCE, 0), (MT_PHRASE, 1), (DICT_PHRASE, 1), (COMBINED, 1)],
+                         ids=METHOD_IDS.get)
 def test_one_translation_segments_the_query_once(monkeypatch, kind, segmentations):
     calls = []
     segment = clir.translate._segment
