@@ -87,6 +87,7 @@ SETTINGS = {
                         float, metavar="E"),
     "tail": _Setting(2, "below the re-ranked block, drop first-stage results or keep them "
                         "(default drop)", choices=(TAIL_DROP, TAIL_KEEP)),
+    "depth": _Setting(2, "output depth with --tail keep (default 1000)", int, metavar="K"),
 }
 
 # "#" opens a comment at the start of a line or after whitespace only
@@ -150,9 +151,6 @@ def _add_run_flags(p, two_stage=False):
         if setting.stage == 1 or two_stage:
             p.add_argument("--" + key, type=setting.type, choices=setting.choices,
                            metavar=setting.metavar, help=setting.help)
-    if two_stage:
-        p.add_argument("--depth", type=int, metavar="K",
-                       help="output depth with --tail keep (default 1000)")
 
 
 def build_parser() -> _Parser:

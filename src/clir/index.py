@@ -146,7 +146,7 @@ class InvertedIndex:
 
     @property
     def postings(self):
-        """Term -> (list of ordinals ascending, array('d') of their weight_atc weights)."""
+        """Term -> (list of ordinals ascending, array('d') of their tf-idf weights)."""
         return self._tables[2]
 
     @property
@@ -164,7 +164,8 @@ def _idf_factor(df, num_docs):
 
 
 def weight_atc(tf, max_tf, df, num_docs):
-    """Augmented-TF times log-IDF weight of one term occurrence.
+    """Augmented-TF times log-IDF weight of one term occurrence: the
+    definition that the tests hold the index's postings and query weights to.
 
     Callers guarantee 1 <= tf <= max_tf and 1 <= df <= num_docs. Cosine
     normalization is applied at vector level, not here.
@@ -176,7 +177,7 @@ def _derive(documents, df):
     """The doc_ids, norms, postings and idf factors of ``documents``
     (doc_id -> {term: tf}, tf >= 1), whose document frequencies are ``df``.
 
-    Each weight is ``weight_atc``'s product of the same two factors, the idf
+    Each weight is the product of a tf factor and an idf factor, the idf
     factor computed once per term and the tf factor once per distinct tf of
     a document. Each norm is summed in the document's own term order, so it
     does not depend on how the index was obtained. Documents are visited in
@@ -225,22 +226,16 @@ def build_index(corpus, cfg):
 
 
 def weighted_query(index, query_terms):
-    """Weight a query TermVector against the index statistics.
+    """Weight a query TermVector: each term's tf factor times the index's idf factor.
 
     Terms absent from the collection carry no usable document frequency and are
     dropped; terms present in every document weigh zero and are dropped too.
     """
     counts = query_terms.counts
     max_tf = max(counts.values(), default=0)
-    weights = {}
-    for term, tf in counts.items():
-        df = index.df.get(term)
-        if not df:
-            continue
-        w = weight_atc(tf, max_tf, df, index.num_docs)
-        if w > 0.0:
-            weights[term] = w
-    return weights
+    idf = index.idf
+    return {term: _tf_factor(tf, max_tf) * idf[term] for term, tf in counts.items()
+            if idf.get(term)}
 
 
 def search(index, query_terms, top_n, query_id=""):

@@ -163,11 +163,10 @@ class TimingRecord:
     total_s: float
 
 
-def _check_langs(index, cfg_tgt):
-    if index.lang != cfg_tgt.lang:
-        raise ConfigError(
-            f"index language {index.lang!r} does not match translation target {cfg_tgt.lang!r}"
-        )
+def _check_target(index, cfg_tgt):
+    if cfg_tgt != index.analyzer:
+        raise ConfigError(f"translation target analyzer {cfg_tgt!r} is not the index's "
+                          f"analyzer {index.analyzer!r}")
 
 
 def first_stage_depth(cfg):
@@ -183,9 +182,10 @@ def run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=None):
     The ranking at a smaller depth is an exact prefix of this one, because
     ties break on doc_id. The query's texts go to the translator through
     ``cfg.doc_memo``, so a text an earlier query sent is not sent again.
-    Query terms left untranslated are logged as a warning.
+    Query terms left untranslated are logged as a warning. ``cfg_tgt`` must
+    equal ``index.analyzer``, which analyses the translated query.
     """
-    _check_langs(index, cfg_tgt)
+    _check_target(index, cfg_tgt)
     method = cfg.translation_method
     translated = translate_query(query, method, index, cfg_src, cfg_tgt,
                                  adapter=cfg.doc_memo.translator(method.adapter))

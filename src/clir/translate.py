@@ -133,15 +133,20 @@ class TableAdapter(MTAdapter):
 
     @classmethod
     def from_file(cls, path):
-        """Read tab-separated lines with exactly one translation per source."""
+        """Read tab-separated lines, one per source, each with exactly one translation."""
         table = {}
+        first_lines = {}
         for line_no, line in read_lines(path):
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0].strip():
                 raise ParseError("expected 'source<TAB>translation'", path, line_no)
             if "|" in parts[1] or not parts[1].strip():
                 raise ParseError("mock table entries take exactly one translation", path, line_no)
-            table[parts[0].strip()] = parts[1].strip()
+            source = parts[0].strip()
+            if first_lines.setdefault(source, line_no) != line_no:
+                raise ParseError(f"source {source!r} repeated; first given on line "
+                                 f"{first_lines[source]}", path, line_no)
+            table[source] = parts[1].strip()
         return cls(table)
 
     def translate(self, text, src, tgt):
@@ -202,7 +207,8 @@ def translate_query(query, method, index, cfg_src, cfg_tgt, adapter):
     the tokens once against ``method.dictionary`` (``_segment``): phrase MT
     translates each unit, dictionary phrase translation picks each matched
     unit's candidate by its document frequency in ``index``, the target
-    collection, and combined merges the two with ``combine_translations``.
+    collection, and adds its terms under ``cfg_tgt``, which must be the
+    index's analyzer; combined merges the two with ``combine_translations``.
     """
     if method.kind == MT_SENTENCE:
         if not query.description.strip():
@@ -211,11 +217,11 @@ def translate_query(query, method, index, cfg_src, cfg_tgt, adapter):
         return TranslatedQuery(analyze(out, cfg_tgt), MT_SENTENCE, [], cfg_tgt.lang)
     units = _segment(tokenize(query.description, cfg_src), method.dictionary)
     if method.kind == DICT_PHRASE:
-        return _by_dictionary(units, index)
+        return _by_dictionary(units, index, cfg_tgt)
     by_mt = _by_phrase_mt(units, adapter, query.lang, cfg_tgt)
     if method.kind == MT_PHRASE:
         return by_mt
-    return combine_translations(by_mt, _by_dictionary(units, index))
+    return combine_translations(by_mt, _by_dictionary(units, index, cfg_tgt))
 
 
 def _segment(tokens, dictionary):
@@ -240,15 +246,12 @@ def _segment(tokens, dictionary):
     return units
 
 
-def _candidate_df(candidate, index):
-    # A multi-token candidate occurs in at most min(df of its tokens) documents.
-    return min((index.df.get(tok, 0) for tok in candidate.split()), default=0)
-
-
-def _by_dictionary(units, target_index):
-    # Each matched unit gives the candidate with the highest document
-    # frequency in the target collection (ties break lexicographically);
-    # units without candidates are unresolved.
+def _by_dictionary(units, target_index, cfg_tgt):
+    # Each matched unit adds the target analyzer's terms of its candidate
+    # with the highest document frequency in the target collection, the least
+    # df of its terms (ties break lexicographically); units without
+    # candidates are unresolved.
+    df = target_index.df
     counts = Counter()
     unresolved = []
     for unit, candidates in units:
@@ -256,8 +259,9 @@ def _by_dictionary(units, target_index):
             if unit not in unresolved:
                 unresolved.append(unit)
             continue
-        best = min(candidates, key=lambda c: (-_candidate_df(c, target_index), c))
-        counts.update(best.split())
+        terms = {c: tokenize(c, cfg_tgt) for c in candidates}
+        best = min(terms, key=lambda c: (-min((df.get(t, 0) for t in terms[c]), default=0), c))
+        counts.update(terms[best])
     return TranslatedQuery(
         terms=TermVector.from_counts(counts),
         method=DICT_PHRASE,

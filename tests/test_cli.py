@@ -117,15 +117,26 @@ def test_unknown_verb_is_a_usage_error():
     assert main(["frobnicate"]) == 1
 
 
+# SHA-256 of `clir --help` and of each verb's --help. The texts are the
+# documented command line, so a change to one is made here on purpose.
+_HELP_SHA256 = {
+    (): "079f0d690459eaf0caf26bf5ca51b441e411edd2dbc8b363eb1a831720b0cc34",
+    ("index",): "0a9a0d90cac1fa2c00b6e080f3acef2b2f7e63cf45109ac403398679e4db07ce",
+    ("search",): "b10245a157d18518e206c8e2a48a2b3bcd578be15ebe078f1f431b0d2eac01ce",
+    ("search2",): "d5d9526f3d285c4049ee238f989a17934696ef854310dd60ce8c18a1e83533e4",
+    ("eval",): "da664a7290116131db05ca1572b67da3b92b92429a67e924753e9dd818f54552",
+    ("sweep",): "941cad6a289f7b495743324f843f243133242bbea2f2bde6e6741bfaf53df696",
+}
+
+
 def test_help_exits_zero_and_is_stable(capsys):
-    assert main(["--help"]) == 0
-    first = capsys.readouterr().out
-    assert main(["--help"]) == 0
-    assert capsys.readouterr().out == first
-    assert main(["search2", "--help"]) == 0
-    sub_first = capsys.readouterr().out
-    assert main(["search2", "--help"]) == 0
-    assert capsys.readouterr().out == sub_first
+    for verb, digest in _HELP_SHA256.items():
+        texts = []
+        for _ in range(2):
+            assert main([*verb, "--help"]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert hashlib.sha256(texts[0].encode("utf-8")).hexdigest() == digest, verb
 
 
 def test_missing_data_file_exits_two(ws, capsys):
@@ -350,6 +361,26 @@ def test_search_respects_depth_flag(ws, tmp_path):
                  "--n", "1", "--out", str(out)]) == 0
     run = read_run(out)
     assert all(len(r.doc_ids) == 1 for r in run.rankings.values())
+
+
+def test_dictionary_translation_into_a_bigram_index_retrieves(tmp_path):
+    # the candidate としょかん is analysed into the index's bigrams; taken as
+    # one whole-word term, it would match no indexed term
+    corpus = tmp_path / "corpus.jsonl"
+    _write_jsonl(corpus, [{"id": did, "lang": "ja", "title": "", "keywords": [], "abstract": text}
+                          for did, text in (("j1", "としょかんのけんさく"), ("j2", "けいさんき"),
+                                            ("j3", "ねっとわーく"))])
+    index = tmp_path / "ja.idx"
+    assert main(["index", "--corpus", str(corpus), "--lang", "ja", "--tokenizer", "bigram",
+                 "--out", str(index)]) == 0
+    queries = tmp_path / "queries.jsonl"
+    _write_jsonl(queries, [{"id": "q1", "lang": "en", "description": "library"}])
+    dictionary = tmp_path / "dict.tsv"
+    dictionary.write_text("library\tとしょかん\n", encoding="utf-8")
+    out = tmp_path / "run.txt"
+    assert main(["search", "--index", str(index), "--query-file", str(queries),
+                 "--method", "pbt", "--dict", str(dictionary), "--out", str(out)]) == 0
+    assert read_run(out).rankings["q1"].doc_ids == ["j1"]
 
 
 def test_search2_run_and_timing(ws, tmp_path, capsys):
@@ -717,6 +748,18 @@ def test_a_repeated_config_key_is_a_data_error(ws, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_repeated_mock_table_source_is_a_data_error(ws, tmp_path, capsys):
+    # were only the last translation kept, "library" would read as "deta"
+    table = tmp_path / "table.tsv"
+    table.write_text("library\ttoshokan\nsearch\tkensaku\nlibrary\tdeta\n", encoding="utf-8")
+    out = tmp_path / "run.txt"
+    assert main(["search", "--index", str(ws.index), "--query-file", str(ws.queries),
+                 "--method", "mts", "--mock-table", str(table), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"clir: {table}:3: source 'library' repeated; first given on line 1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb, line, flags, status", [
     ("search", "n = plenty", ["--n", "3"], 2),
     ("search2", "n = plenty", ["--n", "3"], 2),
@@ -767,6 +810,7 @@ _SETTING_CASES = {
     "beta": ("0.5", _MTS),
     "epsilon": ("0.5", _MTS),
     "tail": ("keep", _MTS + ["--n", "2", "--depth", "4"]),
+    "depth": ("4", _MTS + ["--n", "2", "--tail", "keep"]),
 }
 
 

@@ -438,10 +438,41 @@ def test_tables_are_derived_once_where_they_are_used(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def _atc_query_weights(index, terms):
+    """A query's weights written out from the definition: one ``weight_atc``
+    call per term the collection holds, a zero weight left out."""
+    counts = terms.counts
+    max_tf = max(counts.values(), default=0)
+    weights = {}
+    for term, tf in counts.items():
+        if term in index.df:
+            w = weight_atc(tf, max_tf, index.df[term], index.num_docs)
+            if w > 0.0:
+                weights[term] = w
+    return weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_corpora(), absent_tf=st.integers(0, 4))
+# a is in every document, so it weighs 0 and is left out; zz is in none,
+# yet its tf 3 is the query's maximum
+@example(case=(AnalyzerConfig(lang="xx"), {"x": "a b", "d": "a"}, ["a a b"]), absent_tf=3)
+def test_query_weights_are_the_definitions_bit_for_bit(case, absent_tf):
+    cfg, docs, queries = case
+    index = build_index(_corpus_from_texts(docs, lang="xx"), cfg)
+    for text in queries:
+        counts = analyze(text, cfg).counts
+        terms = TermVector({**counts, "zz": absent_tf} if absent_tf else counts)
+        got = weighted_query(index, terms)
+        want = _atc_query_weights(index, terms)
+        assert list(got) == list(want)
+        assert [w.hex() for w in got.values()] == [w.hex() for w in want.values()]
+
+
 def _exhaustive_ranking(index, terms):
     """Every document with a positive cosine, each scored on its own from its
     term counts in the engine's summation order, sorted by (-score, doc_id)."""
-    qw = weighted_query(index, terms)
+    qw = _atc_query_weights(index, terms)
     if not qw:
         return []
     sq = 0.0

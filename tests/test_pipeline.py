@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import clir.pipeline
 from clir.cli import read_config
-from clir.corpus import AnalyzerConfig, Corpus, Document, Query, analyze
+from clir.corpus import CHARACTER_BIGRAM, AnalyzerConfig, Corpus, Document, Query, analyze
 from clir.errors import ConfigError, ParseError, TranslationError
 from clir.index import RankedList, build_index, search
 from clir.pipeline import (
@@ -184,6 +184,17 @@ def test_language_mismatch_rejected(ja_index):
         run_first_stage(_query("library"), ja_index, _cfg(), EN, EN)
     with pytest.raises(ConfigError):
         run_two_stage(_query("library"), ja_index, _bilingual_corpus(), _cfg(), EN, EN)
+
+
+def test_a_target_analyzer_other_than_the_indexs_is_rejected():
+    # a word analyzer against a bigram index of the same language would make
+    # query terms that no indexed term matches
+    bigram = AnalyzerConfig(lang="ja", tokenizer_kind=CHARACTER_BIGRAM)
+    index = build_index(_bilingual_corpus().filter_lang("ja"), bigram)
+    with pytest.raises(ConfigError, match="character-bigram") as exc_info:
+        run_first_stage(_query("library"), index, _cfg(), EN, JA)
+    assert "whitespace-word" in str(exc_info.value)
+    assert run_first_stage(_query("library"), index, _cfg(), EN, bigram).doc_ids[0] == "j3"
 
 
 # ---------------------------------------------------------------- two stage

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clir.translate
-from clir.corpus import AnalyzerConfig, Corpus, Document, Query
+from clir.corpus import CHARACTER_BIGRAM, AnalyzerConfig, Corpus, Document, Query
 from clir.errors import ConfigError, NoPairError, ParseError, TranslationError
 from clir.index import build_index
 from clir.translate import (
@@ -160,6 +160,25 @@ def test_dict_translation_emits_only_candidate_terms():
         words = [rng.choice([f"w{i}" for i in range(6)] + ["junk"]) for _ in range(5)]
         out = _by_dict(" ".join(words), d, index)
         assert set(out.terms.counts) <= allowed
+
+
+def test_dict_candidates_are_analysed_by_the_target_analyzer():
+    # "Toshokan," is the indexed term toshokan, held by two documents, once
+    # lowercased and stripped of edge punctuation, so it beats deta
+    index = _index_from_texts({"d1": "toshokan", "d2": "toshokan deta", "d3": "x"})
+    d = BilingualDictionary({"library": ["deta", "Toshokan,"], "of": [","]})
+    out = _by_dict("library of", d, index)
+    assert out.terms.counts == {"toshokan": 1}
+    # a matched phrase whose candidate analyses to nothing stays resolved
+    assert out.unresolved == []
+    bigram = AnalyzerConfig(lang="ja", tokenizer_kind=CHARACTER_BIGRAM)
+    docs = [Document(doc_id="d1", lang="ja", abstract="としょかん"),
+            Document(doc_id="d2", lang="ja", abstract="けんさく")]
+    index = build_index(Corpus(docs, ["ja"]), bigram)
+    method = TranslationMethod(kind=DICT_PHRASE,
+                               dictionary=BilingualDictionary({"library": ["としょかん"]}))
+    out = translate_query(_query("library"), method, index, EN, bigram, None)
+    assert out.terms.counts == {"とし": 1, "しょ": 1, "ょか": 1, "かん": 1}
 
 
 # ------------------------------------------------------------------ adapters
