@@ -25,9 +25,9 @@ add those products instead of multiplying again: at most one array per term,
 8 bytes per posting, and none before the first search. The products are the
 same float operations as ``w * weight``, so every score keeps its bits.
 
-Only documents that can reach the top ``top_n`` are sorted: a floor is read
-from a sorted sample of every 8th score, and the documents at or above it are
-ranked when they are at least ``top_n``. Otherwise all documents are.
+Only documents that can reach the top ``top_n`` are sorted: those at or above
+a floor read, with a margin for sampling error, from every 8th score sorted,
+when at least ``top_n`` reach it. Otherwise all documents are.
 """
 
 import json
@@ -246,7 +246,8 @@ def search(index, query_terms, top_n, query_id=""):
     weighed at exactly its idf factor adds the index's kept products, built
     at its first such search; any other weight multiplies its postings on
     the fly. One stable sort by score ranks the candidates ``_candidates``
-    picks, and the first ``top_n`` become the ranking's columns.
+    picks, the documents at or above a sampled floor (all of them when fewer
+    than ``top_n`` reach it), and the first ``top_n`` become the columns.
     Zero-scoring documents are omitted, so the result may be shorter than
     ``top_n``. Ties break by ascending doc_id (ordinal order is doc_id
     order) for deterministic runs, so a shallower search is a prefix of a
@@ -298,15 +299,19 @@ def _candidates(scores, top_n):
     """The ordinals, ascending, that a ranking of ``scores`` (non-negative
     cosines) must sort to find its first ``top_n``.
 
-    The floor is the score at index ``top_n // 8 + 1`` of every 8th score
-    sorted, capped at 1.0. When it is positive and at least ``top_n`` scores
-    reach it, the top ``top_n`` scores and every score of 1.0 or more are
-    among those that do, which are returned. Otherwise, or when the sample
-    is too short to place the floor, every ordinal is.
+    The floor is the score at index ``k`` of every 8th score sorted, capped
+    at 1.0. With ``k0 = top_n // 8 + 1``, about ``8 * (k0 + 1)`` scores reach
+    the sample's score at ``k0``, give or take ``8 * sqrt(k0)``; ``k`` is
+    ``k0 + ceil(3 * sqrt(k0))``, three such spreads deeper. If the floor is
+    positive and at least ``top_n`` scores reach it, the top ``top_n`` and
+    every score of 1.0 or more are among them, which are returned; if not,
+    or if the sample is too short to hold index ``k``, every ordinal is.
     """
     n = len(scores)
-    if 16 * (top_n // 8 + 2) < n:  # the sample holds twice the floor's index
-        floor = min(sorted(scores[::8], reverse=True)[top_n // 8 + 1], 1.0)
+    k = top_n // 8 + 1
+    k += math.ceil(3 * math.sqrt(k))
+    if 8 * k < n:  # the sample holds index k
+        floor = min(sorted(scores[::8], reverse=True)[k], 1.0)
         if floor > 0.0:
             candidates = list(compress(range(n), map(ge, scores, repeat(floor))))
             if len(candidates) >= top_n:

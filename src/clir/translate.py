@@ -250,18 +250,19 @@ def _by_dictionary(units, target_index, cfg_tgt):
     # Each matched unit adds the target analyzer's terms of its candidate
     # with the highest document frequency in the target collection, the least
     # df of its terms (ties break lexicographically); units without
-    # candidates are unresolved.
+    # candidates, or whose chosen candidate analyzes to nothing, are unresolved.
     df = target_index.df
     counts = Counter()
     unresolved = []
     for unit, candidates in units:
-        if candidates is None:
-            if unit not in unresolved:
-                unresolved.append(unit)
-            continue
-        terms = {c: tokenize(c, cfg_tgt) for c in candidates}
-        best = min(terms, key=lambda c: (-min((df.get(t, 0) for t in terms[c]), default=0), c))
-        counts.update(terms[best])
+        chosen = []
+        if candidates is not None:
+            terms = {c: tokenize(c, cfg_tgt) for c in candidates}
+            best = min(terms, key=lambda c: (-min((df.get(t, 0) for t in terms[c]), default=0), c))
+            chosen = terms[best]
+            counts.update(chosen)
+        if not chosen and unit not in unresolved:
+            unresolved.append(unit)
     return TranslatedQuery(
         terms=TermVector.from_counts(counts),
         method=DICT_PHRASE,

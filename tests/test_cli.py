@@ -383,6 +383,28 @@ def test_dictionary_translation_into_a_bigram_index_retrieves(tmp_path):
     assert read_run(out).rankings["q1"].doc_ids == ["j1"]
 
 
+def test_a_dictionary_word_that_analyses_to_nothing_is_logged_untranslated(tmp_path, caplog):
+    # toshokan is an index stopword, so the query "library" loses its one word
+    corpus = tmp_path / "corpus.jsonl"
+    _write_jsonl(corpus, [{"id": did, "lang": "ja", "title": "", "keywords": [], "abstract": text}
+                          for did, text in (("j1", "toshokan kensaku"), ("j2", "keisanki"))])
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_text("toshokan\n", encoding="utf-8")
+    index = tmp_path / "ja.idx"
+    assert main(["index", "--corpus", str(corpus), "--lang", "ja", "--stopwords", str(stopwords),
+                 "--out", str(index)]) == 0
+    queries = tmp_path / "queries.jsonl"
+    _write_jsonl(queries, [{"id": "q1", "lang": "en", "description": "library"}])
+    dictionary = tmp_path / "dict.tsv"
+    dictionary.write_text("library\ttoshokan\n", encoding="utf-8")
+    out = tmp_path / "run.txt"
+    with caplog.at_level(logging.WARNING, logger="clir.pipeline"):
+        assert main(["search", "--index", str(index), "--query-file", str(queries),
+                     "--method", "pbt", "--dict", str(dictionary), "--out", str(out)]) == 0
+    assert [r.getMessage() for r in caplog.records] == ["query q1: untranslated terms ['library']"]
+    assert out.read_text(encoding="utf-8") == ""
+
+
 def test_search2_run_and_timing(ws, tmp_path, capsys):
     out = tmp_path / "run.txt"
     assert main(["search2", "--index", str(ws.index), "--corpus", str(ws.corpus),

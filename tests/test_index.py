@@ -554,14 +554,15 @@ def _spread(texts, num_docs):
                _spread(["c h e b", "c b e h", "a c", "a f", "h a", "a h b g", "a", "h g e"], 40),
                ["c h e b"]), depths=[2, 5])
 # only the sampled documents match, each fewer query terms than the one
-# before, so 3 scores reach the floor against a depth of 8: all are sorted
+# before, so 8 scores reach the floor (the eighth-highest sampled) against
+# depths of 9 and 12: all are sorted
 @example(case=(AnalyzerConfig(lang="xx"),
                {f"d{i:03d}": " ".join("abcdefghijklm"[:13 - i // 8]) if i % 8 == 0 else "z"
                 for i in range(104)},
-               ["a b c d e f g h i j k l m"]), depths=[8, 12])
+               ["a b c d e f g h i j k l m"]), depths=[9, 12])
 def test_search_over_more_documents_is_a_prefix_of_the_exhaustive_ranking(case, depths):
-    # past 32 documents at these depths, search sorts only the candidates
-    # above its sampled floor
+    # past 32 documents at depths below 8, and past 56 at 8 to 15, search
+    # sorts only the candidates above its sampled floor
     _check_prefix(case, depths)
 
 
@@ -576,18 +577,28 @@ def _first(scores, ordinals, top_n):
 
 
 _FLOOR_EDGE = [0.0, 0.25, 0.5, 1.0, 1.0000000000000002]
+_TIES = [0.5, 0.0] * 32
+_ABOVE_ONE = [1.0000000000000002, 1.0, 0.3, 0.3] * 16
+# the sampled scores are the only positive ones and fall one by one, so
+# exactly 8 scores reach the floor (the eighth-highest sampled) at depths 1-15
+_SHORTFALL = [0.0 if i % 8 else 1.0 - i / 1000 for i in range(104)]
+# 400 distinct scores, i / 400 in a shuffled order, ranked to depth 200
+_HALF_DEPTH = [(i * 7919 % 400) / 400 for i in range(400)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(scores=st.lists(st.sampled_from(_FLOOR_EDGE) | st.floats(0.0, 1.5), max_size=300),
        top_n=st.integers(1, 40))
 # ties at the floor: every even score equals the sampled ones
-@example(scores=[0.5, 0.0] * 32, top_n=8)
+@example(scores=_TIES, top_n=8)
 # the sample reads above 1.0, and the scores at 1.0 must stay candidates
-@example(scores=[1.0000000000000002, 1.0, 0.3, 0.3] * 16, top_n=2)
-# 3 scores reach the floor (the third-highest sampled), fewer than top_n:
-# every ordinal is a candidate
-@example(scores=[0.0 if i % 8 else 1.0 - i / 1000 for i in range(104)], top_n=8)
+@example(scores=_ABOVE_ONE, top_n=2)
+# 8 scores reach the floor, fewer than top_n: every ordinal is a candidate
+@example(scores=_SHORTFALL, top_n=9)
+# a depth of half the scores still reaches the floor
+@example(scores=_HALF_DEPTH, top_n=200)
+# at depth 1 the floor is at sample index 4, and 32 scores sample only 4
+@example(scores=[0.5] * 32, top_n=1)
 def test_candidates_hold_the_first_top_n(scores, top_n):
     candidates = clir.index._candidates(scores, top_n)
     everything = range(len(scores))
@@ -595,6 +606,38 @@ def test_candidates_hold_the_first_top_n(scores, top_n):
     if candidates != everything:
         assert list(candidates) == sorted(candidates)
         assert len(candidates) >= top_n and min(map(scores.__getitem__, candidates)) > 0.0
+
+
+def test_the_floor_examples_sit_on_their_edges():
+    # each @example of test_candidates_hold_the_first_top_n reaches the edge
+    # its comment names, so a change of the floor's rank cannot move it off
+    assert clir.index._candidates(_TIES, 8) == list(range(0, 64, 2))
+    assert clir.index._candidates(_ABOVE_ONE, 2) == [i for i in range(64) if i % 4 < 2]
+    assert len(clir.index._candidates(_SHORTFALL, 8)) == 8
+    assert clir.index._candidates(_SHORTFALL, 9) == range(104)
+    assert 200 <= len(clir.index._candidates(_HALF_DEPTH, 200)) < 400
+    assert clir.index._candidates([0.5] * 32, 1) == range(32)
+    assert clir.index._candidates([0.5] * 33, 1) == list(range(33))
+
+
+# the most candidates a depth may sort on average over 2,000 scores: about
+# 8 * (k + 1) reach the floor at sample index k
+_MEAN_CANDIDATES_BELOW = {50: 150, 200: 400, 1000: 1400}
+
+
+def test_the_floor_is_placed_deep_enough_never_to_fall_short():
+    rng = random.Random(25)
+    r = rng.random
+    vectors = ([[r() for _ in range(2000)] for _ in range(100)]
+               + [[r() ** 4 * r() for _ in range(2000)] for _ in range(100)])
+    for top_n, bound in _MEAN_CANDIDATES_BELOW.items():
+        sizes = []
+        for scores in vectors:
+            candidates = clir.index._candidates(scores, top_n)
+            assert candidates != range(2000), top_n
+            assert _first(scores, candidates, top_n) == _first(scores, range(2000), top_n)
+            sizes.append(len(candidates))
+        assert sum(sizes) / len(sizes) < bound, top_n
 
 
 def test_product_arrays_hold_idf_times_weight_per_posting():

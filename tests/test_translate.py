@@ -169,8 +169,8 @@ def test_dict_candidates_are_analysed_by_the_target_analyzer():
     d = BilingualDictionary({"library": ["deta", "Toshokan,"], "of": [","]})
     out = _by_dict("library of", d, index)
     assert out.terms.counts == {"toshokan": 1}
-    # a matched phrase whose candidate analyses to nothing stays resolved
-    assert out.unresolved == []
+    # "of"'s only candidate analyses to nothing, so "of" is left untranslated
+    assert out.unresolved == ["of"]
     bigram = AnalyzerConfig(lang="ja", tokenizer_kind=CHARACTER_BIGRAM)
     docs = [Document(doc_id="d1", lang="ja", abstract="としょかん"),
             Document(doc_id="d2", lang="ja", abstract="けんさく")]
@@ -179,6 +179,17 @@ def test_dict_candidates_are_analysed_by_the_target_analyzer():
                                dictionary=BilingualDictionary({"library": ["としょかん"]}))
     out = translate_query(_query("library"), method, index, EN, bigram, None)
     assert out.terms.counts == {"とし": 1, "しょ": 1, "ょか": 1, "かん": 1}
+
+
+def test_a_dict_word_whose_candidate_is_an_index_stopword_is_unresolved_once():
+    cfg = AnalyzerConfig(lang="ja", stopword_list=["toshokan"])
+    docs = [Document(doc_id="d1", lang="ja", abstract="toshokan kensaku")]
+    index = build_index(Corpus(docs, ["ja"]), cfg)
+    method = TranslationMethod(kind=DICT_PHRASE, dictionary=BilingualDictionary(
+        {"library": ["toshokan"], "search": ["kensaku"]}))
+    out = translate_query(_query("library search library"), method, index, EN, cfg, None)
+    assert out.terms.counts == {"kensaku": 1}
+    assert out.unresolved == ["library"]
 
 
 # ------------------------------------------------------------------ adapters
