@@ -9,6 +9,7 @@ import logging
 import string
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import filterfalse, repeat
 
 from clir.errors import ConfigError, IntegrityError, NoPairError, NotFoundError, ParseError
 from clir.files import read_json_lines
@@ -100,9 +101,10 @@ def tokenize(text, cfg):
                 tokens.extend(run[i : i + 2] for i in range(len(run) - 1))
         return [t for t in tokens if t not in cfg.stopword_list]
 
+    tokens = map(str.strip, text.split(), repeat(_EDGE_CHARS))
     min_len, stopwords = cfg.min_token_len, cfg.stopword_list
-    return [tok for raw in text.split()
-            if len(tok := raw.strip(_EDGE_CHARS)) >= min_len and tok not in stopwords]
+    tokens = filter(None, tokens) if min_len == 1 else (t for t in tokens if len(t) >= min_len)
+    return list(filterfalse(stopwords.__contains__, tokens) if stopwords else tokens)
 
 
 def analyze(text, cfg):
@@ -132,12 +134,11 @@ class Corpus:
                 raise IntegrityError("document with empty id")
             if doc.doc_id in self._docs:
                 raise IntegrityError(f"duplicate doc_id {doc.doc_id!r}")
-            if enforced:
-                if doc.lang not in langs:
+            if doc.lang not in langs:
+                if enforced:
                     raise IntegrityError(
                         f"document {doc.doc_id!r} has undeclared language {doc.lang!r}"
                     )
-            elif doc.lang not in langs:
                 langs.append(doc.lang)
             self._docs[doc.doc_id] = doc
         self.declared_langs = tuple(langs)
@@ -201,25 +202,27 @@ def load_corpus(path):
     Duplicate ids are fatal; the languages are those the documents carry.
     Unresolved pair links are only reported (see ``Corpus.dangling_pairs``).
     """
-    documents = []
-    seen = set()
-    for line_no, record in read_json_lines(path):
-        doc_id = _require_str(record, "id", path, line_no)
-        lang = _require_str(record, "lang", path, line_no)
-        title = _require_str(record, "title", path, line_no, allow_empty=True)
-        abstract = _require_str(record, "abstract", path, line_no, allow_empty=True)
-        keywords = record.get("keywords")
-        if not isinstance(keywords, list) or any(not isinstance(k, str) for k in keywords):
-            raise ParseError("field 'keywords' must be an array of strings", path, line_no)
-        pair_id = record.get("pair_id")
-        if pair_id is not None and (not isinstance(pair_id, str) or not pair_id):
-            raise ParseError("field 'pair_id' must be a non-empty string", path, line_no)
-        if doc_id in seen:
-            raise IntegrityError(f"duplicate doc_id {doc_id!r} at {path}:{line_no}")
-        seen.add(doc_id)
-        documents.append(Document(doc_id=doc_id, lang=lang, title=title, keywords=list(keywords),
-                                  abstract=abstract, pair_id=pair_id))
-    corpus = Corpus(documents)
+    line_no = None
+
+    def documents():
+        nonlocal line_no
+        for line_no, record in read_json_lines(path):
+            doc_id = _require_str(record, "id", path, line_no)
+            lang = _require_str(record, "lang", path, line_no)
+            title = _require_str(record, "title", path, line_no, allow_empty=True)
+            abstract = _require_str(record, "abstract", path, line_no, allow_empty=True)
+            keywords = record.get("keywords")
+            if not isinstance(keywords, list) or any(not isinstance(k, str) for k in keywords):
+                raise ParseError("field 'keywords' must be an array of strings", path, line_no)
+            pair_id = record.get("pair_id")
+            if pair_id is not None and (not isinstance(pair_id, str) or not pair_id):
+                raise ParseError("field 'pair_id' must be a non-empty string", path, line_no)
+            yield Document(doc_id=doc_id, lang=lang, title=title, keywords=list(keywords),
+                           abstract=abstract, pair_id=pair_id)
+    try:
+        corpus = Corpus(documents())
+    except IntegrityError as exc:
+        raise IntegrityError(f"{exc} at {path}:{line_no}") from None
     dangling = corpus.dangling_pairs()
     if dangling:
         logger.warning("%s: %d unresolved pair link(s), e.g. %s", path, len(dangling), dangling[0])

@@ -24,6 +24,7 @@ A query term at the query's maximum tf weighs exactly its idf factor, which
 add those products instead of multiplying again: at most one array per term,
 8 bytes per posting, and none before the first search. The products are the
 same float operations as ``w * weight``, so every score keeps its bits.
+Dictionary translation keeps its choice per candidate list in ``choices``.
 
 Only documents that can reach the top ``top_n`` are sorted: those at or above
 a floor read, with a margin for sampling error, from every 8th score sorted,
@@ -111,13 +112,15 @@ class InvertedIndex:
     ``postings`` and ``idf`` are derived together on first use and kept.
     ``products`` starts empty: ``search`` keeps there, for each term it has
     weighed at exactly its idf factor, an ``array('d')`` of ``idf * weight``
-    parallel to the term's postings.
+    parallel to the term's postings. ``choices`` (empty at first, not saved)
+    maps (analyzer, candidates) to the terms dictionary translation chose.
     """
 
     analyzer: AnalyzerConfig
     documents: dict  # doc_id -> {term: tf} in token order; empty documents included
     df: dict = field(init=False)  # term -> number of documents containing it
     products: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    choices: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.df = dict(Counter(chain.from_iterable(self.documents.values())))

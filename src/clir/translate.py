@@ -155,7 +155,8 @@ class TableAdapter(MTAdapter):
         key = text.strip()
         if key in self.table:
             return self.table[key]
-        return " ".join(self.table.get(tok, tok) for tok in text.split())
+        tokens = text.split()
+        return " ".join(map(self.table.get, tokens, tokens))
 
 
 class IdentityAdapter(MTAdapter):
@@ -247,28 +248,27 @@ def _segment(tokens, dictionary):
 
 
 def _by_dictionary(units, target_index, cfg_tgt):
-    # Each matched unit adds the target analyzer's terms of its candidate
-    # with the highest document frequency in the target collection, the least
-    # df of its terms (ties break lexicographically); units without
-    # candidates, or whose chosen candidate analyzes to nothing, are unresolved.
-    df = target_index.df
+    # Each matched unit adds the target analyzer's terms of its candidate of
+    # highest df in the target index, the least df of its terms (ties break
+    # lexicographically), chosen once per index and cfg_tgt and kept in its
+    # ``choices``. A unit with no candidates, or no terms chosen, is unresolved.
+    df, choices = target_index.df, target_index.choices
     counts = Counter()
     unresolved = []
     for unit, candidates in units:
         chosen = []
         if candidates is not None:
-            terms = {c: tokenize(c, cfg_tgt) for c in candidates}
-            best = min(terms, key=lambda c: (-min((df.get(t, 0) for t in terms[c]), default=0), c))
-            chosen = terms[best]
+            key = (cfg_tgt, tuple(candidates))
+            chosen = choices.get(key)
+            if chosen is None:
+                terms = {c: tokenize(c, cfg_tgt) for c in candidates}
+                best = min(terms, key=lambda c: (-min((df.get(t, 0) for t in terms[c]), default=0), c))
+                chosen = choices[key] = terms[best]
             counts.update(chosen)
         if not chosen and unit not in unresolved:
             unresolved.append(unit)
-    return TranslatedQuery(
-        terms=TermVector.from_counts(counts),
-        method=DICT_PHRASE,
-        unresolved=unresolved,
-        lang=target_index.lang,
-    )
+    return TranslatedQuery(TermVector.from_counts(counts), DICT_PHRASE, unresolved,
+                           target_index.lang)
 
 
 def _by_phrase_mt(units, adapter, src_lang, cfg_tgt):
@@ -277,9 +277,9 @@ def _by_phrase_mt(units, adapter, src_lang, cfg_tgt):
     counts = Counter()
     unresolved = []
     for unit, _ in units:
-        vec = analyze(adapter.translate(unit, src_lang, cfg_tgt.lang), cfg_tgt)
-        if vec.counts:
-            counts.update(vec.counts)
+        tokens = tokenize(adapter.translate(unit, src_lang, cfg_tgt.lang), cfg_tgt)
+        if tokens:
+            counts.update(tokens)
         elif unit not in unresolved:
             unresolved.append(unit)
     return TranslatedQuery(TermVector.from_counts(counts), MT_PHRASE, unresolved, cfg_tgt.lang)

@@ -178,9 +178,17 @@ def test_load_corpus_basic(tmp_path):
 
 def test_load_corpus_duplicate_id(tmp_path):
     path = tmp_path / "c.jsonl"
-    _write_jsonl(path, [_record("d1"), _record("d1")])
-    with pytest.raises(IntegrityError, match="d1"):
+    _write_jsonl(path, [_record("d1"), _record("d2"), _record("d1")])
+    with pytest.raises(IntegrityError) as info:
         load_corpus(path)
+    assert str(info.value) == f"duplicate doc_id 'd1' at {path}:3"
+
+
+def test_corpus_refuses_an_empty_or_repeated_id():
+    with pytest.raises(IntegrityError, match="empty id"):
+        Corpus([Document(doc_id="", lang="en")])
+    with pytest.raises(IntegrityError, match="duplicate doc_id 'd1'"):
+        Corpus([Document(doc_id="d1", lang="en"), Document(doc_id="d1", lang="fr")])
 
 
 def test_load_corpus_undeclared_language(tmp_path):

@@ -419,14 +419,14 @@ def test_tables_are_derived_once_where_they_are_used(tmp_path, monkeypatch):
     path = tmp_path / "idx.json"
 
     # building and saving, all `clir index` does, derives nothing and keeps
-    # no product array
+    # no product array and no dictionary choice
     saved = build_index(corpus, CFG)
     save_index(saved, path)
-    assert calls == [] and saved.products == {}
-    # loading derives once, before it returns, and keeps no product array;
-    # searching derives no more
+    assert calls == [] and saved.products == {} and saved.choices == {}
+    # loading derives once, before it returns, and keeps no product array
+    # and no choice; searching derives no more
     loaded = load_index(path)
-    assert len(calls) == 1 and loaded.products == {}
+    assert len(calls) == 1 and loaded.products == {} and loaded.choices == {}
     for depth in (1, 10):
         search(loaded, query, depth)
     assert len(calls) == 1

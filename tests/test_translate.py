@@ -7,11 +7,20 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clir.translate
-from clir.corpus import CHARACTER_BIGRAM, AnalyzerConfig, Corpus, Document, Query
+from clir.corpus import (
+    CHARACTER_BIGRAM,
+    AnalyzerConfig,
+    Corpus,
+    Document,
+    Query,
+    TermVector,
+    analyze,
+    tokenize,
+)
 from clir.errors import ConfigError, NoPairError, ParseError, TranslationError
 from clir.index import build_index
 from clir.translate import (
@@ -199,6 +208,35 @@ def test_table_adapter_exact_match_precedes_tokenwise():
     t = TableAdapter({"digital library": "denshi toshokan", "digital": "WRONG"})
     assert t.translate("digital library", "en", "ja") == "denshi toshokan"
     assert t.translate("digital thing", "en", "ja") == "WRONG thing"
+
+
+def test_the_adapter_contract_has_no_translation_of_its_own():
+    with pytest.raises(NotImplementedError):
+        MTAdapter().translate("library", "en", "ja")
+
+
+def _table_definition(table, text):
+    # the mock table written out: the whole stripped text, else token by token
+    key = text.strip()
+    if key in table:
+        return table[key]
+    return " ".join(table.get(w, w) for w in text.split())
+
+
+_MOCK_WORDS = ["cat", "dog", "Cat", "zzz", "big cat", "cat,"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=st.dictionaries(st.sampled_from(_MOCK_WORDS),
+                             st.sampled_from(["neko", "inu", "ookii neko", "cat"]), max_size=5),
+       words=st.lists(st.sampled_from(_MOCK_WORDS), max_size=6),
+       gaps=st.lists(st.sampled_from(["", " ", "\t", "\n", " \t\n  "]), min_size=7, max_size=7))
+@example(table={"big cat": "ookii neko"}, words=["big cat"], gaps=["\n ", "\t "] + [""] * 5)
+@example(table={"cat": "neko"}, words=["zzz", "cat", "dog"], gaps=["\t\t", "\n\n", "   "] + [""] * 4)
+@example(table={"cat": "neko"}, words=[], gaps=[""] * 7)
+def test_table_adapter_equals_its_per_token_definition(table, words, gaps):
+    text = gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
+    assert TableAdapter(table).translate(text, "en", "ja") == _table_definition(table, text)
 
 
 def test_table_adapter_from_file(tmp_path):
@@ -469,6 +507,132 @@ def test_one_translation_segments_the_query_once(monkeypatch, kind, segmentation
     index = _index_from_texts({"d1": "denshi toshokan"})
     translate_query(_query("digital library search"), method, index, EN, JA, adapter)
     assert len(calls) == segmentations
+
+
+def _chosen_terms(candidates, index, cfg):
+    # Reference: the definition, with no table. Candidates are tried in
+    # lexicographic order and a later one replaces the best only with a
+    # strictly higher df, the least df of its terms (0 for no terms).
+    best = None
+    for candidate in sorted(candidates):
+        terms = tokenize(candidate, cfg)
+        df = min((index.df.get(t, 0) for t in terms), default=0)
+        if best is None or df > best[0]:
+            best = (df, terms)
+    return best[1]
+
+
+def _by_dict_uncached(text, dictionary, index, cfg):
+    counts = Counter()
+    unresolved = []
+    for unit, candidates in clir.translate._segment(tokenize(text, EN), dictionary):
+        chosen = [] if candidates is None else _chosen_terms(candidates, index, cfg)
+        counts.update(chosen)
+        if not chosen and unit not in unresolved:
+            unresolved.append(unit)
+    return list(counts.items()), unresolved
+
+
+# x and y are each in two documents, so a choice between them is a df tie;
+# "!!" and "," analyse to nothing
+_CHOICE_INDEX_TEXTS = {"d1": "x y z", "d2": "x y", "d3": "z w"}
+_CANDIDATES = ["x", "y", "z", "w", "v", "x y", "Z,", "!!", ","]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tokens=st.lists(_SOURCE, max_size=10),
+       entries=st.dictionaries(st.lists(_SOURCE, min_size=1, max_size=2).map(" ".join),
+                               st.lists(st.sampled_from(_CANDIDATES), min_size=1, max_size=3),
+                               min_size=1, max_size=8))
+@example(tokens=list("ab"), entries={"a": ["y", "x"], "b": ["!!", ","]})
+def test_dictionary_choices_cold_and_warm_equal_the_uncached_definition(tokens, entries):
+    dictionary = BilingualDictionary(entries)
+    index = _index_from_texts(_CHOICE_INDEX_TEXTS)
+    text = " ".join(tokens)
+    expected = _by_dict_uncached(text, dictionary, index, JA)
+    for _ in ("cold", "warm"):
+        out = _by_dict(text, dictionary, index)
+        assert (list(out.terms.counts.items()), out.unresolved) == expected
+    used = {tuple(c) for _, c in clir.translate._segment(tokens, dictionary) if c is not None}
+    assert set(index.choices) == {(JA, c) for c in used}
+
+
+def test_two_analyzers_over_one_index_keep_separate_choices():
+    index = _index_from_texts({"d1": "toshokan deta", "d2": "toshokan"})
+    dictionary = BilingualDictionary({"library": ["Toshokan", "deta"]})
+    method = TranslationMethod(kind=DICT_PHRASE, dictionary=dictionary)
+    cased = AnalyzerConfig(lang="ja", lowercase=False)
+    # lowercased, "Toshokan" is in two documents; as written, in none
+    for cfg, chosen in ((JA, "toshokan"), (cased, "deta"), (JA, "toshokan"), (cased, "deta")):
+        out = translate_query(_query("library"), method, index, EN, cfg, None)
+        assert out.terms.counts == {chosen: 1}
+    candidates = ("Toshokan", "deta")
+    assert index.choices == {(JA, candidates): ["toshokan"], (cased, candidates): ["deta"]}
+
+
+def test_each_candidate_list_is_tokenized_once_per_index_and_analyzer(monkeypatch):
+    calls = []
+
+    def counting(text, cfg):
+        calls.append((text, cfg))
+        return tokenize(text, cfg)
+
+    monkeypatch.setattr(clir.translate, "tokenize", counting)
+    dictionary = BilingualDictionary({"library": ["toshokan", "raiburari"], "search": ["kensaku"]})
+    method = TranslationMethod(kind=DICT_PHRASE, dictionary=dictionary)
+    cased = AnalyzerConfig(lang="ja", lowercase=False)
+    texts = {"d1": "toshokan kensaku", "d2": "raiburari"}
+    indexes = [_index_from_texts(texts), _index_from_texts(texts)]
+    for index in indexes:
+        for cfg in (JA, cased):
+            for _ in range(3):
+                translate_query(_query("library search library"), method, index, EN, cfg, None)
+    candidate_calls = Counter(call for call in calls if call[1] != EN)
+    assert candidate_calls == {(c, cfg): 2 for c in ("toshokan", "raiburari", "kensaku")
+                               for cfg in (JA, cased)}
+
+
+def _merged_per_unit(units, adapter, cfg_tgt):
+    # Reference: one TermVector per unit, merged in unit order by summing
+    # term frequencies, as (term count items in order, unresolved units)
+    counts = Counter()
+    unresolved = []
+    for unit in units:
+        vec = analyze(adapter.translate(unit, "en", cfg_tgt.lang), cfg_tgt)
+        if vec.counts:
+            counts.update(vec.counts)
+        elif unit not in unresolved:
+            unresolved.append(unit)
+    return TranslatedQuery(TermVector.from_counts(counts), MT_PHRASE, unresolved, cfg_tgt.lang)
+
+
+# outputs that repeat a term, share terms with each other, or analyse to nothing
+_UNIT_OUTPUTS = ["x y x", "y", "z x", "x", "", "!! ,", "Y y"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=st.lists(_SOURCE, max_size=10),
+       outputs=st.dictionaries(st.sampled_from(["a", "b", "c", "d", "a b", "c d"]),
+                               st.sampled_from(_UNIT_OUTPUTS), max_size=6),
+       entries=st.none() | st.dictionaries(
+           st.lists(_SOURCE, min_size=1, max_size=2).map(" ".join),
+           st.lists(st.sampled_from(["x", "y", "z", "w"]), min_size=1, max_size=2),
+           min_size=1, max_size=6))
+def test_phrase_mt_merges_unit_outputs_as_one_term_vector_per_unit(tokens, outputs, entries):
+    dictionary = None if entries is None else BilingualDictionary(entries)
+    adapter = TableAdapter(outputs)
+    text = " ".join(tokens)
+    units = [unit for unit, _ in clir.translate._segment(tokens, dictionary)]
+    expected = _merged_per_unit(units, adapter, JA)
+    out = _by_mt(text, adapter, MT_PHRASE, phrases=dictionary)
+    assert list(out.terms.counts.items()) == list(expected.terms.counts.items())
+    assert out.unresolved == expected.unresolved
+    if dictionary is not None:
+        method = TranslationMethod(kind=COMBINED, adapter=adapter, dictionary=dictionary)
+        out = translate_query(_query(text), method, _SEG_INDEX, EN, JA, adapter)
+        combined = combine_translations(expected, _by_dict(text, dictionary, _SEG_INDEX))
+        assert list(out.terms.counts.items()) == list(combined.terms.counts.items())
+        assert out.unresolved == combined.unresolved
 
 
 # -------------------------------------------------------------- combination
