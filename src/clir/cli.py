@@ -37,17 +37,12 @@ from clir.evaluation import (
     run_from_ranked,
     sign_test,
     sweep_n,
+    sweep_runs,
     wilcoxon_signed_test,
 )
 from clir.files import read_lines
 from clir.index import build_index, load_index, save_index
-from clir.pipeline import (
-    TAIL_DROP,
-    TAIL_KEEP,
-    PipelineConfig,
-    run_first_stage,
-    run_two_stage,
-)
+from clir.pipeline import TAIL_DROP, TAIL_KEEP, PipelineConfig
 from clir.rerank import CombineParams
 from clir.translate import (
     CHANNEL_HT,
@@ -371,10 +366,10 @@ def cmd_search(args) -> int:
     cfg = _pipeline_config(args, args.n, two_stage=False)
     index = load_index(args.index)
     queries = _load_run_queries(args.query_file)
-    run = run_from_ranked(
-        [run_first_stage(q, index, cfg, _source_analyzer(q), index.analyzer) for q in queries],
-        _default_tag(args),
-    )
+    system = SweepSystem("", cfg, two_stage=False)
+    runs = sweep_runs(queries, index, None, [system], _source_analyzer, index.analyzer,
+                      [cfg.n_intermediate])
+    run = run_from_ranked([ranked for *_, ranked, _ in runs], _default_tag(args))
     _emit(format_run(run), args.out)
     return 0
 
@@ -385,9 +380,9 @@ def cmd_search2(args) -> int:
     corpus = load_corpus(args.corpus)
     queries = _load_run_queries(args.query_file)
     ranked_lists = []
-    for query in queries:
-        ranked, timing = run_two_stage(query, index, corpus, cfg, _source_analyzer(query),
-                                       index.analyzer)
+    runs = sweep_runs(queries, index, corpus, [SweepSystem("", cfg)], _source_analyzer,
+                      index.analyzer, [cfg.n_intermediate])
+    for _, _, query, ranked, timing in runs:
         print(f"timing {query.query_id} translation_s={timing.translation_s:.3f} "
               f"rerank_s={timing.rerank_s:.3f} total_s={timing.total_s:.3f}", file=sys.stderr)
         ranked_lists.append(ranked)

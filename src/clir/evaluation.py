@@ -10,12 +10,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import count
+from itertools import count, islice
 
 from clir.errors import IntegrityError, ParseError
 from clir.files import read_lines
 from clir.index import RankedList
-from clir.pipeline import DocumentMemo, first_stage_depth, run_first_stage, run_second_stage
+from clir.pipeline import DocumentMemo, TimingRecord, first_stage_depth
+from clir.pipeline import run_first_stage, run_second_stage
 from clir.pipeline import run_two_stage  # noqa: F401  perfbench's tracer wraps this name
 
 logger = logging.getLogger(__name__)
@@ -430,7 +431,7 @@ class SweepPoint:
 
     Times are summed over the queries. They include the stage-one runs and
     document translations the cell shares with other cells (see
-    ``sweep_n``), so the cells sum to more than the sweep's wall time.
+    ``sweep_runs``), so the cells sum to more than the sweep's wall time.
     """
 
     system: str
@@ -450,25 +451,26 @@ def check_depths(n_values):
     return n_values
 
 
-def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
-            n_values, strict: bool = True) -> list[SweepPoint]:
-    """Evaluate every system at every depth in ``n_values``.
-
+def sweep_runs(queries, index, corpus, systems, cfg_src_for, cfg_tgt, n_values):
+    """Run the queries through every system at every depth in ``n_values``,
+    yielding ``(system, n, query, ranked, record)`` per run in (system,
+    depth, query) order, ``record`` being the run's ``TimingRecord``.
     ``cfg_src_for`` maps a query to its source-side analyzer settings; it is
-    called once per (system, depth, query), in that order. ``n_values`` must
-    pass ``check_depths``. Returns one point per (system, depth) with mean
-    average precision and per-phase time summed over the queries.
+    called once per (system, depth, query), in that order, just before the
+    run. ``n_values`` must pass ``check_depths``.
 
     Stage one runs once per query for each translation method and source
     analyzer settings, at the deepest depth any cell needs, in the first cell
-    that needs it; every cell takes an exact prefix of it. Each document is
-    translated once per sweep, and each distinct text sent to a translator
-    once: the cells' document memos share one store of vectors and
+    that needs it, and the method's last cell drops it after the query's run.
+    Every cell takes an exact prefix of it: a stage-one system's ranking is
+    its first ``n``, with ``TimingRecord(0.0, 0.0, first_stage_s)``. Each
+    document is translated once per call, and each distinct text sent to a
+    translator once: the cells' document memos share one store of vectors and
     translations (see ``DocumentMemo``), and each cell re-ranks its own
-    head. A cell's ``total_s`` includes the shared stage-one time, and its
-    ``translation_s`` and ``total_s`` the recorded translation time of each
-    stored document it used. A text that an earlier cell translated for a
-    document this cell does not use costs this cell nothing, so its times
+    head. Each record's ``total_s`` includes the shared stage-one time, and a
+    cell's ``translation_s`` and ``total_s`` the recorded translation time of
+    each stored document it used. A text that an earlier cell translated for
+    a document this cell does not use costs this cell nothing, so its times
     can fall below what a run at that depth costs with a fresh config.
     Where every earlier cell's heads are among this cell's, as for the
     ascending depths of one system, the cell used each of those documents
@@ -479,34 +481,51 @@ def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
         first_stage_depth(replace(system.cfg, n_intermediate=n)) if system.two_stage else n
         for system in systems for n in n_values
     ), default=0)
+    # the systems hold their methods, so ids stay distinct for the call
+    last_reader = {id(system.cfg.translation_method): k for k, system in enumerate(systems)}
     stage_ones = {}
     store = DocumentMemo()
-    points = []
-    for system in systems:
+    for k, system in enumerate(systems):
+        method = id(system.cfg.translation_method)
         for n in n_values:
             cfg = replace(system.cfg, n_intermediate=n)
             cfg.doc_memo = DocumentMemo(store)
-            ranked_lists = []
-            translation_s = rerank_s = total_s = 0.0
+            last_cell = last_reader[method] == k and n == n_values[-1]
             for pos, query in enumerate(queries):
                 cfg_src = cfg_src_for(query)
-                # the systems hold their methods, so ids stay distinct for the call
-                key = (pos, id(cfg.translation_method), cfg_src)
+                key = (pos, method, cfg_src)
                 if key not in stage_ones:
                     t0 = time.perf_counter()
                     ranked = run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=deepest)
                     stage_ones[key] = ranked, time.perf_counter() - t0
-                stage_one, first_stage_s = stage_ones[key]
+                stage_one, first_stage_s = stage_ones.pop(key) if last_cell else stage_ones[key]
                 if system.two_stage:
-                    ranked, timing = run_second_stage(
+                    ranked, record = run_second_stage(
                         query, stage_one, corpus, cfg, cfg_src, first_stage_s)
-                    translation_s += timing.translation_s
-                    rerank_s += timing.rerank_s
-                    total_s += timing.total_s
                 else:
                     ranked = RankedList(query.query_id, doc_ids=stage_one.doc_ids[:n],
                                         scores=stage_one.scores[:n])
-                    total_s += first_stage_s
+                    record = TimingRecord(0.0, 0.0, first_stage_s)
+                yield system, n, query, ranked, record
+
+
+def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
+            n_values, strict: bool = True) -> list[SweepPoint]:
+    """Evaluate every system at every depth in ``n_values`` from the runs of
+    ``sweep_runs``, each (system, depth) cell after its last run and before
+    the next cell's first. Returns one point per cell with mean average
+    precision and per-phase time summed over the queries."""
+    n_values = check_depths(n_values)
+    runs = sweep_runs(queries, index, corpus, systems, cfg_src_for, cfg_tgt, n_values)
+    points = []
+    for system in systems:
+        for n in n_values:
+            ranked_lists = []
+            translation_s = rerank_s = total_s = 0.0
+            for _, _, _, ranked, record in islice(runs, len(queries)):
+                translation_s += record.translation_s
+                rerank_s += record.rerank_s
+                total_s += record.total_s
                 ranked_lists.append(ranked)
             tag = f"{system.name}-n{n}"
             report = evaluate_run(run_from_ranked(ranked_lists, tag), qrels, strict)
@@ -556,7 +575,7 @@ def format_sweep(points) -> str:
     """Aligned table of the sweep, then the same cells as tab-separated lines.
 
     Each cell's ``trans_s`` and ``total_s`` include the work it shares with
-    other cells (see ``sweep_n``), so the columns sum to more than the sweep
+    other cells (see ``sweep_runs``), so the columns sum to more than the sweep
     took.
     """
     header = f"{'system':<16} {'n':>6} {'map':>8} {'trans_s':>9} {'rerank_s':>9} {'total_s':>9}"

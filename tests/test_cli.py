@@ -412,7 +412,8 @@ def test_search2_run_and_timing(ws, tmp_path, capsys):
                  "--mock-table", str(ws.table), "--n", "3", "--out", str(out)]) == 0
     err = capsys.readouterr().err
     assert "timing q1 translation_s=" in err
-    assert "timing q2 " in err
+    timings = [line.split()[1] for line in err.splitlines() if line.startswith("timing ")]
+    assert timings == ["q1", "q2"]  # one line per query, in query-file order
     run = read_run(out)
     assert run.tag == "mts+mt"
     assert run.rankings["q1"].doc_ids[0] == "j1"

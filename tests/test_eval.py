@@ -1,10 +1,12 @@
 """Evaluation layer: judgments, average precision, run-file interchange,
 paired significance tests, and the depth sweep."""
 
+import gc
 import itertools
 import logging
 import math
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -33,6 +35,7 @@ from clir.evaluation import (
     run_from_ranked,
     sign_test,
     sweep_n,
+    sweep_runs,
     wilcoxon_signed_test,
 )
 from clir.index import RankedList, RerankedEntry, ScoredDoc, build_index
@@ -41,6 +44,7 @@ from clir.pipeline import (
     TAIL_KEEP,
     DocumentMemo,
     PipelineConfig,
+    TimingRecord,
     run_first_stage,
     run_two_stage,
 )
@@ -622,6 +626,14 @@ def test_sweep_cells_equal_runs_with_a_fresh_config_per_cell(tail, monkeypatch):
                     for q in s.queries]
         tag = f"{system.name}-n{n}"
         assert runs[tag].rankings == {r.query_id: r for r in want}
+        # the same cell as a sweep of its own, as `clir search` and `search2` run it
+        one_cell = list(sweep_runs(s.queries, s.index, s.corpus, [system],
+                                   lambda q: AnalyzerConfig(lang=q.lang), s.tgt_cfg, [n]))
+        assert [item[:3] for item in one_cell] == [(system, n, q) for q in s.queries]
+        assert [ranked for _, _, _, ranked, _ in one_cell] == want
+        if not system.two_stage:
+            assert all(record == TimingRecord(0.0, 0.0, record.total_s)
+                       for *_, record in one_cell)
         assert point.mean_ap == evaluate_run(run_from_ranked(want, tag), s.qrels).mean_ap
         assert point.total_s >= point.translation_s + point.rerank_s
     # the cells differ, so the comparison above is not vacuous
@@ -681,6 +693,68 @@ def test_sweep_translates_each_query_once_per_method_in_hook_order():
     first_cell = [event for text in texts for event in (("hook", text), ("translate", text))]
     # true: stage one in its first cell; first: every prefix reused; skew: its own stage one
     assert log == first_cell + hooks * 2 + hooks * 3 + first_cell + hooks * 2
+
+
+def test_sweep_runs_call_the_hook_once_per_run_and_cells_are_evaluated_in_between(monkeypatch):
+    s, systems = _two_method_sweep(TAIL_DROP, [])
+    depths = [3, 8]
+    log = []
+
+    def cfg_src_for(query):
+        log.append(("hook", query.query_id))
+        return s.src_cfg
+
+    runs = sweep_runs(s.queries, s.index, s.corpus, systems, cfg_src_for, s.tgt_cfg, depths)
+    for system, n, query in itertools.product(systems, depths, s.queries):
+        log.clear()
+        assert next(runs)[:3] == (system, n, query)
+        assert log == [("hook", query.query_id)]
+    log.clear()
+    assert next(runs, None) is None and log == []
+
+    def logged_evaluate(run, qrels, strict=True):
+        log.append(("evaluate", run.tag))
+        return evaluate_run(run, qrels, strict)
+
+    monkeypatch.setattr("clir.evaluation.evaluate_run", logged_evaluate)
+    sweep_n(s.queries, s.index, s.corpus, systems, cfg_src_for, s.tgt_cfg, s.qrels, depths)
+    hooks = [("hook", q.query_id) for q in s.queries]
+    assert log == [event for system, n in itertools.product(systems, depths)
+                   for event in (*hooks, ("evaluate", f"{system.name}-n{n}"))]
+
+
+class _WatchedRanking(RankedList):
+    """A ranking that a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("chosen, depths", [([0], [3]), ([0], [3, 8]), ([0, 1], [3, 8])])
+def test_sweep_runs_drop_each_stage_one_after_the_last_cell_that_reads_it(
+        chosen, depths, monkeypatch):
+    s, systems = _two_method_sweep(TAIL_DROP, [])
+    systems = [systems[k] for k in chosen]  # systems 0 and 1 share their method
+    stage_ones = []  # a weak reference to each query's stage one, in query order
+
+    def watched_first_stage(*args, **kwargs):
+        ranked = run_first_stage(*args, **kwargs)
+        watched = _WatchedRanking(ranked.query_id, doc_ids=ranked.doc_ids, scores=ranked.scores)
+        stage_ones.append(weakref.ref(watched))
+        return watched
+
+    monkeypatch.setattr("clir.evaluation.run_first_stage", watched_first_stage)
+    for system, n, query, _, _ in sweep_runs(s.queries, s.index, s.corpus, systems,
+                                             lambda q: s.src_cfg, s.tgt_cfg, depths):
+        gc.collect()
+        live = [ref() is not None for ref in stage_ones]
+        if system is systems[-1] and n == depths[-1]:
+            pos = s.queries.index(query)
+            assert live == [k >= pos for k in range(len(live))]
+        else:
+            assert all(live)
+    gc.collect()
+    assert len(stage_ones) == len(s.queries)
+    assert [ref() for ref in stage_ones] == [None] * len(s.queries)
 
 
 def test_sweep_propagates_a_failed_query_translation():

@@ -206,3 +206,54 @@ def test_readme_lists_exactly_the_settings_as_config_keys():
     paragraph = readme.split("`--config FILE` supplies", 1)[1].split("\n\n", 1)[0]
     listed = paragraph.split("The keys are", 1)[1].split(":", 1)[1].split(".", 1)[0]
     assert re.findall(r"`([^`]+)`", listed) == list(SETTINGS)
+
+
+# a stage runs only inside the one query loop and the library's per-query call
+_STAGES = {"run_first_stage", "_run_first_stage", "run_second_stage", "run_two_stage"}
+_STAGE_CALLERS = {"sweep_runs", "run_two_stage"}
+
+
+def _stray_stage_calls(source):
+    """(line, caller) of each call of a stage, by name or as an attribute,
+    outside the top-level functions ``_STAGE_CALLERS`` name; ``caller`` is
+    the enclosing top-level def or class, None at module level."""
+    found = []
+    for top in ast.parse(source).body:
+        caller = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and caller not in _STAGE_CALLERS:
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in _STAGES:
+                    found.append((node.lineno, caller))
+    return found
+
+
+def test_only_the_query_loop_runs_a_stage():
+    stray = {module: found for module, source in _package_sources().items()
+             if (found := _stray_stage_calls(source))}
+    assert stray == {}
+
+
+def test_the_stage_call_check_flags_only_calls_outside_the_loop():
+    source = (
+        "from clir import pipeline\n"
+        "\n"
+        "def sweep_runs(q):\n"
+        "    def inner():\n"
+        "        return run_second_stage(q)\n"
+        "    return run_first_stage(q), inner()\n"
+        "\n"
+        "def run_two_stage(q):\n"
+        "    return _run_first_stage(q)\n"
+        "\n"
+        "def verb(qs):\n"
+        "    return [pipeline.run_two_stage(q) for q in qs], run_first_stage\n"
+        "\n"
+        "class Loop:\n"
+        "    def run(self, q):\n"
+        "        return _run_first_stage(q)\n"
+        "\n"
+        "X = run_second_stage(None)\n"
+    )
+    assert _stray_stage_calls(source) == [(12, "verb"), (16, "Loop"), (18, None)]
