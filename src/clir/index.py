@@ -73,27 +73,28 @@ class RankedList:
     """Scored documents in rank order (scores non-increasing, ids distinct),
     kept as columns.
 
-    ``doc_ids`` and ``scores`` are parallel lists. A re-ranked head also has
-    ``esims`` and ``jsims``, each document's two stage scores, parallel to
-    the first ``len(esims)`` positions, where ``scores`` holds the combined
+    ``doc_ids`` is a list, and ``scores`` a parallel ``array('d')`` that
+    the given scores are copied into (a C double is 8 bytes, a float object
+    32; an int becomes a float). A re-ranked head also has ``esims`` and
+    ``jsims``, arrays too, each document's two stage scores, parallel to the
+    first ``len(esims)`` positions, where ``scores`` holds the combined
     score. ``RankedList(query_id, entries)`` takes the columns from records:
     ``RerankedEntry`` records for the head, then ``ScoredDoc`` records.
     """
 
     query_id: str
     doc_ids: list
-    scores: list
-    esims: list
-    jsims: list
+    scores: array
+    esims: array
+    jsims: array
 
-    def __init__(self, query_id, entries=(), *, doc_ids=None, scores=None, esims=None, jsims=None):
+    def __init__(self, query_id, entries=(), *, doc_ids=None, scores=(), esims=(), jsims=()):
         if doc_ids is None:
             head = [e for e in entries if not isinstance(e, ScoredDoc)]
             doc_ids, scores = [e.doc_id for e in entries], [e.score for e in entries]
             esims, jsims = [e.esim for e in head], [e.jsim for e in head]
-        self.query_id, self.doc_ids, self.scores = query_id, doc_ids, scores
-        self.esims = [] if esims is None else esims
-        self.jsims = [] if jsims is None else jsims
+        self.query_id, self.doc_ids = query_id, doc_ids
+        self.scores, self.esims, self.jsims = (array("d", c) for c in (scores, esims, jsims))
 
     @property
     def entries(self):
@@ -214,8 +215,10 @@ def build_index(corpus, cfg):
     """Index every document of ``corpus``, which must be monolingual in ``cfg.lang``.
 
     Documents that analyze to nothing still count toward ``num_docs`` but get
-    no postings. The search tables are derived at the first search, so an
-    index that is only saved never derives them.
+    no postings. Every document's counts key a term by the same string, the
+    one from the first document in corpus order that holds it, as a loaded
+    index's do by the JSON decoder's key memo. The search tables are derived
+    at the first search, so an index that is only saved never derives them.
     """
     if len(corpus) == 0:
         raise ConfigError("empty collection: document frequency needs at least one document")
@@ -224,8 +227,12 @@ def build_index(corpus, cfg):
             raise ConfigError(
                 f"document {doc.doc_id!r} is {doc.lang!r} but the index language is {cfg.lang!r}"
             )
-    return InvertedIndex(cfg, {doc.doc_id: analyze(indexable_text(doc), cfg).counts
-                               for doc in corpus})
+    terms = {}  # term -> the one string that keys it in every document's counts
+    documents = {}
+    for doc in corpus:
+        counts = analyze(indexable_text(doc), cfg).counts
+        documents[doc.doc_id] = dict(zip(map(terms.setdefault, counts, counts), counts.values()))
+    return InvertedIndex(cfg, documents)
 
 
 def weighted_query(index, query_terms):

@@ -257,7 +257,7 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
         # them; remap into (0, floor) keeping the original order and ties.
         floor, top = ranked.scores[-1], tail[0]
         ranked.doc_ids += stage_one.doc_ids[n : n + len(tail)]
-        ranked.scores += [floor * score / (2.0 * top) for score in tail]
+        ranked.scores.extend(floor * score / (2.0 * top) for score in tail)
     total_s = first_stage_s + time.perf_counter() - t_run + charged_s
     return ranked, TimingRecord(translation_s=translation_s, rerank_s=rerank_s, total_s=total_s)
 

@@ -220,7 +220,7 @@ def rerank(first_stage, translated_docs, source_query, cfg, p):
                 contribution = table[tf] = weight * (rerank_tf(tf) * idf)
             jsims[positions[doc_id]] += contribution
 
-    esims = first_stage.scores
+    esims = first_stage.scores.tolist()
     sims = list(map(combine_scores, esims, jsims, repeat(p)))
     order = sorted(range(n), key=sims.__getitem__, reverse=True)
     if len(set(sims)) < n:

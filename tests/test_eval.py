@@ -7,6 +7,7 @@ import logging
 import math
 import random
 import weakref
+from array import array
 from collections import Counter
 from dataclasses import replace
 
@@ -202,15 +203,42 @@ def test_a_ranking_reads_the_same_as_records_and_as_columns(entries):
     assert all(isinstance(e, RerankedEntry) for e in entries[:k])
     assert all(isinstance(e, ScoredDoc) for e in entries[k:])
     assert ranked.doc_ids == [e.doc_id for e in entries]
-    assert ranked.scores == [e.score for e in entries]
-    assert ranked.esims == [e.esim for e in entries[:k]]
-    assert ranked.jsims == [e.jsim for e in entries[:k]]
+    assert list(ranked.scores) == [e.score for e in entries]
+    assert list(ranked.esims) == [e.esim for e in entries[:k]]
+    assert list(ranked.jsims) == [e.jsim for e in entries[:k]]
     # one writer: the same lines from columns and from records, and the
     # lines a per-record f-string writes
     text = format_run(RunFile("t", {"q": ranked}))
     assert text == format_run(RunFile("t", {"q": entries}))
     assert text == "".join(f"q Q0 {e.doc_id} {rank} {e.score!r} t\n"
                            for rank, e in enumerate(entries, 1))
+    # the score columns are arrays of doubles whether they came as records,
+    # lists or arrays, and each form writes the same lines
+    columns = {name: list(getattr(ranked, name)) for name in ("scores", "esims", "jsims")}
+    from_lists = RankedList("q", doc_ids=ranked.doc_ids, **columns)
+    from_arrays = RankedList("q", doc_ids=ranked.doc_ids,
+                             **{name: array("d", c) for name, c in columns.items()})
+    for form in (ranked, from_lists, from_arrays):
+        assert all(type(c) is array and c.typecode == "d"
+                   for c in (form.scores, form.esims, form.jsims))
+        assert form == ranked
+        assert format_run(RunFile("t", {"q": form})) == text
+
+
+def test_score_columns_are_copied_into_arrays_of_doubles(tmp_path):
+    scores, esims, jsims = [3, 2.5, 1], [0.5], [2]
+    ranked = RankedList("q", doc_ids=["a", "b", "c"], scores=scores, esims=esims, jsims=jsims)
+    scores[0] = esims[0] = jsims[0] = 9
+    assert ranked.scores == array("d", [3.0, 2.5, 1.0])
+    assert (ranked.esims, ranked.jsims) == (array("d", [0.5]), array("d", [2.0]))
+    assert RankedList("q").scores == RankedList("q").esims == array("d")
+    # an int score is written as the float it became, and read back as one
+    path = tmp_path / "run.txt"
+    path.write_text(format_run(RunFile("t", {"q": ranked})), encoding="utf-8")
+    assert path.read_text(encoding="utf-8").splitlines()[0] == "q Q0 a 1 3.0 t"
+    back = read_run(path).rankings["q"]
+    assert back.doc_ids == ranked.doc_ids and back.scores == ranked.scores
+    assert back.scores.typecode == "d"
 
 
 def test_run_from_ranked_rejects_duplicate_query():

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clir.index
+import synth
 from clir.corpus import (
     CHARACTER_BIGRAM,
     WHITESPACE_WORD,
@@ -240,6 +241,20 @@ def test_index_round_trip_preserves_search(tmp_path):
     for q in ("alpha", "beta gamma", "delta zz", "nothing"):
         assert search(loaded, _query_vec(q), 10) == search(index, _query_vec(q), 10)
     assert loaded.analyzer == index.analyzer
+
+
+def test_a_built_index_holds_one_string_per_term(tmp_path):
+    built = synth.build_ambiguity_setup().index
+    keys = [t for counts in built.documents.values() for t in counts]
+    assert len({id(t) for t in keys}) == len(built.df) < len(keys)
+    # every key is the very string that df is keyed by
+    canonical = {id(t) for t in built.df}
+    assert all(id(t) in canonical for t in keys)
+    path = tmp_path / "idx.json"
+    save_index(built, path)
+    loaded = load_index(path)
+    assert loaded == built
+    assert len({id(t) for counts in loaded.documents.values() for t in counts}) == len(loaded.df)
 
 
 # an index file of the first format: postings and the tables derived from them

@@ -1,0 +1,137 @@
+"""Metamorphic relations across whole runs: a transformed input whose output
+is known from the output on the original input.
+
+MR1, collection order: permuting the collection's lines leaves the
+``search``, ``search2`` and ``sweep`` outputs byte-identical. A permuted
+collection gives an index whose documents are saved in another order and
+whose term strings come from other documents, but documents are numbered in
+doc_id order, so every score, tie-break and translated head is the same.
+"""
+
+import json
+import random
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import synth
+from clir.cli import main
+from clir.corpus import Corpus, Document, Query
+from clir.evaluation import SweepSystem, format_run, run_from_ranked, sweep_n, sweep_runs
+from clir.index import build_index
+from clir.pipeline import TAIL_KEEP, PipelineConfig
+from clir.rerank import CombineParams
+from clir.translate import COMBINED, TableAdapter, TranslationMethod
+
+_SETUP = synth.build_ambiguity_setup()
+# synth's paired documents, then an empty one that counts toward N only
+_DOCS = [*_SETUP.corpus, Document(doc_id="t99e", lang="ja")]
+# each query holds its topic's two words and filler words, one of them
+# twice, so both stages score many documents with varied tf and df
+_QUERIES = [Query(q.query_id, q.lang, f"{q.description} sf{7 * k % 60:02d} "
+                                      f"sf{(7 * k + 3) % 60:02d} sf{(7 * k + 3) % 60:02d}")
+            for k, q in enumerate(_SETUP.queries)]
+# the mock table: query words into the target language (odd topics take the
+# misleading candidate) and synth's back-translation of the documents
+_TABLE = {
+    **_SETUP.mt_back_table.table,
+    **{f"sa{k}": (f"c{k}" if k % 2 else f"a{k}") for k in range(synth.NUM_QUERIES)},
+    **{f"sb{k}": f"b{k}" for k in range(synth.NUM_QUERIES)},
+    **{f"sf{i:02d}": f"f{i:02d}" for i in range(60)},
+}
+
+
+def _cfg(n, **kwargs):
+    method = TranslationMethod(COMBINED, TableAdapter(_TABLE), _SETUP.dictionary)
+    return PipelineConfig(n_intermediate=n, translation_method=method, **kwargs)
+
+
+def _library_outputs(docs):
+    """What ``search``, ``search2`` (with the component scores ``--verbose``
+    shows) and ``sweep`` give on the collection ``docs``, through the library."""
+    corpus = Corpus(docs, ["en", "ja"])
+    index = build_index(corpus.filter_lang("ja"), synth.TGT)
+    outputs = {}
+    for name, system in (
+        ("search", SweepSystem("first", _cfg(60), two_stage=False)),
+        ("search2", SweepSystem("mpbt", _cfg(15, tail_policy=TAIL_KEEP, output_depth=50,
+                                             combine=CombineParams(beta=2.0)))),
+    ):
+        n = system.cfg.n_intermediate
+        rankings = [ranked for *_, ranked, _ in sweep_runs(
+            _QUERIES, index, corpus, [system], lambda q: synth.SRC, index.analyzer, [n])]
+        outputs[name] = format_run(run_from_ranked(rankings, name)), rankings
+    points = sweep_n(_QUERIES, index, corpus,
+                     [SweepSystem("mpbt", _cfg(1)), SweepSystem("first", _cfg(1), two_stage=False)],
+                     lambda q: synth.SRC, index.analyzer, _SETUP.qrels, [5, 20, 101])
+    outputs["sweep"] = [(p.system, p.n, p.mean_ap) for p in points]
+    return outputs
+
+
+_ORIGINAL = _library_outputs(_DOCS)
+
+
+def test_the_original_outputs_are_not_empty():
+    assert all(text.strip() for text, _ in (_ORIGINAL["search"], _ORIGINAL["search2"]))
+    assert any(ranked.esims for ranked in _ORIGINAL["search2"][1])
+    assert len({ap for _, _, ap in _ORIGINAL["sweep"]}) > 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.permutations(_DOCS))
+def test_mr1_permuting_the_collection_leaves_every_output_unchanged(docs):
+    assert _library_outputs(docs) == _ORIGINAL
+
+
+def _write_collection(path, docs):
+    path.write_text("".join(json.dumps(
+        {"id": d.doc_id, "lang": d.lang, "title": d.title, "keywords": d.keywords,
+         "abstract": d.abstract, "pair_id": d.pair_id}) + "\n" for d in docs), encoding="utf-8")
+
+
+def _cli_outputs(root, corpus, index):
+    """The bytes ``clir`` writes for each verb on one collection file, the
+    sweep's seconds masked."""
+    query = ["--index", str(index), "--query-file", str(root / "queries.jsonl"),
+             "--dict", str(root / "dict.tsv"), "--mock-table", str(root / "table.tsv")]
+    commands = {
+        "search": ["search", *query, "--method", "mpbt", "--n", "60"],
+        "search2": ["search2", *query, "--corpus", str(corpus), "--method", "mpbt",
+                    "--n", "15", "--tail", "keep", "--depth", "50", "--beta", "2", "--verbose"],
+        "sweep": ["sweep", *query, "--corpus", str(corpus), "--qrels", str(root / "qrels.txt"),
+                  "--method", "mpbt", "--ns", "5,20,101"],
+    }
+    outputs = {}
+    for name, args in commands.items():
+        out = root / f"{index.stem}.{name}"
+        assert main([*args, "--out", str(out)]) == 0
+        outputs[name] = re.sub(r"(?m)(\s+\d+\.\d{3}){3}$", " <s>", out.read_text(encoding="utf-8"))
+    return outputs
+
+
+def test_mr1_through_the_command_line(tmp_path):
+    (tmp_path / "queries.jsonl").write_text("".join(
+        json.dumps({"id": q.query_id, "lang": q.lang, "description": q.description}) + "\n"
+        for q in _QUERIES), encoding="utf-8")
+    (tmp_path / "qrels.txt").write_text("".join(
+        f"{q} 0 {d} {g}\n" for q, judged in _SETUP.qrels.grades.items()
+        for d, g in judged.items()), encoding="utf-8")
+    (tmp_path / "dict.tsv").write_text("".join(
+        f"{' '.join(src)}\t{'|'.join(cands)}\n"
+        for src, cands in _SETUP.dictionary.entries.items()), encoding="utf-8")
+    (tmp_path / "table.tsv").write_text(
+        "".join(f"{src}\t{tgt}\n" for src, tgt in _TABLE.items()), encoding="utf-8")
+    shuffled = list(_DOCS)
+    random.Random(7).shuffle(shuffled)
+    outputs = {}
+    for name, docs in (("original", _DOCS), ("shuffled", shuffled)):
+        corpus, index = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.idx"
+        _write_collection(corpus, docs)
+        assert main(["index", "--corpus", str(corpus), "--lang", "ja", "--out", str(index)]) == 0
+        outputs[name] = _cli_outputs(tmp_path, corpus, index)
+    # the index files differ, so the permutation reached them
+    assert (tmp_path / "original.idx").read_bytes() != (tmp_path / "shuffled.idx").read_bytes()
+    assert all(outputs["original"].values())
+    assert outputs["shuffled"] == outputs["original"]
+
