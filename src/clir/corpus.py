@@ -22,7 +22,7 @@ CHARACTER_BIGRAM = "character-bigram"
 _EDGE_CHARS = string.punctuation
 
 
-@dataclass
+@dataclass(slots=True)
 class Document:
     """One collection entry. Only title, keywords and abstract are indexable."""
 
@@ -34,7 +34,7 @@ class Document:
     pair_id: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Query:
     query_id: str
     lang: str
@@ -201,8 +201,11 @@ def load_corpus(path):
 
     Duplicate ids are fatal; the languages are those the documents carry.
     Unresolved pair links are only reported (see ``Corpus.dangling_pairs``).
+    Ids, pair ids, languages and keywords are one string object per distinct
+    value, so a pair id is its pair's doc id, whichever line comes first.
     """
     line_no = None
+    share = {}.setdefault
 
     def documents():
         nonlocal line_no
@@ -217,8 +220,9 @@ def load_corpus(path):
             pair_id = record.get("pair_id")
             if pair_id is not None and (not isinstance(pair_id, str) or not pair_id):
                 raise ParseError("field 'pair_id' must be a non-empty string", path, line_no)
-            yield Document(doc_id=doc_id, lang=lang, title=title, keywords=list(keywords),
-                           abstract=abstract, pair_id=pair_id)
+            yield Document(doc_id=share(doc_id, doc_id), lang=share(lang, lang), title=title,
+                           keywords=[share(k, k) for k in keywords], abstract=abstract,
+                           pair_id=None if pair_id is None else share(pair_id, pair_id))
     try:
         corpus = Corpus(documents())
     except IntegrityError as exc:

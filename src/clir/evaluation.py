@@ -152,6 +152,8 @@ def run_from_ranked(ranked_lists, tag: str) -> RunFile:
 
 def _check_ranking(query_id, ranked, where=""):
     doc_ids, scores = ranked.doc_ids, ranked.scores
+    if len(scores) != len(doc_ids):
+        raise IntegrityError(f"{where}query {query_id!r}: doc_ids and scores differ in length")
     seen = set()
     for pos, doc_id in enumerate(doc_ids):
         if doc_id in seen:
@@ -190,10 +192,10 @@ def format_run(run: RunFile) -> str:
             # perfbench's checks.run_texts passes ScoredDoc lists; drop this
             # branch once it passes the RankedList
             ranked = RankedList(query_id, ranked)
+        _check_ranking(query_id, ranked)
         doc_ids = ranked.doc_ids
         if not doc_ids:
             continue
-        _check_ranking(query_id, ranked)
         try:
             check_run_token(run.tag)
             check_query_id(query_id)

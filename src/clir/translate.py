@@ -133,9 +133,11 @@ class TableAdapter(MTAdapter):
 
     @classmethod
     def from_file(cls, path):
-        """Read tab-separated lines, one per source, each with exactly one translation."""
+        """Read tab-separated lines, one per source, each with exactly one translation.
+        Each distinct source or translation is one string object, key and value alike."""
         table = {}
         first_lines = {}
+        share = {}.setdefault
         for line_no, line in read_lines(path):
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0].strip():
@@ -146,7 +148,8 @@ class TableAdapter(MTAdapter):
             if first_lines.setdefault(source, line_no) != line_no:
                 raise ParseError(f"source {source!r} repeated; first given on line "
                                  f"{first_lines[source]}", path, line_no)
-            table[source] = parts[1].strip()
+            translation = parts[1].strip()
+            table[share(source, source)] = share(translation, translation)
         return cls(table)
 
     def translate(self, text, src, tgt):

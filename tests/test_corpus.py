@@ -13,6 +13,7 @@ from clir.corpus import (
     AnalyzerConfig,
     Corpus,
     Document,
+    Query,
     TermVector,
     analyze,
     indexable_text,
@@ -174,6 +175,29 @@ def test_load_corpus_basic(tmp_path):
     assert len(corpus) == 3
     assert corpus.get("d2").title == "t"
     assert [d.doc_id for d in corpus] == ["d1", "d2", "d3"]
+
+
+def test_load_corpus_holds_one_string_per_distinct_id_language_and_keyword(tmp_path):
+    path = tmp_path / "c.jsonl"
+    # e1's pair comes after it, j1's before it; "grid" repeats within a document
+    _write_jsonl(path, [
+        _record("e1", keywords=["solar power", "grid"], pair_id="j1"),
+        _record("j1", lang="ja", keywords=["grid", "taiyou"], pair_id="e1"),
+        _record("e2", keywords=["grid", "solar power", "grid"]),
+    ])
+    corpus = load_corpus(path)
+    strings = [s for d in corpus for s in (d.doc_id, d.lang, *d.keywords, d.pair_id) if s]
+    assert len({id(s) for s in strings}) == len(set(strings)) < len(strings)
+    assert corpus.get("e1").pair_id is corpus.get("j1").doc_id
+    assert corpus.get("j1").pair_id is corpus.get("e1").doc_id
+    assert corpus.get("e2").pair_id is None
+
+
+def test_documents_and_queries_keep_no_per_record_dict():
+    for record in (Document(doc_id="d", lang="en"), Query("q", "en", "solar power")):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.note = "extra"
 
 
 def test_load_corpus_duplicate_id(tmp_path):

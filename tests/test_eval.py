@@ -266,6 +266,17 @@ def test_format_run_validation():
         assert all(name in str(caught.value) for name in names)
 
 
+@pytest.mark.parametrize("doc_ids, scores", [
+    (["a", "b"], [1.0]),  # a score short: no line could be written for "b"
+    (["a"], [1.0, 0.5]),  # a score over: the second would be dropped
+    ([], [1.0]),
+])
+def test_format_run_refuses_columns_of_unequal_length_naming_the_query(doc_ids, scores):
+    ranked = RankedList("q7", doc_ids=doc_ids, scores=scores)
+    with pytest.raises(IntegrityError, match="query 'q7': doc_ids and scores differ in length"):
+        format_run(RunFile("t", {"q7": ranked}))
+
+
 def test_check_run_token_accepts_only_what_read_run_reads_as_one_field():
     for text in ("sys-a", "d1", "データ", "a/b#c"):
         assert check_run_token(text) == text

@@ -1,8 +1,10 @@
-"""The package as a whole: what ``clir`` exports, and no import,
-module-level name, function or class in its modules that nothing uses.
-Standard library only, so it runs wherever the tests run."""
+"""The package as a whole: what ``clir`` exports, what the benchmark reads
+from it, and no import, module-level name, function or class in its modules
+that nothing uses. Standard library only, so it runs wherever the tests run."""
 
 import ast
+import functools
+import importlib
 import re
 import types
 from pathlib import Path
@@ -257,3 +259,95 @@ def test_the_stage_call_check_flags_only_calls_outside_the_loop():
         "X = run_second_stage(None)\n"
     )
     assert _stray_stage_calls(source) == [(12, "verb"), (16, "Loop"), (18, None)]
+
+
+def _perfbench_names(sources):
+    """(read, wrapped): dotted paths of the clir names that perfbench reads,
+    parsed from ``sources`` (file name to text), which are never run. ``read``
+    holds each name imported from clir, each attribute read off such a name,
+    and every name in ``wrapped``, the (module, name) pairs of ``WRAPPED`` in
+    spans.py, which perfbench's tracer replaces by module and name."""
+    read, wrapped = set(), set()
+    for file_name, source in sources.items():
+        tree = ast.parse(source)
+        bound = {}  # local name -> the dotted clir path it was imported as
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "clir":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "clir":
+                        read.add(alias.name)
+                        bound[alias.asname or "clir"] = alias.name if alias.asname else "clir"
+        read |= set(bound.values())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id in bound):
+                read.add(f"{bound[node.value.id]}.{node.attr}")
+            elif (file_name == "spans.py" and isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]):
+                wrapped |= {f"{module}.{name}" for module, name, _ in ast.literal_eval(node.value)}
+    return read | wrapped, wrapped
+
+
+def _resolve(dotted):
+    """The object at a dotted path: its longest importable module prefix,
+    then attributes; AttributeError if one of them is missing."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            module = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        return functools.reduce(getattr, parts[cut:], module)
+    raise ModuleNotFoundError(dotted)
+
+
+def _unresolved(names):
+    missing = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except AttributeError:
+            missing.append(name)
+    return missing
+
+
+def test_every_clir_name_perfbench_reads_or_wraps_resolves():
+    # perfbench/ is the benchmark and changes apart from the library: a name
+    # it imports that is gone fails its run, and a wrapped name that is gone
+    # silently blanks its span's metrics (pipeline.run_s) on every workload
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    read, wrapped = _perfbench_names(sources)
+    assert {"clir.evaluation.run_two_stage", "clir.index.analyze"} <= wrapped
+    assert {"clir.corpus.load_corpus", "clir.translate.TableAdapter.from_file",
+            "clir.evaluation.sweep_n", "clir.cli.main"} <= read
+    assert _unresolved(read) == []
+    assert [name for name in sorted(wrapped) if not callable(_resolve(name))] == []
+
+
+def test_the_perfbench_name_check_reads_imports_attributes_and_wrapped_names():
+    sources = {
+        "a.py": (
+            "import json\n"
+            "from clir import cli, evaluation as ev\n"
+            "from clir.index import ScoredDoc\n"
+            "\n"
+            "def f(pipeline):\n"
+            "    import clir\n"
+            "    import clir.corpus as corpus\n"
+            "    ev.hook = json.dumps\n"
+            "    return ev.sweep_n(cli.main, ScoredDoc.doc_id, clir.__file__, corpus.Query,\n"
+            "                      pipeline.not_clir)\n"
+        ),
+        "spans.py": "WRAPPED = (('clir.pipeline', 'search', 'index.search'),)\nX = (('a', 'b', 'c'),)\n",
+    }
+    read, wrapped = _perfbench_names(sources)
+    assert wrapped == {"clir.pipeline.search"}
+    assert read == {"clir", "clir.__file__", "clir.cli", "clir.cli.main", "clir.corpus",
+                    "clir.corpus.Query", "clir.evaluation", "clir.evaluation.sweep_n",
+                    "clir.index.ScoredDoc", "clir.index.ScoredDoc.doc_id", "clir.pipeline.search"}
+    assert _unresolved(read | {"clir.evaluation.no_such_name", "clir.cli.main.nope"}) == [
+        "clir.cli.main.nope", "clir.evaluation.no_such_name"]

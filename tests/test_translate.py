@@ -246,6 +246,17 @@ def test_table_adapter_from_file(tmp_path):
     assert t.translate("library", "en", "ja") == "toshokan"
 
 
+def test_table_adapter_from_file_holds_one_string_per_distinct_text(tmp_path):
+    path = tmp_path / "m.tsv"
+    # a two-way table: each translation comes again as a source, before or after
+    path.write_text("toshokan\tlibrary\nlibrary\ttoshokan\nbook\thon\n"
+                    "hon\tbook\nvolume\thon\n", encoding="utf-8")
+    table = TableAdapter.from_file(path).table
+    keys = {key: key for key in table}
+    assert all(value is keys[value] for value in table.values())
+    assert table["book"] is table["volume"]
+
+
 def test_table_adapter_file_rejects_multiple_candidates(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("library\ttoshokan|raiburari\n", encoding="utf-8")
