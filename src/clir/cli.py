@@ -11,7 +11,6 @@ import logging
 import re
 import sys
 from collections import namedtuple
-from itertools import islice
 
 from clir.corpus import (
     CHARACTER_BIGRAM,
@@ -30,17 +29,16 @@ from clir.evaluation import (
     evaluate_run,
     format_comparison,
     format_report,
-    format_run,
     format_sweep,
     load_qrels,
     read_run,
-    run_from_ranked,
+    run_lines,
     sign_test,
     sweep_n,
     sweep_runs,
     wilcoxon_signed_test,
 )
-from clir.files import read_lines
+from clir.files import read_lines, replacing
 from clir.index import build_index, load_index, save_index
 from clir.pipeline import TAIL_DROP, TAIL_KEEP, PipelineConfig
 from clir.rerank import CombineParams
@@ -187,7 +185,7 @@ def build_parser() -> _Parser:
     p.add_argument("--query-file", required=True, metavar="PATH", help="JSON-lines queries")
     _add_run_flags(p, two_stage=True)
     _add_common(p)
-    p.set_defaults(func=cmd_search2)
+    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("eval", formatter_class=_Formatter,
                        help="score a run against relevance judgments",
@@ -323,12 +321,12 @@ def _default_tag(args, suffix=""):
     return (args.method or "plain") + suffix
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _emit(texts, out_path):
+    """Write each text as it comes, to stdout or through the one writer."""
+    with replacing(out_path) if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        for text in texts:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.flush()
 
 
 def _load_stopwords(path):
@@ -363,45 +361,34 @@ def cmd_index(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg = _pipeline_config(args, args.n, two_stage=False)
+    two_stage = args.verb == "search2"
+    cfg = _pipeline_config(args, args.n, two_stage)
     index = load_index(args.index)
+    corpus = load_corpus(args.corpus) if two_stage else None
     queries = _load_run_queries(args.query_file)
-    system = SweepSystem("", cfg, two_stage=False)
-    runs = sweep_runs(queries, index, None, [system], _source_analyzer, index.analyzer,
-                      [cfg.n_intermediate])
-    run = run_from_ranked([ranked for *_, ranked, _ in runs], _default_tag(args))
-    _emit(format_run(run), args.out)
+    tag = _default_tag(args, "+" + cfg.doc_channel if two_stage else "")
+    runs = sweep_runs(queries, index, corpus, [SweepSystem("", cfg, two_stage)],
+                      _source_analyzer, index.analyzer, [cfg.n_intermediate])
+    _emit(_run_texts(runs, tag, two_stage, args.verbose), args.out)
     return 0
 
 
-def cmd_search2(args) -> int:
-    cfg = _pipeline_config(args, args.n)
-    index = load_index(args.index)
-    corpus = load_corpus(args.corpus)
-    queries = _load_run_queries(args.query_file)
-    ranked_lists = []
-    runs = sweep_runs(queries, index, corpus, [SweepSystem("", cfg)], _source_analyzer,
-                      index.analyzer, [cfg.n_intermediate])
+def _run_texts(runs, tag, two_stage, verbose):
+    """Each query's run lines as one text, for ``search`` and ``search2`` to
+    write as the query finishes. search2 logs the query's timing first, and
+    with --verbose precedes each re-ranked line with a comment carrying its
+    component scores (a stage-one ranking has none)."""
     for _, _, query, ranked, timing in runs:
-        print(f"timing {query.query_id} translation_s={timing.translation_s:.3f} "
-              f"rerank_s={timing.rerank_s:.3f} total_s={timing.total_s:.3f}", file=sys.stderr)
-        ranked_lists.append(ranked)
-    text = format_run(run_from_ranked(ranked_lists, _default_tag(args, "+" + cfg.doc_channel)))
-    if args.verbose:
-        # the same run lines, each re-ranked document preceded by a comment
-        # carrying its component scores
-        run_lines = iter(text.splitlines(keepends=True))
-        lines = []
-        for ranked in ranked_lists:
-            for doc_id, esim, jsim, sim in zip(ranked.doc_ids, ranked.esims, ranked.jsims,
-                                               ranked.scores):
-                lines.append(f"# {ranked.query_id} {doc_id} esim={esim!r} jsim={jsim!r} "
-                             f"sim={sim!r}\n")
-                lines.append(next(run_lines))
-            lines.extend(islice(run_lines, len(ranked.doc_ids) - len(ranked.esims)))
-        text = "".join(lines)
-    _emit(text, args.out)
-    return 0
+        if two_stage:
+            print(f"timing {query.query_id} translation_s={timing.translation_s:.3f} "
+                  f"rerank_s={timing.rerank_s:.3f} total_s={timing.total_s:.3f}", file=sys.stderr)
+        lines = run_lines(query.query_id, ranked, tag)
+        if verbose:
+            lines[:len(ranked.esims)] = [
+                f"# {query.query_id} {doc_id} esim={esim!r} jsim={jsim!r} sim={sim!r}\n{line}"
+                for line, doc_id, esim, jsim, sim in zip(lines, ranked.doc_ids, ranked.esims,
+                                                         ranked.jsims, ranked.scores)]
+        yield "".join(lines)
 
 
 def cmd_eval(args) -> int:
@@ -429,7 +416,7 @@ def cmd_eval(args) -> int:
                 f"sign_test\tn\t{s.n}\tpositive\t{s.num_positive}\tnegative\t{s.num_negative}"
                 f"\tp_value\t{p_text}\tsignificant\t{'yes' if s.significant else 'no'}"
             )
-    _emit("\n".join(blocks) + "\n", args.out)
+    _emit(["\n".join(blocks) + "\n"], args.out)
     return 0
 
 
@@ -453,7 +440,7 @@ def cmd_sweep(args) -> int:
         queries, index, corpus, [system], _source_analyzer, index.analyzer,
         qrels, ns, strict=not args.lenient,
     )
-    _emit(format_sweep(points) + "\n", args.out)
+    _emit([format_sweep(points) + "\n"], args.out)
     return 0
 
 

@@ -154,6 +154,8 @@ def _check_ranking(query_id, ranked, where=""):
     doc_ids, scores = ranked.doc_ids, ranked.scores
     if len(scores) != len(doc_ids):
         raise IntegrityError(f"{where}query {query_id!r}: doc_ids and scores differ in length")
+    if any(map(math.isnan, scores)):
+        raise IntegrityError(f"{where}query {query_id!r}: a score is NaN")
     seen = set()
     for pos, doc_id in enumerate(doc_ids):
         if doc_id in seen:
@@ -181,30 +183,34 @@ def check_query_id(query_id):
     return query_id
 
 
+def run_lines(query_id, ranked: RankedList, tag: str) -> list:
+    """One query's lines of a run in interchange format, validated first:
+    scores must be non-increasing and not NaN, the tag and the doc ids must
+    pass ``check_run_token`` and the query id ``check_query_id``, so
+    ``read_run`` reads them back."""
+    _check_ranking(query_id, ranked)
+    if not ranked.doc_ids:
+        return []
+    try:
+        check_run_token(tag)
+        check_query_id(query_id)
+        for doc_id in ranked.doc_ids:
+            check_run_token(doc_id, "doc id")
+    except ValueError as exc:
+        raise IntegrityError(f"query {query_id!r}: {exc}") from None
+    return [f"{query_id} Q0 {doc_id} {rank} {score!r} {tag}\n"
+            for doc_id, rank, score in zip(ranked.doc_ids, count(1), ranked.scores)]
+
+
 def format_run(run: RunFile) -> str:
-    """Render a run in interchange format, validating it first: scores must
-    be non-increasing within each query, the tag and the doc ids must pass
-    ``check_run_token`` and the query ids ``check_query_id``, so
-    ``read_run`` reads it back."""
+    """Render a run in interchange format, each query's lines by ``run_lines``."""
     lines = []
     for query_id, ranked in run.rankings.items():
         if not isinstance(ranked, RankedList):
             # perfbench's checks.run_texts passes ScoredDoc lists; drop this
             # branch once it passes the RankedList
             ranked = RankedList(query_id, ranked)
-        _check_ranking(query_id, ranked)
-        doc_ids = ranked.doc_ids
-        if not doc_ids:
-            continue
-        try:
-            check_run_token(run.tag)
-            check_query_id(query_id)
-            for doc_id in doc_ids:
-                check_run_token(doc_id, "doc id")
-        except ValueError as exc:
-            raise IntegrityError(f"query {query_id!r}: {exc}") from None
-        lines += [f"{query_id} Q0 {doc_id} {rank} {score!r} {run.tag}\n"
-                  for doc_id, rank, score in zip(doc_ids, count(1), ranked.scores)]
+        lines += run_lines(query_id, ranked, run.tag)
     return "".join(lines)
 
 

@@ -1,13 +1,16 @@
-"""The one reader of input files.
+"""The one reader of input files, and the one writer of output files.
 
 Every input file is UTF-8 text: a leading byte-order mark is dropped, lines
 may end in ``\\n``, ``\\r\\n`` or ``\\r``, and blank lines are skipped. A byte
 that does not decode, or JSON that does not parse, is a ParseError naming the
-file and the line.
+file and the line. Every output file is written through ``replacing``.
 """
 
+import contextlib
 import json
+import os
 import re
+import shutil
 
 from clir.errors import ParseError
 
@@ -53,3 +56,30 @@ def read_json_lines(path):
         if not isinstance(record, dict):
             raise ParseError("record is not an object", path, line_no)
         yield line_no, record
+
+
+@contextlib.contextmanager
+def replacing(path, mode="w", encoding="utf-8"):
+    """Open ``path`` for writing so that the file there ends up complete or
+    untouched: the data goes to a new file beside the path's real target (a
+    symlink keeps its link, the target its permission bits), synced and
+    renamed over it if the block raises nothing, removed if it raises. A path
+    that is not a regular file (``/dev/null``, a pipe) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    temp = f"{target}.{os.urandom(4).hex()}.tmp"  # not secrets: hashlib costs 3.7 MB
+    # "x": created here, with the permission bits "w" would give a new file
+    with open(temp, mode.replace("w", "x"), encoding=encoding) as fh:
+        try:
+            if os.path.exists(target):
+                shutil.copymode(target, temp)
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())  # not the directory's: the rename is atomic without it
+            os.replace(temp, target)
+        except BaseException:  # KeyboardInterrupt too
+            os.unlink(temp)
+            raise

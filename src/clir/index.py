@@ -42,7 +42,7 @@ from operator import ge, mul, truediv
 
 from clir.corpus import AnalyzerConfig, analyze, indexable_text
 from clir.errors import ConfigError, IntegrityError
-from clir.files import read_json
+from clir.files import read_json, replacing
 
 INDEX_FORMAT = "clir-index-v2"
 
@@ -344,9 +344,9 @@ def save_index(index, path):
 
     Keys are written in insertion order, never sorted: each document's term
     counts keep their token order, which fixes the summation order of its norm.
-    The payload is encoded before ``path`` is opened, so an index holding text
-    that is not UTF-8 (a lone surrogate) raises IntegrityError naming ``path``
-    and leaves any file there untouched.
+    The payload is encoded before it is written through ``replacing``, so an
+    index holding text that is not UTF-8 (a lone surrogate) raises
+    IntegrityError naming ``path``, and any file there stays untouched.
     """
     analyzer = {key: getattr(index.analyzer, key) for key in _ANALYZER_TYPES}
     analyzer["stopword_list"] = sorted(analyzer["stopword_list"])
@@ -356,7 +356,7 @@ def save_index(index, path):
     except UnicodeEncodeError as exc:
         bad = exc.object[exc.start:exc.end]
         raise IntegrityError(f"{path}: cannot write {bad!r}: it is not UTF-8 text") from None
-    with open(path, "wb") as fh:
+    with replacing(path, "wb", encoding=None) as fh:
         fh.write(data)
 
 

@@ -1,13 +1,16 @@
 """Command-line behavior: exit codes, the five verbs end to end, settings
-files, and output stability."""
+files, output files and output stability."""
 
+import builtins
 import dataclasses
 import hashlib
 import json
 import logging
 import math
+import os
 import re
 import shlex
+import stat
 import sys
 from types import SimpleNamespace
 
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clir import evaluation
 from clir.cli import SETTINGS, main
 from clir.evaluation import read_run
 from clir.pipeline import PipelineConfig
@@ -623,6 +627,164 @@ def test_search2_output_is_byte_identical_across_runs(ws, tmp_path):
     assert main(base + ["--out", str(a)]) == 0
     assert main(base + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ------------------------------------------------------------ output files
+
+
+def _verb_args(ws, verb):
+    """A command of ``verb`` over the workspace, without its --out."""
+    query = ["--index", str(ws.index), "--query-file", str(ws.queries), "--method", "mts",
+             "--mock-table", str(ws.table)]
+    return {
+        "index": ["index", "--corpus", str(ws.corpus), "--lang", "ja"],
+        "search": ["search", *query],
+        "search2": ["search2", *query, "--corpus", str(ws.corpus), "--n", "3", "--verbose"],
+        "sweep": ["sweep", *query, "--corpus", str(ws.corpus), "--qrels", str(ws.qrels),
+                  "--ns", "1,3"],
+        "eval": ["eval", "--run", str(ws.root / "eval-input.run"), "--qrels", str(ws.qrels)],
+    }[verb]
+
+
+OUTPUT_VERBS = ["index", "search", "search2", "sweep", "eval"]
+
+
+@pytest.fixture(scope="module")
+def outputs(ws):
+    """What each verb writes to its --out, after writing the run ``eval`` reads."""
+    assert main(_verb_args(ws, "search") + ["--out", str(ws.root / "eval-input.run")]) == 0
+    written = {}
+    for verb in OUTPUT_VERBS:
+        out = ws.root / f"output.{verb}"
+        assert main(_verb_args(ws, verb) + ["--out", str(out)]) == 0
+        written[verb] = out.read_bytes()
+    return written
+
+
+class _FailingFile:
+    """A file opened for writing that raises ``error`` once ``budget`` bytes
+    have gone through it, after writing them."""
+
+    def __init__(self, fh, budget, error):
+        self._fh, self._budget, self._error = fh, budget, error
+
+    def write(self, data):
+        if len(data) > self._budget:
+            self._fh.write(data[:self._budget])
+            self._budget = 0
+            raise self._error
+        self._budget -= len(data)
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._fh.__exit__(*exc_info)
+
+
+def _fail_writes_after(monkeypatch, budget, error):
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FailingFile(fh, budget, error) if set(mode) & set("wax+") else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+
+
+@pytest.mark.parametrize("verb", OUTPUT_VERBS)
+@pytest.mark.parametrize("budget", [0, 40])
+def test_a_write_that_fails_leaves_the_previous_file_and_exits_two(ws, outputs, tmp_path,
+                                                                  capsys, monkeypatch, verb,
+                                                                  budget):
+    out = tmp_path / "out"
+    out.write_bytes(b"the previous file\n")
+    _fail_writes_after(monkeypatch, budget, OSError(28, "No space left on device"))
+    assert main(_verb_args(ws, verb) + ["--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == b"the previous file\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("verb", OUTPUT_VERBS)
+def test_an_interrupted_write_propagates_and_leaves_the_previous_file(ws, outputs, tmp_path,
+                                                                     monkeypatch, verb):
+    out = tmp_path / "out"
+    out.write_bytes(b"the previous file\n")
+    _fail_writes_after(monkeypatch, 40, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        main(_verb_args(ws, verb) + ["--out", str(out)])
+    assert out.read_bytes() == b"the previous file\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("verb", OUTPUT_VERBS)
+def test_an_output_file_keeps_its_mode_and_its_link(ws, outputs, tmp_path, verb):
+    # the output goes to /dev/null, a file that is not regular, in place
+    assert main(_verb_args(ws, verb) + ["--out", os.devnull]) == 0
+    out = tmp_path / "private"
+    out.write_bytes(b"old")
+    out.chmod(0o600)
+    assert main(_verb_args(ws, verb) + ["--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert out.read_bytes() == outputs[verb]
+    link = tmp_path / "link"
+    link.symlink_to(out)
+    out.write_bytes(b"old")
+    assert main(_verb_args(ws, verb) + ["--out", str(link)]) == 0
+    assert link.is_symlink() and out.read_bytes() == outputs[verb]
+    assert sorted(os.listdir(tmp_path)) == ["link", "private"]
+
+
+def test_search_writes_each_query_s_lines_before_the_next_query_runs(ws, outputs, tmp_path,
+                                                                     capsys, monkeypatch):
+    whole = outputs["search2"].decode("utf-8")
+    first = "".join(line for line in whole.splitlines(keepends=True)
+                    if line.split()[:2] in (["q1", "Q0"], ["#", "q1"]))
+    assert first and whole.startswith(first) and whole != first
+    real = evaluation.run_first_stage
+    stdout, stderr, seen = [], [], {}
+
+    def run_first_stage(query, *args, **kwargs):
+        # what has reached stdout, and what the writer's temporary file holds
+        captured = capsys.readouterr()
+        stdout.append(captured.out)
+        stderr.append(captured.err)
+        temporary = [p.read_text(encoding="utf-8") for p in tmp_path.iterdir()]
+        seen[query.query_id] = "".join(stdout), "".join(stderr), temporary
+        return real(query, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "run_first_stage", run_first_stage)
+    assert main(_verb_args(ws, "search2")) == 0
+    assert seen["q1"] == ("", "", [])
+    assert seen["q2"][0] == first
+    assert "timing q1 " in seen["q2"][1] and "timing q2 " not in seen["q2"][1]
+    assert "".join(stdout) + capsys.readouterr().out == whole
+    seen.clear()
+    assert main(_verb_args(ws, "search2") + ["--out", str(tmp_path / "run.txt")]) == 0
+    assert seen["q1"][2] == [""] and seen["q2"][2] == [first]
+    assert (tmp_path / "run.txt").read_text(encoding="utf-8") == whole
+
+
+def test_a_query_that_fails_leaves_the_earlier_queries_on_stdout(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    _write_jsonl(corpus, [{"id": d, "lang": "en", "title": "", "keywords": [], "abstract": text}
+                          for d, text in (("d 1", "library search"), ("d2", "network"))])
+    index = tmp_path / "en.idx"
+    assert main(["index", "--corpus", str(corpus), "--lang", "en", "--out", str(index)]) == 0
+    queries = tmp_path / "queries.jsonl"
+    # the second query retrieves "d 1", which no run line can hold
+    _write_jsonl(queries, [{"id": "q1", "lang": "en", "description": "network"},
+                           {"id": "q2", "lang": "en", "description": "library"}])
+    capsys.readouterr()
+    assert main(["search", "--index", str(index), "--query-file", str(queries)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("q1 Q0 d2 1 ") and "q2" not in captured.out
+    assert "'d 1'" in captured.err
 
 
 def _make_runs(ws, tmp_path):

@@ -34,6 +34,7 @@ from clir.evaluation import (
     mean_ap,
     read_run,
     run_from_ranked,
+    run_lines,
     sign_test,
     sweep_n,
     sweep_runs,
@@ -275,6 +276,40 @@ def test_format_run_refuses_columns_of_unequal_length_naming_the_query(doc_ids, 
     ranked = RankedList("q7", doc_ids=doc_ids, scores=scores)
     with pytest.raises(IntegrityError, match="query 'q7': doc_ids and scores differ in length"):
         format_run(RunFile("t", {"q7": ranked}))
+
+
+@pytest.mark.parametrize("scores", [[0.2, math.nan, 0.9], [math.nan, 0.5], [1.0, math.nan]])
+def test_format_run_refuses_a_nan_score_naming_the_query(scores):
+    # a NaN compares false both ways, so no pairwise check sees 0.2, nan, 0.9 rise
+    ranked = RankedList("q7", doc_ids=["a", "b", "c"][:len(scores)], scores=scores)
+    with pytest.raises(IntegrityError, match="query 'q7': a score is NaN"):
+        format_run(RunFile("t", {"q7": ranked}))
+
+
+def test_read_run_refuses_a_nan_score_naming_the_file_and_query(tmp_path):
+    path = tmp_path / "run.txt"
+    path.write_text("q1 Q0 d1 1 0.9 t\nq7 Q0 d1 1 nan t\nq7 Q0 d2 2 0.5 t\n", encoding="utf-8")
+    with pytest.raises(IntegrityError, match=f"{path}: query 'q7': a score is NaN"):
+        read_run(path)
+
+
+def test_infinite_scores_keep_their_meaning(tmp_path):
+    ranked = RankedList("q", doc_ids=["a", "b", "c", "d"], scores=[math.inf, 1.0, -1.0, -math.inf])
+    path = tmp_path / "run.txt"
+    path.write_text(format_run(RunFile("t", {"q": ranked})), encoding="utf-8")
+    assert read_run(path).rankings["q"] == ranked
+    with pytest.raises(IntegrityError, match="score increases at rank 2"):
+        format_run(RunFile("t", {"q": RankedList("q", doc_ids=["a", "b"],
+                                                 scores=[-math.inf, math.inf])}))
+
+
+def test_run_lines_are_one_query_s_lines_of_format_run():
+    rankings = {"q1": _ranked("q1", [("d2", 0.9), ("d1", 0.5)]), "q2": RankedList("q2"),
+                "q3": _ranked("q3", [("d1", 0.25)])}
+    lines = [run_lines(query_id, ranked, "t") for query_id, ranked in rankings.items()]
+    assert lines[1] == []
+    assert "".join(map("".join, lines)) == format_run(RunFile("t", rankings))
+    assert lines[0] == ["q1 Q0 d2 1 0.9 t\n", "q1 Q0 d1 2 0.5 t\n"]
 
 
 def test_check_run_token_accepts_only_what_read_run_reads_as_one_field():

@@ -1,8 +1,11 @@
-"""Input files: the one reader, and every file argument of every verb facing
-undecodable, unparsable or mutated bytes."""
+"""Files: the one reader, the one writer, and every file argument of every
+verb facing undecodable, unparsable or mutated bytes."""
 
 import json
+import os
 import re
+import stat
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from clir.cli import main
 from clir.errors import ParseError
-from clir.files import read_json, read_json_lines, read_lines
+from clir.files import read_json, read_json_lines, read_lines, replacing
 
 BOM = b"\xef\xbb\xbf"
 DEEP_ARRAY = b"[" * 200_000
@@ -63,6 +66,128 @@ def test_read_json_lines_wants_one_object_per_line(tmp_path):
         path.write_bytes(data)
         with pytest.raises(ParseError, match=re.escape(f"{path}{message}")):
             list(read_json_lines(path))
+
+
+# ---------------------------------------------------------------- the writer
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_the_writer_replaces_a_file_only_when_the_block_completes(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n", encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write("new ")
+        # the target is untouched until the block ends
+        assert path.read_text(encoding="utf-8") == "old\n"
+        fh.write("データ\n")
+    assert path.read_bytes() == "new データ\n".encode("utf-8")
+    with replacing(path, "wb", encoding=None) as fh:
+        fh.write(b"\x00\xff")
+    assert path.read_bytes() == b"\x00\xff"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["oserror", "interrupt"])
+def test_a_failed_block_leaves_the_file_and_no_temporary_file(tmp_path, error):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    with pytest.raises(type(error)):
+        with replacing(path) as fh:
+            fh.write("partial" * 10_000)
+            raise error
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    # a path that did not exist still does not
+    with pytest.raises(type(error)):
+        with replacing(tmp_path / "new.txt") as fh:
+            raise error
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_the_written_file_is_synced_before_it_replaces_the_target(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_text("old", encoding="utf-8")
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        synced.append((os.fstat(fd).st_ino, path.read_text(encoding="utf-8")))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with replacing(path) as fh:
+        fh.write("run\n")
+    # one sync, of the file that became the target, while the old one stood
+    assert synced == [(os.stat(path).st_ino, "old")]
+
+
+def test_the_writer_keeps_permission_bits_and_gives_a_new_file_those_of_open(tmp_path):
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w", encoding="utf-8"):
+        pass
+    new = tmp_path / "new.txt"
+    with replacing(new) as fh:
+        fh.write("x")
+    assert _mode(new) == _mode(plain)
+    for bits in (0o600, 0o640, 0o666):
+        path = tmp_path / f"{bits:o}.txt"
+        path.write_text("old", encoding="utf-8")
+        path.chmod(bits)
+        with replacing(path) as fh:
+            fh.write("new")
+        assert _mode(path) == bits
+        assert path.read_text(encoding="utf-8") == "new"
+
+
+def test_a_symlink_keeps_its_link_and_its_target_gets_the_data(tmp_path):
+    (tmp_path / "real").mkdir()
+    (tmp_path / "links").mkdir()
+    target = tmp_path / "real" / "run.txt"
+    target.write_text("old", encoding="utf-8")
+    link = tmp_path / "links" / "run.txt"
+    link.symlink_to(target)
+    with replacing(link) as fh:
+        fh.write("new")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == "new"
+    assert os.listdir(tmp_path / "real") == ["run.txt"]
+    assert os.listdir(tmp_path / "links") == ["run.txt"]
+    # a dangling link: its target is created
+    target.unlink()
+    with replacing(link) as fh:
+        fh.write("again")
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == "again"
+
+
+def test_a_path_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    with replacing(os.devnull) as fh:
+        fh.write("discarded\n")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    with replacing(fifo) as fh:
+        fh.write("through the pipe\n")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [b"through the pipe\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
+    # a pipe by its /dev/fd link, as /dev/stdout is when stdout is piped: the
+    # link's real path names no file
+    read_end, write_end = os.pipe()
+    try:
+        with replacing(f"/dev/fd/{write_end}") as fh:
+            fh.write("down a pipe\n")
+        assert os.read(read_end, 100) == b"down a pipe\n"
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 # ------------------------------------------------- every file of every verb

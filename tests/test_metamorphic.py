@@ -6,6 +6,11 @@ MR1, collection order: permuting the collection's lines leaves the
 collection gives an index whose documents are saved in another order and
 whose term strings come from other documents, but documents are numbered in
 doc_id order, so every score, tie-break and translated head is the same.
+
+MR2, query order and split: permuting the query file, or running it as two
+commands, gives each query the same ``search2`` lines, which leave as each
+query finishes. A query repeated under a new id ranks identically and costs
+no further translator call, each distinct text reaching the translator once.
 """
 
 import json
@@ -16,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synth
+from clir import cli
 from clir.cli import main
 from clir.corpus import Corpus, Document, Query
 from clir.evaluation import SweepSystem, format_run, run_from_ranked, sweep_n, sweep_runs
@@ -110,18 +116,27 @@ def _cli_outputs(root, corpus, index):
     return outputs
 
 
-def test_mr1_through_the_command_line(tmp_path):
-    (tmp_path / "queries.jsonl").write_text("".join(
+def _write_queries(path, queries):
+    path.write_text("".join(
         json.dumps({"id": q.query_id, "lang": q.lang, "description": q.description}) + "\n"
-        for q in _QUERIES), encoding="utf-8")
-    (tmp_path / "qrels.txt").write_text("".join(
+        for q in queries), encoding="utf-8")
+
+
+def _write_inputs(root):
+    """The query file, judgments, dictionary and mock table ``_cli_outputs`` reads."""
+    _write_queries(root / "queries.jsonl", _QUERIES)
+    (root / "qrels.txt").write_text("".join(
         f"{q} 0 {d} {g}\n" for q, judged in _SETUP.qrels.grades.items()
         for d, g in judged.items()), encoding="utf-8")
-    (tmp_path / "dict.tsv").write_text("".join(
+    (root / "dict.tsv").write_text("".join(
         f"{' '.join(src)}\t{'|'.join(cands)}\n"
         for src, cands in _SETUP.dictionary.entries.items()), encoding="utf-8")
-    (tmp_path / "table.tsv").write_text(
+    (root / "table.tsv").write_text(
         "".join(f"{src}\t{tgt}\n" for src, tgt in _TABLE.items()), encoding="utf-8")
+
+
+def test_mr1_through_the_command_line(tmp_path):
+    _write_inputs(tmp_path)
     shuffled = list(_DOCS)
     random.Random(7).shuffle(shuffled)
     outputs = {}
@@ -135,3 +150,63 @@ def test_mr1_through_the_command_line(tmp_path):
     assert all(outputs["original"].values())
     assert outputs["shuffled"] == outputs["original"]
 
+
+def _lines_by_query(text):
+    """{query id: its lines}, a ``--verbose`` comment counted with its query."""
+    lines = {}
+    for line in text.splitlines(keepends=True):
+        fields = line.split()
+        lines.setdefault(fields[1] if fields[0] == "#" else fields[0], []).append(line)
+    return {query_id: "".join(query_lines) for query_id, query_lines in lines.items()}
+
+
+def test_mr2_query_order_split_and_repetition_through_the_command_line(tmp_path, monkeypatch):
+    calls = []
+
+    class CountingTable(TableAdapter):
+        def translate(self, text, src, tgt):
+            calls.append(text)
+            return super().translate(text, src, tgt)
+
+    monkeypatch.setattr(cli, "TableAdapter", CountingTable)
+    _write_inputs(tmp_path)
+    corpus, index = tmp_path / "docs.jsonl", tmp_path / "docs.idx"
+    _write_collection(corpus, _DOCS)
+    assert main(["index", "--corpus", str(corpus), "--lang", "ja", "--out", str(index)]) == 0
+
+    def search2(queries):
+        """search2's output over ``queries``, and the translator calls it made."""
+        path, out = tmp_path / "these.jsonl", tmp_path / "these.run"
+        _write_queries(path, queries)
+        calls.clear()
+        assert main(["search2", "--index", str(index), "--query-file", str(path),
+                     "--corpus", str(corpus), "--dict", str(tmp_path / "dict.tsv"),
+                     "--mock-table", str(tmp_path / "table.tsv"), "--method", "mpbt",
+                     "--n", "15", "--tail", "keep", "--depth", "50", "--beta", "2",
+                     "--verbose", "--out", str(out)]) == 0
+        return out.read_text(encoding="utf-8"), len(calls)
+
+    text, cost = search2(_QUERIES)
+    want = _lines_by_query(text)
+    assert list(want) == [q.query_id for q in _QUERIES] and all(want.values()) and cost
+    for seed in range(3):
+        permuted = list(_QUERIES)
+        random.Random(seed).shuffle(permuted)
+        got, permuted_cost = search2(permuted)
+        assert _lines_by_query(got) == want
+        # each distinct text reaches the translator once, whatever the order
+        assert permuted_cost == cost
+    half = len(_QUERIES) // 2
+    first, _ = search2(_QUERIES[:half])
+    second, _ = search2(_QUERIES[half:])
+    assert first + second == text
+    # repeated under new ids, here and later in the file, a query ranks as
+    # it did and sends nothing new to the translator
+    repeats = [Query(f"again{k}", q.lang, q.description) for k, q in enumerate(_QUERIES[::4])]
+    got, repeated_cost = search2([*_QUERIES[:2], repeats[0], *_QUERIES[2:], *repeats[1:]])
+    got = _lines_by_query(got)
+    assert repeated_cost == cost
+    assert {q: got[q] for q in want} == want
+    for repeat, query in zip(repeats, _QUERIES[::4]):
+        assert got[repeat.query_id] == re.sub(rf"(?m)^(# )?{query.query_id} ",
+                                              rf"\g<1>{repeat.query_id} ", want[query.query_id])

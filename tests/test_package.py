@@ -351,3 +351,59 @@ def test_the_perfbench_name_check_reads_imports_attributes_and_wrapped_names():
                     "clir.index.ScoredDoc", "clir.index.ScoredDoc.doc_id", "clir.pipeline.search"}
     assert _unresolved(read | {"clir.evaluation.no_such_name", "clir.cli.main.nope"}) == [
         "clir.cli.main.nope", "clir.evaluation.no_such_name"]
+
+
+# every output file goes through clir.files.replacing, the one writer
+_WRITE_MODE = re.compile("[wax+]")
+_WRITE_METHODS = {"write_text", "write_bytes"}
+_RENAMES = {"replace", "rename"}
+
+
+def _stray_writes(source):
+    """Line of each call that can write a file other than through the one
+    writer: an ``open`` whose mode holds w, a, x or + or is not a string
+    literal, a ``Path.write_text`` or ``write_bytes``, and an ``os.replace``
+    or ``os.rename``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            writes = any(not isinstance(mode, ast.Constant) or not isinstance(mode.value, str)
+                         or _WRITE_MODE.search(mode.value) for mode in modes)
+        else:
+            owner = getattr(getattr(func, "value", None), "id", None)
+            writes = name in _WRITE_METHODS or name in _RENAMES and owner == "os"
+        if writes:
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_one_writer_writes_files():
+    stray = {module: found for module, source in _package_sources().items()
+             if module != "clir.files" and (found := _stray_writes(source))}
+    assert stray == {}
+    assert _stray_writes((PACKAGE / "files.py").read_text(encoding="utf-8"))
+
+
+def test_the_write_check_flags_only_calls_that_can_write():
+    source = (
+        "import io, os\n"
+        "open(p)\n"
+        "open(p, 'r', encoding='utf-8')\n"
+        "open(p, mode='rb')\n"
+        "open(p, 'w', encoding='utf-8')\n"
+        "io.open(p, mode='a')\n"
+        "open(p, 'r+b')\n"
+        "open(p, 'xb')\n"
+        "open(p, mode)\n"
+        "path.write_text(text)\n"
+        "os.replace(a, b)\n"
+        "os.rename(a, b)\n"
+        "key.replace('-', '_')\n"
+        "path.read_text()\n"
+    )
+    assert _stray_writes(source) == [5, 6, 7, 8, 9, 10, 11, 12]
