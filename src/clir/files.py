@@ -44,9 +44,10 @@ def _parse(text, path, line_nos):
 
 
 def read_json(path):
-    """The one JSON document a file holds."""
+    """The one JSON document a file holds, and the text it was parsed from."""
     numbered = list(read_lines(path))
-    return _parse("\n".join(line for _, line in numbered), path, [n for n, _ in numbered])
+    text = "\n".join(line for _, line in numbered)
+    return _parse(text, path, [n for n, _ in numbered]), text
 
 
 def read_json_lines(path):
@@ -71,8 +72,12 @@ def replacing(path, mode="w", encoding="utf-8"):
         return
     target = os.path.realpath(path)
     temp = f"{target}.{os.urandom(4).hex()}.tmp"  # not secrets: hashlib costs 3.7 MB
-    # "x": created here, with the permission bits "w" would give a new file
-    with open(temp, mode.replace("w", "x"), encoding=encoding) as fh:
+    try:  # "x": created here, with the permission bits "w" would give a new file
+        fh = open(temp, mode.replace("w", "x"), encoding=encoding)
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # the user's path, not the temporary file's
+        raise
+    with fh:
         try:
             if os.path.exists(target):
                 shutil.copymode(target, temp)

@@ -10,7 +10,8 @@ from them when the index is made. Document norms and the weighted postings are
 derived from them by one function, once per index: ``load_index`` derives them
 before it returns, because every command that loads an index searches it, and
 a built index derives them at its first search, so ``clir index``, which only
-saves, never does. Either way the tables are bit-identical.
+saves, never does. Either way the tables are bit-identical. A loaded index
+then keeps its counts as the JSON text it read, not as one dict per document.
 
 In memory each document is known by its ordinal, its position in ascending
 doc_id order. Postings hold ordinals and the norms are one dense list, so
@@ -35,7 +36,7 @@ import json
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import ge, mul, truediv
@@ -105,38 +106,47 @@ class RankedList:
                 *map(ScoredDoc, self.doc_ids[k:], self.scores[k:])]
 
 
-@dataclass
 class InvertedIndex:
     """Term counts of the indexed documents and the tables derived from them.
 
-    ``df`` is counted on construction. ``doc_ids``, ``doc_norms``,
-    ``postings`` and ``idf`` are derived together on first use and kept.
-    ``products`` starts empty: ``search`` keeps there, for each term it has
-    weighed at exactly its idf factor, an ``array('d')`` of ``idf * weight``
-    parallel to the term's postings. ``choices`` (empty at first, not saved)
-    maps (analyzer, candidates) to the terms dictionary translation chose.
+    ``df`` (term -> number of documents holding it) and ``num_docs`` are
+    counted on construction. ``doc_ids``, ``doc_norms``, ``postings`` and
+    ``idf`` are derived together on first use and kept. ``products`` starts
+    empty: ``search`` keeps there, for each term it has weighed at exactly
+    its idf factor, an ``array('d')`` of ``idf * weight`` parallel to the
+    term's postings. ``choices`` (empty at first, not saved) maps (analyzer,
+    candidates) to the terms dictionary translation chose. Two indexes are
+    equal when their analyzers and term counts are; an index is not hashable.
     """
 
-    analyzer: AnalyzerConfig
-    documents: dict  # doc_id -> {term: tf} in token order; empty documents included
-    df: dict = field(init=False)  # term -> number of documents containing it
-    products: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-    choices: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    def __init__(self, analyzer, documents):
+        self.analyzer = analyzer
+        self._counts = documents  # load_index swaps in the JSON text they were read from
+        self.num_docs = len(documents)
+        self.df = dict(Counter(chain.from_iterable(documents.values())))
+        self.products, self.choices = {}, {}
 
-    def __post_init__(self):
-        self.df = dict(Counter(chain.from_iterable(self.documents.values())))
+    def __eq__(self, other):
+        if not isinstance(other, InvertedIndex):
+            return NotImplemented
+        return self.analyzer == other.analyzer and self.documents == other.documents
 
     @property
     def lang(self):
         return self.analyzer.lang
 
     @property
-    def num_docs(self):
-        return len(self.documents)
+    def documents(self):
+        """doc_id -> {term: tf} in token order, empty documents included: a
+        built index's own dicts, or a loaded index's decoded afresh on each
+        access. Only saving and comparing read them; searches never do."""
+        counts = self._counts
+        return json.loads(counts)["documents"] if isinstance(counts, str) else counts
 
     @cached_property
     def _tables(self):
-        return _derive(self.documents, self.df)
+        documents = self._counts
+        return _derive(((d, documents[d]) for d in sorted(documents)), self.df, self.num_docs)
 
     @property
     def doc_ids(self):
@@ -177,26 +187,27 @@ def weight_atc(tf, max_tf, df, num_docs):
     return _tf_factor(tf, max_tf) * _idf_factor(df, num_docs)
 
 
-def _derive(documents, df):
-    """The doc_ids, norms, postings and idf factors of ``documents``
-    (doc_id -> {term: tf}, tf >= 1), whose document frequencies are ``df``.
+def _derive(documents, df, num_docs):
+    """The doc_ids, norms, postings and idf factors of ``documents``, the
+    ``num_docs`` pairs (doc_id, {term: tf}), tf >= 1, in ascending doc_id
+    order, whose document frequencies are ``df``.
 
     Each weight is the product of a tf factor and an idf factor, the idf
     factor computed once per term and the tf factor once per distinct tf of
     a document. Each norm is summed in the document's own term order, so it
-    does not depend on how the index was obtained. Documents are visited in
-    ascending doc_id order and numbered in that order, which leaves every
-    posting list sorted by ordinal. A norm of 0 (an empty document, or one
-    whose every term is in every document) is stored as ``inf``, so that
-    document's cosine is 0 and ``search`` drops it.
+    does not depend on how the index was obtained. Documents are numbered in
+    the order given, which leaves every posting list sorted by ordinal, and
+    each document's counts are read once, so a caller may release them as
+    they go. A norm of 0 (an empty document, or one whose every term is in
+    every document) is stored as ``inf``, so that document's cosine is 0 and
+    ``search`` drops it.
     """
-    num_docs = len(documents)
     idf = {term: _idf_factor(n, num_docs) for term, n in df.items()}
     postings = {term: ([], array("d")) for term in df}
-    doc_ids = sorted(documents)
+    doc_ids = []
     doc_norms = []
-    for ordinal, doc_id in enumerate(doc_ids):
-        counts = documents[doc_id]
+    for ordinal, (doc_id, counts) in enumerate(documents):
+        doc_ids.append(doc_id)
         tfs = counts.values()
         max_tf = max(tfs, default=0)
         tf_factor = {tf: _tf_factor(tf, max_tf) for tf in set(tfs)}
@@ -375,7 +386,7 @@ def load_index(path):
     holds a value of the wrong type, lists no document, or holds a term count
     that is not a positive integer raises IntegrityError naming it.
     """
-    payload = read_json(path)
+    payload, text = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
         raise IntegrityError(f"{path}: not a {INDEX_FORMAT} file; rebuild it with `clir index`")
     _check_types(payload, {"analyzer": dict, "documents": dict}, path)
@@ -397,6 +408,10 @@ def load_index(path):
                 "of positive integers"
             )
     index = InvertedIndex(cfg, documents)
-    # derived now, not at the first search: every verb that loads an index searches it
-    index.postings
+    # derived now, not at the first search: every verb that loads an index
+    # searches it. Each document's counts are released as they are read, and
+    # the index keeps the text they were parsed from
+    index._tables = _derive(((d, documents.pop(d)) for d in sorted(documents)),
+                            index.df, index.num_docs)
+    index._counts = text
     return index

@@ -52,7 +52,8 @@ def test_read_json_maps_every_failure_to_a_parse_error(tmp_path):
         with pytest.raises(ParseError, match=re.escape(f"{path}{message}")):
             read_json(path)
     path.write_bytes(BOM + b'{\r\n"a":\r\n\r\n[1]}')
-    assert read_json(path) == {"a": [1]}
+    # the text parsed is returned with the value: lines joined by "\n", blank lines left out
+    assert read_json(path) == ({"a": [1]}, '{\n"a":\n[1]}')
 
 
 def test_read_json_lines_wants_one_object_per_line(tmp_path):
@@ -346,6 +347,17 @@ def test_a_rejected_run_or_config_names_its_file(ws, capsys):
         status, _, err, path = _run(ws, _commands("config")[0], "config", line, capsys)
         assert status == 2
         assert err.startswith(f"clir: {path}: ")
+
+
+def test_an_out_file_that_cannot_be_created_is_named_as_given(ws, capsys):
+    out = ws.root / "missing" / "x.txt"
+    capsys.readouterr()
+    status = main(["eval", "--run", str(ws.files["run"]), "--qrels", str(ws.files["qrels"]),
+                   "--out", str(out)])
+    # the path on the command line, not the temporary file beside it
+    assert status == 2
+    assert capsys.readouterr().err == f"clir: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert not [name for name in os.listdir(ws.root) if name.endswith(".tmp")]
 
 
 # text that breaks a parser: nesting, a BOM, undecodable and control bytes,

@@ -5,6 +5,7 @@ re-scoring of every document written directly from the weighting definition,
 with no shared data structures.
 """
 
+import gc
 import json
 import math
 import random
@@ -257,6 +258,49 @@ def test_a_built_index_holds_one_string_per_term(tmp_path):
     assert len({id(t) for counts in loaded.documents.values() for t in counts}) == len(loaded.df)
 
 
+def _reachable(root):
+    """Every dict, list, tuple and set reachable from ``root`` through such containers."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (dict, list, tuple, set, frozenset)) and id(obj) not in seen:
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_a_loaded_index_holds_no_per_document_counts(tmp_path):
+    built = build_index(_corpus_from_texts({"d1": "a a b", "d2": "b c", "d3": ""}), CFG)
+    path = tmp_path / "idx.json"
+    save_index(built, path)
+    loaded = load_index(path)
+    search(loaded, _query_vec("a c"), 10)
+    counts = [c for c in built.documents.values() if c]
+    assert not [d for d in _reachable(vars(loaded)) if isinstance(d, dict) and d in counts]
+    # they are decoded on access, equal to the built index's, and the index is not hashable
+    assert loaded.documents == built.documents and loaded == built
+    with pytest.raises(TypeError):
+        hash(loaded)
+
+
+def test_searching_a_loaded_index_decodes_nothing(tmp_path, monkeypatch):
+    built = build_index(_corpus_from_texts({"d1": "a a b", "d2": "b c", "d3": "c"}), CFG)
+    path = tmp_path / "idx.json"
+    save_index(built, path)
+    loaded = load_index(path)
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *args, **kw: decoded.append(1) or loads(*args, **kw))
+    for _ in range(3):
+        for text in ("a", "b c", "a a c zz"):
+            for depth in (1, 10):
+                terms = _query_vec(text)
+                assert search(loaded, terms, depth) == search(built, terms, depth)
+    assert loaded.num_docs == 3 and decoded == []
+    # the counter sees a decoding: reading the counts is one
+    assert loaded.documents == built.documents and len(decoded) == 1
+
+
 # an index file of the first format: postings and the tables derived from them
 _V1_PAYLOAD = {
     "format": "clir-index-v1",
@@ -415,6 +459,7 @@ def test_save_and_load_give_identical_searches(tmp_path_factory, case):
         terms = analyze(text, cfg)
         for depth in (1, 3, 100):
             assert search(loaded, terms, depth) == search(built, terms, depth)
+    assert loaded == built and loaded.documents == built.documents
     again = first.with_name("again.json")
     save_index(loaded, again)
     assert again.read_bytes() == first.read_bytes()
