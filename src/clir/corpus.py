@@ -47,13 +47,12 @@ class AnalyzerConfig:
 
     ``tokenizer_kind`` is either whitespace-word (split on whitespace, strip
     punctuation from token edges) or character-bigram (sliding window over each
-    whitespace-free run, the dependency-free default for CJK text). The config
-    is frozen, so equal settings make one hashable key, even from two distinct
-    objects.
+    whitespace-free run, the dependency-free default for CJK text). Both
+    lowercase the text first. The config is frozen, so equal settings make
+    one hashable key, even from two distinct objects.
     """
 
     lang: str
-    lowercase: bool = True
     stopword_list: frozenset = frozenset()
     tokenizer_kind: str = WHITESPACE_WORD
     min_token_len: int = 1
@@ -61,11 +60,13 @@ class AnalyzerConfig:
     def __post_init__(self):
         if self.tokenizer_kind not in (WHITESPACE_WORD, CHARACTER_BIGRAM):
             raise ConfigError(f"unknown tokenizer kind: {self.tokenizer_kind!r}")
-        if self.min_token_len < 1:
-            raise ConfigError("min_token_len must be >= 1")
+        if type(self.min_token_len) is not int or self.min_token_len < 1:  # a bool is refused
+            raise ConfigError(f"min_token_len must be an integer >= 1, not {self.min_token_len!r}")
         if self.tokenizer_kind == CHARACTER_BIGRAM and self.min_token_len != 1:
             raise ConfigError("character-bigram tokenization requires min_token_len = 1")
         object.__setattr__(self, "stopword_list", frozenset(self.stopword_list))
+        if not all(isinstance(word, str) for word in self.stopword_list):
+            raise ConfigError("every stopword must be a string")
 
 
 @dataclass(slots=True)
@@ -90,8 +91,7 @@ def tokenize(text, cfg):
     stream into a TermVector. Phrase matching in query translation needs the
     ordered form.
     """
-    if cfg.lowercase:
-        text = text.lower()
+    text = text.lower()
     if cfg.tokenizer_kind == CHARACTER_BIGRAM:
         tokens = []
         for run in text.split():
@@ -119,29 +119,24 @@ def indexable_text(doc):
 
 
 class Corpus:
-    """An immutable set of documents with id lookup and declared languages.
+    """An immutable set of documents with id lookup.
 
-    With ``declared_langs=None`` the language set is taken from the documents
-    themselves instead of being enforced.
+    With ``declared_langs`` given, a document in any other language is
+    refused; with None, any language is accepted.
     """
 
     def __init__(self, documents, declared_langs=None):
-        enforced = declared_langs is not None
-        langs = list(declared_langs) if enforced else []
         self._docs = {}
         for doc in documents:
             if not doc.doc_id:
                 raise IntegrityError("document with empty id")
             if doc.doc_id in self._docs:
                 raise IntegrityError(f"duplicate doc_id {doc.doc_id!r}")
-            if doc.lang not in langs:
-                if enforced:
-                    raise IntegrityError(
-                        f"document {doc.doc_id!r} has undeclared language {doc.lang!r}"
-                    )
-                langs.append(doc.lang)
+            if declared_langs is not None and doc.lang not in declared_langs:
+                raise IntegrityError(
+                    f"document {doc.doc_id!r} has undeclared language {doc.lang!r}"
+                )
             self._docs[doc.doc_id] = doc
-        self.declared_langs = tuple(langs)
 
     def __len__(self):
         return len(self._docs)
@@ -157,7 +152,7 @@ class Corpus:
 
     def filter_lang(self, lang):
         """Subset of one language. Pair links may point outside the subset."""
-        return Corpus((d for d in self if d.lang == lang), self.declared_langs)
+        return Corpus(d for d in self if d.lang == lang)
 
     def dangling_pairs(self):
         """(doc_id, pair_id) for links that are missing or point to the same language."""

@@ -114,8 +114,8 @@ class InvertedIndex:
     ``idf`` are derived together on first use and kept. ``products`` starts
     empty: ``search`` keeps there, for each term it has weighed at exactly
     its idf factor, an ``array('d')`` of ``idf * weight`` parallel to the
-    term's postings. ``choices`` (empty at first, not saved) maps (analyzer,
-    candidates) to the terms dictionary translation chose. Two indexes are
+    term's postings. ``choices`` (empty at first, not saved) maps a candidate
+    list to the terms dictionary translation chose. Two indexes are
     equal when their analyzers and term counts are; an index is not hashable.
     """
 
@@ -130,10 +130,6 @@ class InvertedIndex:
         if not isinstance(other, InvertedIndex):
             return NotImplemented
         return self.analyzer == other.analyzer and self.documents == other.documents
-
-    @property
-    def lang(self):
-        return self.analyzer.lang
 
     @property
     def documents(self):
@@ -340,7 +336,8 @@ def _candidates(scores, top_n):
     return range(n)
 
 
-# keys of a saved index's analyzer settings, with the JSON types they hold
+# keys of a saved index's analyzer settings, with the JSON types they hold;
+# "lowercase" has no AnalyzerConfig field: the analyzer always lowercases
 _ANALYZER_TYPES = {
     "lang": str,
     "lowercase": bool,
@@ -359,8 +356,9 @@ def save_index(index, path):
     index holding text that is not UTF-8 (a lone surrogate) raises
     IntegrityError naming ``path``, and any file there stays untouched.
     """
-    analyzer = {key: getattr(index.analyzer, key) for key in _ANALYZER_TYPES}
-    analyzer["stopword_list"] = sorted(analyzer["stopword_list"])
+    cfg = index.analyzer
+    analyzer = {"lang": cfg.lang, "lowercase": True, "stopword_list": sorted(cfg.stopword_list),
+                "tokenizer_kind": cfg.tokenizer_kind, "min_token_len": cfg.min_token_len}
     payload = {"format": INDEX_FORMAT, "analyzer": analyzer, "documents": index.documents}
     try:
         data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
@@ -383,8 +381,9 @@ def load_index(path):
     A file that is not UTF-8 JSON raises ParseError naming it. The structure
     is checked before use: a file that is not a ``clir-index-v2`` file (an
     older format among them; rebuild it with ``clir index``), misses a key,
-    holds a value of the wrong type, lists no document, or holds a term count
-    that is not a positive integer raises IntegrityError naming it.
+    holds a value of the wrong type or an analyzer ``"lowercase"`` that is not
+    true, lists no document, or holds a term count that is not a positive
+    integer raises IntegrityError naming it.
     """
     payload, text = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
@@ -392,8 +391,11 @@ def load_index(path):
     _check_types(payload, {"analyzer": dict, "documents": dict}, path)
     analyzer = payload["analyzer"]
     _check_types(analyzer, _ANALYZER_TYPES, path, prefix="analyzer ")
+    settings = {key: analyzer[key] for key in _ANALYZER_TYPES}
+    if not settings.pop("lowercase"):
+        raise IntegrityError(f"{path}: analyzer 'lowercase' is false; rebuild it with `clir index`")
     try:
-        cfg = AnalyzerConfig(**{key: analyzer[key] for key in _ANALYZER_TYPES})
+        cfg = AnalyzerConfig(**settings)
     except (ConfigError, TypeError) as exc:
         raise IntegrityError(f"{path}: bad analyzer settings: {exc}") from None
     documents = payload["documents"]

@@ -187,7 +187,7 @@ def run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=None):
     """
     _check_target(index, cfg_tgt)
     method = cfg.translation_method
-    translated = translate_query(query, method, index, cfg_src, cfg_tgt,
+    translated = translate_query(query, method, index, cfg_src,
                                  adapter=cfg.doc_memo.translator(method.adapter))
     if translated.unresolved:
         logger.warning("query %s: untranslated terms %s", query.query_id, translated.unresolved)

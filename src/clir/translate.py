@@ -88,7 +88,7 @@ class CommandAdapter(MTAdapter):
     so is a call still running after ``COMMAND_TIMEOUT_S`` seconds."""
 
     def __init__(self, command):
-        self.argv = shlex.split(command) if isinstance(command, str) else list(command)
+        self.argv = shlex.split(command)
         if not self.argv:
             raise ConfigError("empty translator command")
 
@@ -201,8 +201,8 @@ class TranslatedQuery:
     lang: str
 
 
-def translate_query(query, method, index, cfg_src, cfg_tgt, adapter):
-    """Target-language query terms by ``method``.
+def translate_query(query, method, index, cfg_src, adapter):
+    """Target-language query terms by ``method``, analysed by ``index.analyzer``.
 
     ``adapter`` is the translator to call; dictionary phrase translation
     calls none. Sentence MT sends the whole description and analyzes the
@@ -211,21 +211,21 @@ def translate_query(query, method, index, cfg_src, cfg_tgt, adapter):
     the tokens once against ``method.dictionary`` (``_segment``): phrase MT
     translates each unit, dictionary phrase translation picks each matched
     unit's candidate by its document frequency in ``index``, the target
-    collection, and adds its terms under ``cfg_tgt``, which must be the
-    index's analyzer; combined merges the two with ``combine_translations``.
+    collection, and combined merges the two with ``combine_translations``.
     """
+    target = index.analyzer
     if method.kind == MT_SENTENCE:
         if not query.description.strip():
-            return TranslatedQuery(TermVector.from_counts({}), MT_SENTENCE, [], cfg_tgt.lang)
-        out = adapter.translate(query.description, query.lang, cfg_tgt.lang)
-        return TranslatedQuery(analyze(out, cfg_tgt), MT_SENTENCE, [], cfg_tgt.lang)
+            return TranslatedQuery(TermVector.from_counts({}), MT_SENTENCE, [], target.lang)
+        out = adapter.translate(query.description, query.lang, target.lang)
+        return TranslatedQuery(analyze(out, target), MT_SENTENCE, [], target.lang)
     units = _segment(tokenize(query.description, cfg_src), method.dictionary)
     if method.kind == DICT_PHRASE:
-        return _by_dictionary(units, index, cfg_tgt)
-    by_mt = _by_phrase_mt(units, adapter, query.lang, cfg_tgt)
+        return _by_dictionary(units, index)
+    by_mt = _by_phrase_mt(units, adapter, query.lang, target)
     if method.kind == MT_PHRASE:
         return by_mt
-    return combine_translations(by_mt, _by_dictionary(units, index, cfg_tgt))
+    return combine_translations(by_mt, _by_dictionary(units, index))
 
 
 def _segment(tokens, dictionary):
@@ -250,42 +250,41 @@ def _segment(tokens, dictionary):
     return units
 
 
-def _by_dictionary(units, target_index, cfg_tgt):
-    # Each matched unit adds the target analyzer's terms of its candidate of
+def _by_dictionary(units, target_index):
+    # Each matched unit adds the index analyzer's terms of its candidate of
     # highest df in the target index, the least df of its terms (ties break
-    # lexicographically), chosen once per index and cfg_tgt and kept in its
-    # ``choices``. A unit with no candidates, or no terms chosen, is unresolved.
-    df, choices = target_index.df, target_index.choices
+    # lexicographically), chosen once per index and kept in its ``choices``.
+    # A unit with no candidates, or no terms chosen, is unresolved.
+    df, choices, target = target_index.df, target_index.choices, target_index.analyzer
     counts = Counter()
     unresolved = []
     for unit, candidates in units:
         chosen = []
         if candidates is not None:
-            key = (cfg_tgt, tuple(candidates))
+            key = tuple(candidates)
             chosen = choices.get(key)
             if chosen is None:
-                terms = {c: tokenize(c, cfg_tgt) for c in candidates}
+                terms = {c: tokenize(c, target) for c in candidates}
                 best = min(terms, key=lambda c: (-min((df.get(t, 0) for t in terms[c]), default=0), c))
                 chosen = choices[key] = terms[best]
             counts.update(chosen)
         if not chosen and unit not in unresolved:
             unresolved.append(unit)
-    return TranslatedQuery(TermVector.from_counts(counts), DICT_PHRASE, unresolved,
-                           target_index.lang)
+    return TranslatedQuery(TermVector.from_counts(counts), DICT_PHRASE, unresolved, target.lang)
 
 
-def _by_phrase_mt(units, adapter, src_lang, cfg_tgt):
+def _by_phrase_mt(units, adapter, src_lang, target):
     # Each unit is translated on its own; outputs are merged by summing term
     # frequencies, and a unit whose output analyzes to nothing is unresolved.
     counts = Counter()
     unresolved = []
     for unit, _ in units:
-        tokens = tokenize(adapter.translate(unit, src_lang, cfg_tgt.lang), cfg_tgt)
+        tokens = tokenize(adapter.translate(unit, src_lang, target.lang), target)
         if tokens:
             counts.update(tokens)
         elif unit not in unresolved:
             unresolved.append(unit)
-    return TranslatedQuery(TermVector.from_counts(counts), MT_PHRASE, unresolved, cfg_tgt.lang)
+    return TranslatedQuery(TermVector.from_counts(counts), MT_PHRASE, unresolved, target.lang)
 
 
 def combine_translations(a, b):

@@ -373,12 +373,26 @@ def test_load_index_rejects_invalid_analyzer_settings(tmp_path):
     path, payload = _saved_payload(tmp_path)
     for bad in ({"min_token_len": 0}, {"tokenizer_kind": "sentencepiece"},
                 {"tokenizer_kind": CHARACTER_BIGRAM, "min_token_len": 2},
-                {"stopword_list": [["a"]]}):
+                {"stopword_list": [["a"]]},
+                # both once loaded silently: a number among the stopwords made
+                # save_index fail to sort them, and true passed as a length of 1
+                {"stopword_list": [1, "a"]}, {"min_token_len": True}):
         broken = {**payload, "analyzer": {**payload["analyzer"], **bad}}
         path.write_text(json.dumps(broken), encoding="utf-8")
         with pytest.raises(IntegrityError, match="bad analyzer settings") as exc_info:
             load_index(path)
         assert str(path) in str(exc_info.value)
+
+
+def test_load_index_refuses_an_analyzer_that_does_not_lowercase(tmp_path):
+    # the analyzer always lowercases; the saved key says so and nothing else
+    path, payload = _saved_payload(tmp_path)
+    assert payload["analyzer"]["lowercase"] is True
+    payload["analyzer"]["lowercase"] = False
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(IntegrityError, match="'lowercase'.*rebuild it with `clir index`") as exc_info:
+        load_index(path)
+    assert str(path) in str(exc_info.value)
 
 
 def test_load_index_rejects_truncated_doc_norms(tmp_path):

@@ -11,6 +11,10 @@ MR2, query order and split: permuting the query file, or running it as two
 commands, gives each query the same ``search2`` lines, which leave as each
 query finishes. A query repeated under a new id ranks identically and costs
 no further translator call, each distinct text reaching the translator once.
+
+MR5, sweep and search2 agree: each ``sweep`` cell's MAP is the MAP that
+``eval`` reports for the ``search2`` run at that depth with the same flags,
+though the sweep shares stage one and translated documents across its cells.
 """
 
 import json
@@ -210,3 +214,27 @@ def test_mr2_query_order_split_and_repetition_through_the_command_line(tmp_path,
     for repeat, query in zip(repeats, _QUERIES[::4]):
         assert got[repeat.query_id] == re.sub(rf"(?m)^(# )?{query.query_id} ",
                                               rf"\g<1>{repeat.query_id} ", want[query.query_id])
+
+
+def test_mr5_each_sweep_cell_is_eval_of_search2_at_its_depth(tmp_path):
+    _write_inputs(tmp_path)
+    corpus, index = tmp_path / "docs.jsonl", tmp_path / "docs.idx"
+    _write_collection(corpus, _DOCS)
+    assert main(["index", "--corpus", str(corpus), "--lang", "ja", "--out", str(index)]) == 0
+    qrels, out = str(tmp_path / "qrels.txt"), tmp_path / "out.txt"
+    for method in ("mts", "pbt"):  # one machine and one dictionary translation
+        flags = ["--index", str(index), "--query-file", str(tmp_path / "queries.jsonl"),
+                 "--corpus", str(corpus), "--dict", str(tmp_path / "dict.tsv"),
+                 "--mock-table", str(tmp_path / "table.tsv"), "--method", method, "--beta", "2"]
+        assert main(["sweep", *flags, "--qrels", qrels, "--ns", "1,3,5", "--out", str(out)]) == 0
+        cells = {int(fields[2]): fields[3] for fields in (
+            line.split("\t") for line in out.read_text(encoding="utf-8").splitlines())
+            if fields[0] == "sweep"}
+        assert list(cells) == [1, 3, 5] and len(set(cells.values())) > 1
+        searched = {}
+        for n in cells:
+            run = tmp_path / f"{method}.{n}.run"
+            assert main(["search2", *flags, "--n", str(n), "--out", str(run)]) == 0
+            assert main(["eval", "--run", str(run), "--qrels", qrels, "--out", str(out)]) == 0
+            searched[n] = re.search(r"(?m)^map\t(\S+)$", out.read_text(encoding="utf-8"))[1]
+        assert cells == searched, method

@@ -407,3 +407,54 @@ def test_the_write_check_flags_only_calls_that_can_write():
         "path.read_text()\n"
     )
     assert _stray_writes(source) == [5, 6, 7, 8, 9, 10, 11, 12]
+
+
+# the target analyzer is the index's: only the frozen entry points, which
+# take one to check it against the index, and the check itself name it
+_TARGET_TAKERS = {"run_first_stage", "run_two_stage", "sweep_runs", "sweep_n", "_check_target"}
+
+
+def _stray_target_parameters(source):
+    """(line, function) of each function or lambda, at any depth, that
+    takes a parameter named ``cfg_tgt`` and is not one of ``_TARGET_TAKERS``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            name = getattr(node, "name", "<lambda>")
+            if name not in _TARGET_TAKERS and any(p and p.arg == "cfg_tgt" for p in params):
+                found.append((node.lineno, name))
+    return found
+
+
+def test_only_the_entry_points_take_a_target_analyzer():
+    stray = {module: found for module, source in _package_sources().items()
+             if (found := _stray_target_parameters(source))}
+    assert stray == {}
+
+
+def test_the_target_parameter_check_flags_every_other_taker():
+    source = (
+        "def run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=None):\n"
+        "    def inner(cfg_tgt):\n"
+        "        return cfg_tgt\n"
+        "    return inner\n"
+        "\n"
+        "def translate_query(query, method, index, cfg_src, cfg_tgt, adapter):\n"
+        "    pass\n"
+        "\n"
+        "class Translator:\n"
+        "    async def run(self, *, cfg_tgt=None):\n"
+        "        return lambda cfg_tgt: cfg_tgt\n"
+        "\n"
+        "def positional(cfg_tgt, /):\n"
+        "    pass\n"
+        "\n"
+        "def reads_it(index):\n"
+        "    cfg_tgt = index.analyzer\n"
+        "    return cfg_tgt\n"
+    )
+    found = _stray_target_parameters(source)
+    assert sorted(found) == [(2, "inner"), (6, "translate_query"), (10, "run"),
+                             (11, "<lambda>"), (13, "positional")]

@@ -3,6 +3,7 @@ translate-back -> re-rank flow, tail handling, timing, and settings files."""
 
 import logging
 import random
+import shlex
 import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
@@ -147,7 +148,7 @@ def test_translate_query_dispatch(ja_index):
         (COMBINED, {"toshokan": 2}),
     ]:
         method = TranslationMethod(kind=kind, adapter=adapter, dictionary=dictionary)
-        out = translate_query(q, method, ja_index, EN, JA, adapter)
+        out = translate_query(q, method, ja_index, EN, adapter)
         assert out.terms.counts == want, kind
 
 
@@ -309,7 +310,7 @@ def _undecodable_command(tmp_path):
         "    print(' '.join(table.get(w, w) for w in text.split()))\n",
         encoding="utf-8",
     )
-    return CommandAdapter([sys.executable, str(script)])
+    return CommandAdapter(shlex.join([sys.executable, str(script)]))
 
 
 def _corpus_with_bad_document():
@@ -565,7 +566,7 @@ def test_equal_analyzer_configs_share_a_bucket():
     assert store(one) is store(other)
     assert store(EN) is not store(one)
     with pytest.raises(FrozenInstanceError):
-        one.lowercase = False
+        one.lang = "fr"
 
 
 # ------------------------------------------------------------ settings file

@@ -3,6 +3,7 @@ statistics, adapter-based MT in sentence and phrase modes, method
 combination, and the two document channels."""
 
 import random
+import shlex
 import sys
 from collections import Counter
 
@@ -22,7 +23,7 @@ from clir.corpus import (
     tokenize,
 )
 from clir.errors import ConfigError, NoPairError, ParseError, TranslationError
-from clir.index import build_index
+from clir.index import InvertedIndex, build_index
 from clir.translate import (
     CHANNEL_HT,
     CHANNEL_MT,
@@ -63,12 +64,14 @@ def _query(text, lang="en"):
 
 def _by_dict(text, dictionary, index):
     method = TranslationMethod(kind=DICT_PHRASE, dictionary=dictionary)
-    return translate_query(_query(text), method, index, EN, JA, None)
+    return translate_query(_query(text), method, index, EN, None)
 
 
-def _by_mt(text, adapter, kind, cfg_tgt=JA, phrases=None):
+def _by_mt(text, adapter, kind, target=JA, phrases=None):
+    # machine translation reads no collection statistics: an empty index
+    # carries the target analyzer
     method = TranslationMethod(kind=kind, adapter=adapter, dictionary=phrases)
-    return translate_query(_query(text), method, None, EN, cfg_tgt, adapter)
+    return translate_query(_query(text), method, InvertedIndex(target, {}), EN, adapter)
 
 
 # ---------------------------------------------------------------- dictionary
@@ -186,8 +189,22 @@ def test_dict_candidates_are_analysed_by_the_target_analyzer():
     index = build_index(Corpus(docs, ["ja"]), bigram)
     method = TranslationMethod(kind=DICT_PHRASE,
                                dictionary=BilingualDictionary({"library": ["としょかん"]}))
-    out = translate_query(_query("library"), method, index, EN, bigram, None)
+    out = translate_query(_query("library"), method, index, EN, None)
     assert out.terms.counts == {"とし": 1, "しょ": 1, "ょか": 1, "かん": 1}
+
+
+@pytest.mark.parametrize("kind", METHOD_KINDS, ids=METHOD_IDS.get)
+def test_translation_into_a_bigram_index_yields_its_bigrams(kind):
+    # no target analyzer is passed: the index's own analyses the output
+    bigram = AnalyzerConfig(lang="ja", tokenizer_kind=CHARACTER_BIGRAM)
+    index = build_index(Corpus([Document(doc_id="d1", lang="ja", abstract="としょかん")]), bigram)
+    adapter = TableAdapter({"library": "としょかん"})
+    method = TranslationMethod(kind=kind, adapter=adapter,
+                               dictionary=BilingualDictionary({"library": ["としょかん"]}))
+    out = translate_query(_query("library"), method, index, EN, adapter)
+    times = 2 if kind == COMBINED else 1
+    assert out.terms.counts == {term: times for term in ("とし", "しょ", "ょか", "かん")}
+    assert out.lang == "ja"
 
 
 def test_a_dict_word_whose_candidate_is_an_index_stopword_is_unresolved_once():
@@ -196,7 +213,7 @@ def test_a_dict_word_whose_candidate_is_an_index_stopword_is_unresolved_once():
     index = build_index(Corpus(docs, ["ja"]), cfg)
     method = TranslationMethod(kind=DICT_PHRASE, dictionary=BilingualDictionary(
         {"library": ["toshokan"], "search": ["kensaku"]}))
-    out = translate_query(_query("library search library"), method, index, EN, cfg, None)
+    out = translate_query(_query("library search library"), method, index, EN, None)
     assert out.terms.counts == {"kensaku": 1}
     assert out.unresolved == ["library"]
 
@@ -267,52 +284,52 @@ def test_table_adapter_file_rejects_multiple_candidates(tmp_path):
 def _write_script(tmp_path, body):
     script = tmp_path / "mt.py"
     script.write_text(body, encoding="utf-8")
-    return [sys.executable, str(script)]
+    return shlex.join([sys.executable, str(script)])
 
 
 def test_command_adapter_round_trip(tmp_path):
-    argv = _write_script(
+    command = _write_script(
         tmp_path,
         "import sys\n"
         "table = {'library': 'toshokan', 'digital': 'dejitaru'}\n"
         "text = sys.stdin.read()\n"
         "print(' '.join(table.get(w, w) for w in text.split()))\n",
     )
-    adapter = CommandAdapter(argv)
+    adapter = CommandAdapter(command)
     assert adapter.translate("digital library", "en", "ja") == "dejitaru toshokan"
 
 
 def test_command_adapter_receives_language_arguments(tmp_path):
-    argv = _write_script(tmp_path, "import sys\nprint(sys.argv[1], sys.argv[2])\n")
-    assert CommandAdapter(argv).translate("x", "en", "ja") == "en ja"
+    command = _write_script(tmp_path, "import sys\nprint(sys.argv[1], sys.argv[2])\n")
+    assert CommandAdapter(command).translate("x", "en", "ja") == "en ja"
 
 
 def test_command_adapter_nonzero_exit(tmp_path):
-    argv = _write_script(
+    command = _write_script(
         tmp_path, "import sys\nsys.stderr.write('boom')\nsys.exit(3)\n"
     )
     with pytest.raises(TranslationError, match="some input text"):
-        CommandAdapter(argv).translate("some input text", "en", "ja")
+        CommandAdapter(command).translate("some input text", "en", "ja")
 
 
 def test_command_adapter_undecodable_output(tmp_path):
-    argv = _write_script(
+    command = _write_script(
         tmp_path, "import sys\nsys.stdin.read()\nsys.stdout.buffer.write(b'\\xff\\xfe')\n"
     )
     with pytest.raises(TranslationError, match="not UTF-8"):
-        CommandAdapter(argv).translate("some input text", "en", "ja")
+        CommandAdapter(command).translate("some input text", "en", "ja")
 
 
 def test_command_adapter_missing_binary():
-    adapter = CommandAdapter(["/no/such/translator"])
+    adapter = CommandAdapter("/no/such/translator")
     with pytest.raises(TranslationError):
         adapter.translate("x", "en", "ja")
 
 
 def test_command_adapter_timeout(tmp_path, monkeypatch):
     monkeypatch.setattr(clir.translate, "COMMAND_TIMEOUT_S", 0.5)
-    argv = _write_script(tmp_path, "import time\ntime.sleep(5)\n")
-    adapter = CommandAdapter(argv)
+    command = _write_script(tmp_path, "import time\ntime.sleep(5)\n")
+    adapter = CommandAdapter(command)
     with pytest.raises(TranslationError):
         adapter.translate("slow input", "en", "ja")
 
@@ -362,7 +379,7 @@ def test_blank_description_sends_nothing_under_every_method(kind, description):
     method = TranslationMethod(kind=kind, adapter=adapter,
                                dictionary=BilingualDictionary({"term": ["x"]}))
     index = _index_from_texts({"d1": "x"})
-    out = translate_query(_query(description), method, index, EN, JA, adapter)
+    out = translate_query(_query(description), method, index, EN, adapter)
     assert adapter.texts == []
     assert out.terms.counts == {}
     assert out.unresolved == []
@@ -370,7 +387,7 @@ def test_blank_description_sends_nothing_under_every_method(kind, description):
 
 
 def test_mt_identity_adapter_echoes_analyzed_source():
-    out = _by_mt("Alpha beta alpha", IdentityAdapter(), MT_SENTENCE, cfg_tgt=EN)
+    out = _by_mt("Alpha beta alpha", IdentityAdapter(), MT_SENTENCE, target=EN)
     assert out.terms.counts == {"alpha": 2, "beta": 1}
 
 
@@ -475,7 +492,7 @@ def test_segmentation_with_phrases_of_at_most_two_tokens_keeps_both_old_rules(to
         assert (out.terms.counts, out.unresolved) == _longest_match(tokens, dictionary, _SEG_INDEX)
         combined = _Recorder()
         method = TranslationMethod(kind=COMBINED, adapter=combined, dictionary=dictionary)
-        translate_query(_query(text), method, _SEG_INDEX, EN, JA, combined)
+        translate_query(_query(text), method, _SEG_INDEX, EN, combined)
         assert combined.sent == recorder.sent
 
 
@@ -495,7 +512,7 @@ def test_a_three_token_phrase_is_one_unit_under_every_method():
     assert by_dict.terms.counts == {"denshi": 1, "toshokan": 1, "shisutemu": 1}
     assert by_dict.unresolved == ["search"]
     method = TranslationMethod(kind=COMBINED, adapter=adapter, dictionary=dictionary)
-    out = translate_query(_query(text), method, index, EN, JA, adapter)
+    out = translate_query(_query(text), method, index, EN, adapter)
     assert out.terms.counts == {"denshi": 2, "toshokan": 2, "shisutemu": 2}
     assert out.unresolved == ["search"]
 
@@ -516,7 +533,7 @@ def test_one_translation_segments_the_query_once(monkeypatch, kind, segmentation
     adapter = IdentityAdapter()
     method = TranslationMethod(kind=kind, adapter=adapter, dictionary=dictionary)
     index = _index_from_texts({"d1": "denshi toshokan"})
-    translate_query(_query("digital library search"), method, index, EN, JA, adapter)
+    translate_query(_query("digital library search"), method, index, EN, adapter)
     assert len(calls) == segmentations
 
 
@@ -565,23 +582,10 @@ def test_dictionary_choices_cold_and_warm_equal_the_uncached_definition(tokens, 
         out = _by_dict(text, dictionary, index)
         assert (list(out.terms.counts.items()), out.unresolved) == expected
     used = {tuple(c) for _, c in clir.translate._segment(tokens, dictionary) if c is not None}
-    assert set(index.choices) == {(JA, c) for c in used}
+    assert set(index.choices) == used
 
 
-def test_two_analyzers_over_one_index_keep_separate_choices():
-    index = _index_from_texts({"d1": "toshokan deta", "d2": "toshokan"})
-    dictionary = BilingualDictionary({"library": ["Toshokan", "deta"]})
-    method = TranslationMethod(kind=DICT_PHRASE, dictionary=dictionary)
-    cased = AnalyzerConfig(lang="ja", lowercase=False)
-    # lowercased, "Toshokan" is in two documents; as written, in none
-    for cfg, chosen in ((JA, "toshokan"), (cased, "deta"), (JA, "toshokan"), (cased, "deta")):
-        out = translate_query(_query("library"), method, index, EN, cfg, None)
-        assert out.terms.counts == {chosen: 1}
-    candidates = ("Toshokan", "deta")
-    assert index.choices == {(JA, candidates): ["toshokan"], (cased, candidates): ["deta"]}
-
-
-def test_each_candidate_list_is_tokenized_once_per_index_and_analyzer(monkeypatch):
+def test_each_candidate_list_is_tokenized_once_per_index(monkeypatch):
     calls = []
 
     def counting(text, cfg):
@@ -591,30 +595,27 @@ def test_each_candidate_list_is_tokenized_once_per_index_and_analyzer(monkeypatc
     monkeypatch.setattr(clir.translate, "tokenize", counting)
     dictionary = BilingualDictionary({"library": ["toshokan", "raiburari"], "search": ["kensaku"]})
     method = TranslationMethod(kind=DICT_PHRASE, dictionary=dictionary)
-    cased = AnalyzerConfig(lang="ja", lowercase=False)
     texts = {"d1": "toshokan kensaku", "d2": "raiburari"}
     indexes = [_index_from_texts(texts), _index_from_texts(texts)]
     for index in indexes:
-        for cfg in (JA, cased):
-            for _ in range(3):
-                translate_query(_query("library search library"), method, index, EN, cfg, None)
+        for _ in range(3):
+            translate_query(_query("library search library"), method, index, EN, None)
     candidate_calls = Counter(call for call in calls if call[1] != EN)
-    assert candidate_calls == {(c, cfg): 2 for c in ("toshokan", "raiburari", "kensaku")
-                               for cfg in (JA, cased)}
+    assert candidate_calls == {(c, JA): 2 for c in ("toshokan", "raiburari", "kensaku")}
 
 
-def _merged_per_unit(units, adapter, cfg_tgt):
+def _merged_per_unit(units, adapter, target):
     # Reference: one TermVector per unit, merged in unit order by summing
     # term frequencies, as (term count items in order, unresolved units)
     counts = Counter()
     unresolved = []
     for unit in units:
-        vec = analyze(adapter.translate(unit, "en", cfg_tgt.lang), cfg_tgt)
+        vec = analyze(adapter.translate(unit, "en", target.lang), target)
         if vec.counts:
             counts.update(vec.counts)
         elif unit not in unresolved:
             unresolved.append(unit)
-    return TranslatedQuery(TermVector.from_counts(counts), MT_PHRASE, unresolved, cfg_tgt.lang)
+    return TranslatedQuery(TermVector.from_counts(counts), MT_PHRASE, unresolved, target.lang)
 
 
 # outputs that repeat a term, share terms with each other, or analyse to nothing
@@ -640,7 +641,7 @@ def test_phrase_mt_merges_unit_outputs_as_one_term_vector_per_unit(tokens, outpu
     assert out.unresolved == expected.unresolved
     if dictionary is not None:
         method = TranslationMethod(kind=COMBINED, adapter=adapter, dictionary=dictionary)
-        out = translate_query(_query(text), method, _SEG_INDEX, EN, JA, adapter)
+        out = translate_query(_query(text), method, _SEG_INDEX, EN, adapter)
         combined = combine_translations(expected, _by_dict(text, dictionary, _SEG_INDEX))
         assert list(out.terms.counts.items()) == list(combined.terms.counts.items())
         assert out.unresolved == combined.unresolved
