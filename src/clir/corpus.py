@@ -9,7 +9,8 @@ import logging
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import filterfalse, repeat
+from functools import cached_property
+from itertools import chain, filterfalse, repeat
 
 from clir.errors import ConfigError, IntegrityError, NoPairError, NotFoundError, ParseError
 from clir.files import read_json_lines
@@ -112,6 +113,14 @@ def analyze(text, cfg):
     return TermVector.from_tokens(tokenize(text, cfg))
 
 
+def check_run_token(text, what="run tag"):
+    """``text`` as one field of a run line; ValueError if it is empty or
+    holds whitespace, which would split the line into other fields."""
+    if text.split() != [text]:
+        raise ValueError(f"{what} must be non-empty and hold no whitespace, got {text!r}")
+    return text
+
+
 def indexable_text(doc):
     """Title, keywords and abstract joined with single spaces; other fields are not indexed."""
     parts = [doc.title, *doc.keywords, doc.abstract]
@@ -121,15 +130,19 @@ def indexable_text(doc):
 class Corpus:
     """An immutable set of documents with id lookup.
 
-    With ``declared_langs`` given, a document in any other language is
+    Every doc_id must pass ``check_run_token``, so that a run file can hold
+    it. With ``declared_langs`` given, a document in any other language is
     refused; with None, any language is accepted.
     """
 
     def __init__(self, documents, declared_langs=None):
         self._docs = {}
         for doc in documents:
-            if not doc.doc_id:
-                raise IntegrityError("document with empty id")
+            try:
+                check_run_token(doc.doc_id, "doc id")
+            except ValueError:
+                raise IntegrityError(f"document with empty id or whitespace in its id: "
+                                     f"{doc.doc_id!r}") from None
             if doc.doc_id in self._docs:
                 raise IntegrityError(f"duplicate doc_id {doc.doc_id!r}")
             if declared_langs is not None and doc.lang not in declared_langs:
@@ -143,6 +156,16 @@ class Corpus:
 
     def __iter__(self):
         return iter(self._docs.values())
+
+    @cached_property
+    def shared_texts(self):
+        """The texts that more than one field of the collection holds, a
+        title, keyword or abstract of one document or of several; computed
+        once, on first use."""
+        seen, shared = set(), set()
+        for text in chain.from_iterable((d.title, *d.keywords, d.abstract) for d in self):
+            (shared if text in seen else seen).add(text)
+        return frozenset(shared)
 
     def get(self, doc_id):
         try:

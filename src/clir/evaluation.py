@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field, replace
 from itertools import count, islice
 
+from clir.corpus import check_run_token
 from clir.errors import IntegrityError, ParseError
 from clir.files import read_lines
 from clir.index import RankedList
@@ -163,14 +164,6 @@ def _check_ranking(query_id, ranked, where=""):
         seen.add(doc_id)
         if pos and scores[pos] > scores[pos - 1]:
             raise IntegrityError(f"{where}query {query_id!r}: score increases at rank {pos + 1}")
-
-
-def check_run_token(text, what="run tag"):
-    """``text`` as one field of a run line; ValueError if it is empty or
-    holds whitespace, which would split the line into other fields."""
-    if text.split() != [text]:
-        raise ValueError(f"{what} must be non-empty and hold no whitespace, got {text!r}")
-    return text
 
 
 def check_query_id(query_id):

@@ -11,7 +11,9 @@ derived from them by one function, once per index: ``load_index`` derives them
 before it returns, because every command that loads an index searches it, and
 a built index derives them at its first search, so ``clir index``, which only
 saves, never does. Either way the tables are bit-identical. A loaded index
-then keeps its counts as the JSON text it read, not as one dict per document.
+then keeps its counts as the JSON text it read, zlib-compressed at level 1
+in the compressor's chunks, not as one dict per document; only saving and
+comparing decompress it.
 
 In memory each document is known by its ordinal, its position in ascending
 doc_id order. Postings hold ordinals and the norms are one dense list, so
@@ -34,6 +36,7 @@ when at least ``top_n`` reach it. Otherwise all documents are.
 
 import json
 import math
+import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import ge, mul, truediv
 
-from clir.corpus import AnalyzerConfig, analyze, indexable_text
+from clir.corpus import AnalyzerConfig, analyze, check_run_token, indexable_text
 from clir.errors import ConfigError, IntegrityError
 from clir.files import read_json, replacing
 
@@ -117,11 +120,13 @@ class InvertedIndex:
     term's postings. ``choices`` (empty at first, not saved) maps a candidate
     list to the terms dictionary translation chose. Two indexes are
     equal when their analyzers and term counts are; an index is not hashable.
+    A built index keeps its counts as one dict per document; a loaded one as
+    the JSON text they were read from, compressed (``documents``).
     """
 
     def __init__(self, analyzer, documents):
         self.analyzer = analyzer
-        self._counts = documents  # load_index swaps in the JSON text they were read from
+        self._counts = documents  # load_index swaps in their text's compressed chunks
         self.num_docs = len(documents)
         self.df = dict(Counter(chain.from_iterable(documents.values())))
         self.products, self.choices = {}, {}
@@ -134,10 +139,13 @@ class InvertedIndex:
     @property
     def documents(self):
         """doc_id -> {term: tf} in token order, empty documents included: a
-        built index's own dicts, or a loaded index's decoded afresh on each
-        access. Only saving and comparing read them; searches never do."""
+        built index's own dicts, or a loaded index's decompressed and decoded
+        afresh on each access. Only saving and comparing read them; searches
+        never do."""
         counts = self._counts
-        return json.loads(counts)["documents"] if isinstance(counts, str) else counts
+        if isinstance(counts, list):  # a loaded index's compressed chunks
+            return json.loads(zlib.decompress(b"".join(counts)).decode("utf-8"))["documents"]
+        return counts
 
     @cached_property
     def _tables(self):
@@ -382,7 +390,8 @@ def load_index(path):
     is checked before use: a file that is not a ``clir-index-v2`` file (an
     older format among them; rebuild it with ``clir index``), misses a key,
     holds a value of the wrong type or an analyzer ``"lowercase"`` that is not
-    true, lists no document, or holds a term count that is not a positive
+    true, lists no document, holds a doc_id that fails ``check_run_token``
+    (no run file could hold it) or a term count that is not a positive
     integer raises IntegrityError naming it.
     """
     payload, text = read_json(path)
@@ -402,6 +411,10 @@ def load_index(path):
     if not documents:
         raise IntegrityError(f"{path}: 'documents' lists no document")
     for doc_id, counts in documents.items():
+        try:
+            check_run_token(doc_id, "doc id")
+        except ValueError as exc:
+            raise IntegrityError(f"{path}: {exc}") from None
         if not isinstance(counts, dict) or counts and (
             set(map(type, counts.values())) != {int} or min(counts.values()) < 1
         ):
@@ -412,8 +425,20 @@ def load_index(path):
     index = InvertedIndex(cfg, documents)
     # derived now, not at the first search: every verb that loads an index
     # searches it. Each document's counts are released as they are read, and
-    # the index keeps the text they were parsed from
+    # the index keeps the text they were parsed from, compressed
     index._tables = _derive(((d, documents.pop(d)) for d in sorted(documents)),
                             index.df, index.num_docs)
-    index._counts = text
+    index._counts = _compress(text)
     return index
+
+
+def _compress(text):
+    """``text`` as zlib level-1 compressed UTF-8, in the chunks the
+    compressor gave: encoded 65,536 characters at a time and never joined,
+    so that no second full copy of the text or of its compressed form is
+    made."""
+    packer = zlib.compressobj(1)
+    chunks = [packer.compress(text[i : i + 65536].encode("utf-8"))
+              for i in range(0, len(text), 65536)]
+    chunks.append(packer.flush())
+    return chunks

@@ -30,7 +30,10 @@ TAIL_KEEP = "keep"
 class _RememberingAdapter(MTAdapter):
     """``adapter`` behind a table of its successful translations: a text it
     translated once between the same two languages is answered from the
-    table. A failed call stores nothing, so the next one tries again."""
+    table. A failed call stores nothing, so the next one tries again.
+
+    ``forget`` drops a stored document's texts that no later request can
+    ask for: those no other field of its collection holds."""
 
     def __init__(self, adapter):
         self.adapter = adapter
@@ -45,10 +48,18 @@ class _RememberingAdapter(MTAdapter):
             out = table[text] = self.adapter.translate(text, src, tgt)
         return out
 
+    def forget(self, doc, tgt, shared):
+        """Drop the translations into ``tgt`` of ``doc``'s title, keywords
+        and abstract, except those in ``shared``."""
+        table = self.tables.get((doc.lang, tgt), {})
+        for text in (doc.title, *doc.keywords, doc.abstract):
+            if text not in shared:
+                table.pop(text, None)
+
 
 class DocumentMemo:
-    """Translated documents, kept term-major, and the translations of every
-    text, reused across queries.
+    """Translated documents, kept term-major, and the translations of texts,
+    reused across queries.
 
     A document's term vector depends on the document, the channel, the
     document adapter, the target language and the source analyzer, a frozen
@@ -61,11 +72,15 @@ class DocumentMemo:
 
     ``translator`` wraps an adapter in a table of its successful
     translations, one ``{text: translation}`` dict per source and target
-    language, so each distinct text reaches the adapter once per memo: a
-    query unit or sentence asked again by a later query, or a title, keyword
-    or abstract repeated across documents. ``MTAdapter`` requires equal
-    inputs to give equal outputs within a run, so the table changes no
-    result.
+    language, so each distinct text reaches the adapter once per memo and
+    source analyzer: a query unit or sentence asked again by a later query,
+    or a title, keyword or abstract repeated across documents. Once a
+    document's vector is stored, ``run_second_stage`` has the table forget
+    the document's texts that no other field of the collection holds
+    (``Corpus.shared_texts``), unless the document is in the query's
+    language; a document stored again under another source analyzer sends
+    those texts again. ``MTAdapter`` requires equal inputs to give equal
+    outputs within a run, so the table changes no result.
 
     ``DocumentMemo(store)`` shares the stored documents and translations of
     the memo ``store`` and keeps its own record of used documents. The first
@@ -111,10 +126,10 @@ class PipelineConfig:
 
     Each config carries a ``doc_memo`` of the documents its runs translated,
     so a document retrieved again by a later query is neither translated nor
-    analysed again, and of every text its adapters translated, so each
+    analysed again, and of the texts its adapters translated, so each
     distinct query unit, sentence, title, keyword or abstract reaches the
-    translator once per config. It is not a setting: ``dataclasses.replace``
-    gives the new config an empty memo.
+    translator once per config and source analyzer. It is not a setting:
+    ``dataclasses.replace`` gives the new config an empty memo.
     """
 
     n_intermediate: int
@@ -210,12 +225,14 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
     deep as the config needs. Each head document is translated and analysed
     once per ``cfg``: later runs take its vector from ``cfg.doc_memo``. Its
     title, keywords and abstract go to the translator through the same memo,
-    so a text that another document already sent is not sent again.
-    Documents whose translation fails, or which are missing from ``corpus``,
-    are logged and kept with a zero second-stage score; nothing is stored,
-    so the next run that retrieves them tries again. The timing's
-    ``total_s`` is this stage's time plus ``first_stage_s``, the time spent
-    producing ``stage_one``.
+    so a text that another document already sent is not sent again; once
+    the vector is stored, the memo forgets those of its texts that no other
+    field of ``corpus`` holds, unless the document is in the query's
+    language. Documents whose translation fails, or which are missing from
+    ``corpus``, are logged and kept with a zero second-stage score; nothing
+    is stored or forgotten, so the next run that retrieves them tries again
+    and sends only what failed. The timing's ``total_s`` is this stage's
+    time plus ``first_stage_s``, the time spent producing ``stage_one``.
     """
     t_run = time.perf_counter()
     n = cfg.n_intermediate
@@ -233,15 +250,16 @@ def run_second_stage(query, stage_one, corpus, cfg, cfg_src, first_stage_s):
         if hit is None:
             t_doc = time.perf_counter()
             try:
-                translated = translate_document(
-                    corpus.get(doc_id), cfg.doc_channel, corpus=corpus, adapter=adapter,
-                    target_lang=query.lang,
-                )
+                doc = corpus.get(doc_id)
+                translated = translate_document(doc, cfg.doc_channel, corpus=corpus,
+                                                adapter=adapter, target_lang=query.lang)
             except (TranslationError, NoPairError, NotFoundError) as exc:
                 logger.warning("query %s: document %s kept untranslated: %s", query.query_id, doc_id, exc)
                 continue
             counts = document_vector(translated, cfg_src).counts
             stored.add(doc_id, counts, time.perf_counter() - t_doc)
+            if cfg.doc_channel == CHANNEL_MT and doc.lang != query.lang:
+                adapter.forget(doc, query.lang, corpus.shared_texts)
         else:
             charged_s += hit
         used.add(doc_id)

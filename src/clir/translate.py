@@ -73,7 +73,8 @@ class MTAdapter:
     a retrieved document is translated once per pipeline configuration and
     its analysed text reused for every later query that retrieves it, and
     each distinct (source language, target language, text) is sent once per
-    configuration, its output reused wherever the same text comes again.
+    configuration and source analyzer, its output reused wherever the same
+    text comes again.
     Adapters must be hashable; the configuration's memo is keyed by them.
     """
 
@@ -123,8 +124,8 @@ class TableAdapter(MTAdapter):
     Looks the whole (stripped) input up first; otherwise maps token by token,
     passing unknown tokens through unchanged. ``delay_s`` adds a fixed per-call
     sleep for cost experiments. Behind a pipeline configuration each distinct
-    text is sent once, so the sleep applies once per distinct text per
-    configuration.
+    text is sent once per source analyzer, so the sleep applies once per
+    distinct text per configuration and source analyzer.
     """
 
     def __init__(self, table, delay_s=0.0):

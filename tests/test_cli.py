@@ -191,21 +191,32 @@ def test_a_tag_that_would_split_run_lines_is_a_usage_error(ws, tmp_path, capsys)
 
 
 def test_an_id_with_whitespace_fails_the_run_before_writing_it(ws, tmp_path, capsys):
+    def write_corpus(path, first_id):
+        _write_jsonl(path, [{"id": d, "lang": "en", "title": "", "keywords": [], "abstract": text}
+                            for d, text in ((first_id, "library search"), ("d2", "network"))])
+
+    # a doc id no run file can hold is refused where it is read, by file and line
+    bad_corpus, index = tmp_path / "bad.jsonl", tmp_path / "en.idx"
+    write_corpus(bad_corpus, "d 1")
+    assert main(["index", "--corpus", str(bad_corpus), "--lang", "en", "--out", str(index)]) == 2
+    assert f"'d 1' at {bad_corpus}:1" in capsys.readouterr().err
+    assert not index.exists()
     corpus = tmp_path / "corpus.jsonl"
-    _write_jsonl(corpus, [{"id": d, "lang": "en", "title": "", "keywords": [], "abstract": text}
-                          for d, text in (("d 1", "library search"), ("d2", "network"))])
-    index = tmp_path / "en.idx"
+    write_corpus(corpus, "d1")
     assert main(["index", "--corpus", str(corpus), "--lang", "en", "--out", str(index)]) == 0
+    bad_index = tmp_path / "bad.idx"
+    bad_index.write_text(index.read_text(encoding="utf-8").replace('"d1"', '"d 1"'),
+                         encoding="utf-8")
     queries = tmp_path / "queries.jsonl"
     out = tmp_path / "run.txt"
     # "#1" holds no whitespace, but read_run would skip its lines as comments
-    for query_id in ("q1", "q 1", "#1"):
+    for query_id, idx in (("q1", bad_index), ("q 1", index), ("#1", index)):
         _write_jsonl(queries, [{"id": query_id, "lang": "en", "description": "library"}])
         for args in (["search"], ["search2", "--corpus", str(corpus), "--doc-channel", "ht"]):
-            assert main(args + ["--index", str(index), "--query-file", str(queries),
+            assert main(args + ["--index", str(idx), "--query-file", str(queries),
                                 "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert f"'{query_id}'" in err if query_id != "q1" else "'d 1'" in err
+            assert f"'{query_id}'" in err if query_id != "q1" else f"{bad_index}: doc id" in err
             assert not out.exists()
 
 
@@ -722,6 +733,12 @@ def test_an_interrupted_write_propagates_and_leaves_the_previous_file(ws, output
     assert os.listdir(tmp_path) == ["out"]
 
 
+def _seconds_masked(data):
+    """An output with the sweep's three seconds columns masked: they are
+    wall-clock times, which differ from one run to the next."""
+    return re.sub(rb"(?m)(\s+\d+\.\d{3}){3}$", b" <s>", data)
+
+
 @pytest.mark.parametrize("verb", OUTPUT_VERBS)
 def test_an_output_file_keeps_its_mode_and_its_link(ws, outputs, tmp_path, verb):
     # the output goes to /dev/null, a file that is not regular, in place
@@ -731,12 +748,13 @@ def test_an_output_file_keeps_its_mode_and_its_link(ws, outputs, tmp_path, verb)
     out.chmod(0o600)
     assert main(_verb_args(ws, verb) + ["--out", str(out)]) == 0
     assert stat.S_IMODE(out.stat().st_mode) == 0o600
-    assert out.read_bytes() == outputs[verb]
+    want = _seconds_masked(outputs[verb])
+    assert _seconds_masked(out.read_bytes()) == want
     link = tmp_path / "link"
     link.symlink_to(out)
     out.write_bytes(b"old")
     assert main(_verb_args(ws, verb) + ["--out", str(link)]) == 0
-    assert link.is_symlink() and out.read_bytes() == outputs[verb]
+    assert link.is_symlink() and _seconds_masked(out.read_bytes()) == want
     assert sorted(os.listdir(tmp_path)) == ["link", "private"]
 
 
@@ -773,18 +791,23 @@ def test_search_writes_each_query_s_lines_before_the_next_query_runs(ws, outputs
 def test_a_query_that_fails_leaves_the_earlier_queries_on_stdout(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     _write_jsonl(corpus, [{"id": d, "lang": "en", "title": "", "keywords": [], "abstract": text}
-                          for d, text in (("d 1", "library search"), ("d2", "network"))])
+                          for d, text in (("d1", "library search"), ("d2", "network"))])
     index = tmp_path / "en.idx"
     assert main(["index", "--corpus", str(corpus), "--lang", "en", "--out", str(index)]) == 0
     queries = tmp_path / "queries.jsonl"
-    # the second query retrieves "d 1", which no run line can hold
+    # the translator refuses the second query's text
+    script = tmp_path / "mt.py"
+    script.write_text("import sys\n"
+                      "text = sys.stdin.read()\n"
+                      "sys.exit(3) if 'library' in text else print(text)\n", encoding="utf-8")
     _write_jsonl(queries, [{"id": "q1", "lang": "en", "description": "network"},
                            {"id": "q2", "lang": "en", "description": "library"}])
     capsys.readouterr()
-    assert main(["search", "--index", str(index), "--query-file", str(queries)]) == 2
+    assert main(["search", "--index", str(index), "--query-file", str(queries), "--method", "mts",
+                 "--adapter-cmd", shlex.join([sys.executable, str(script)])]) == 2
     captured = capsys.readouterr()
     assert captured.out.startswith("q1 Q0 d2 1 ") and "q2" not in captured.out
-    assert "'d 1'" in captured.err
+    assert "exited 3 on input 'library'" in captured.err
 
 
 def _make_runs(ws, tmp_path):

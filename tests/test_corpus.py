@@ -212,6 +212,26 @@ def test_corpus_refuses_an_empty_or_repeated_id():
         Corpus([Document(doc_id="d1", lang="en"), Document(doc_id="d1", lang="fr")])
 
 
+def test_load_corpus_refuses_an_id_no_run_file_can_hold(tmp_path):
+    path = tmp_path / "c.jsonl"
+    for doc_id in ("d 2", "d2\n", " d2"):
+        _write_jsonl(path, [_record("d1"), _record(doc_id)])
+        with pytest.raises(IntegrityError) as info:
+            load_corpus(path)
+        assert str(info.value) == (f"document with empty id or whitespace in its id: "
+                                   f"{doc_id!r} at {path}:2")
+
+
+def test_shared_texts_are_those_more_than_one_field_holds():
+    corpus = Corpus([
+        Document("d1", "ja", title="common", keywords=["k", "k"], abstract="only d1"),
+        Document("d2", "ja", title="t2", keywords=["common", "boiler"], abstract="boiler"),
+        Document("d3", "en", title="t3", keywords=[], abstract="t2"),
+    ])
+    assert corpus.shared_texts == {"common", "k", "boiler", "t2"}
+    assert corpus.shared_texts is corpus.shared_texts  # computed once
+
+
 def test_load_corpus_undeclared_language(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(path, [_record("d1", lang="fr")])

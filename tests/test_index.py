@@ -283,6 +283,28 @@ def test_a_loaded_index_holds_no_per_document_counts(tmp_path):
         hash(loaded)
 
 
+def test_no_string_or_bytes_a_loaded_index_holds_is_as_long_as_its_file(tmp_path):
+    # the counts text is kept compressed, not as the text load_index read
+    built = synth.build_ambiguity_setup().index
+    path = tmp_path / "idx.json"
+    save_index(built, path)
+    text = path.read_text(encoding="utf-8")
+    loaded = load_index(path)
+    search(loaded, _query_vec("a1 b1 c2"), 10)
+    seen, stack, longest = set(), [loaded], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (str, bytes)):
+            longest = max(longest, len(obj))
+        else:
+            stack.extend(gc.get_referents(obj))
+    assert 0 < longest < len(text)
+    assert loaded == built and loaded.documents == built.documents
+
+
 def test_searching_a_loaded_index_decodes_nothing(tmp_path, monkeypatch):
     built = build_index(_corpus_from_texts({"d1": "a a b", "d2": "b c", "d3": "c"}), CFG)
     path = tmp_path / "idx.json"
@@ -409,6 +431,17 @@ def test_load_index_rejects_truncated_doc_norms(tmp_path):
         with pytest.raises(IntegrityError, match="'d2'") as exc_info:
             load_index(path)
         assert str(path) in str(exc_info.value)
+
+
+def test_load_index_refuses_a_doc_id_no_run_file_can_hold(tmp_path):
+    path, payload = _saved_payload(tmp_path)
+    for doc_id in ("d 2", "d2\t", ""):
+        payload["documents"] = {"d1": {"a": 1}, doc_id: {"b": 1}}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(IntegrityError) as exc_info:
+            load_index(path)
+        assert str(exc_info.value) == (f"{path}: doc id must be non-empty and hold no "
+                                       f"whitespace, got {doc_id!r}")
 
 
 _WORDS = st.text(alphabet="abcde", min_size=1, max_size=3)

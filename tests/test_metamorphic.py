@@ -12,6 +12,11 @@ commands, gives each query the same ``search2`` lines, which leave as each
 query finishes. A query repeated under a new id ranks identically and costs
 no further translator call, each distinct text reaching the translator once.
 
+MR3, doc-id renaming: renaming the doc ids in an order-preserving way, pair
+links and judgments too, renames the doc ids of every ranking and changes
+nothing else, and the sweep's MAP stays the same. Only doc_id order may
+decide anything, through tie-breaks and ordinals.
+
 MR5, sweep and search2 agree: each ``sweep`` cell's MAP is the MAP that
 ``eval`` reports for the ``search2`` run at that depth with the same flags,
 though the sweep shares stage one and translated documents across its cells.
@@ -28,8 +33,15 @@ import synth
 from clir import cli
 from clir.cli import main
 from clir.corpus import Corpus, Document, Query
-from clir.evaluation import SweepSystem, format_run, run_from_ranked, sweep_n, sweep_runs
-from clir.index import build_index
+from clir.evaluation import (
+    Qrels,
+    SweepSystem,
+    format_run,
+    run_from_ranked,
+    sweep_n,
+    sweep_runs,
+)
+from clir.index import RankedList, build_index
 from clir.pipeline import TAIL_KEEP, PipelineConfig
 from clir.rerank import CombineParams
 from clir.translate import COMBINED, TableAdapter, TranslationMethod
@@ -57,9 +69,10 @@ def _cfg(n, **kwargs):
     return PipelineConfig(n_intermediate=n, translation_method=method, **kwargs)
 
 
-def _library_outputs(docs):
+def _library_outputs(docs, qrels=_SETUP.qrels):
     """What ``search``, ``search2`` (with the component scores ``--verbose``
-    shows) and ``sweep`` give on the collection ``docs``, through the library."""
+    shows) and ``sweep`` give on the collection ``docs``, through the library,
+    the sweep judged by ``qrels``."""
     corpus = Corpus(docs, ["en", "ja"])
     index = build_index(corpus.filter_lang("ja"), synth.TGT)
     outputs = {}
@@ -74,7 +87,7 @@ def _library_outputs(docs):
         outputs[name] = format_run(run_from_ranked(rankings, name)), rankings
     points = sweep_n(_QUERIES, index, corpus,
                      [SweepSystem("mpbt", _cfg(1)), SweepSystem("first", _cfg(1), two_stage=False)],
-                     lambda q: synth.SRC, index.analyzer, _SETUP.qrels, [5, 20, 101])
+                     lambda q: synth.SRC, index.analyzer, qrels, [5, 20, 101])
     outputs["sweep"] = [(p.system, p.n, p.mean_ap) for p in points]
     return outputs
 
@@ -92,6 +105,36 @@ def test_the_original_outputs_are_not_empty():
 @given(st.permutations(_DOCS))
 def test_mr1_permuting_the_collection_leaves_every_output_unchanged(docs):
     assert _library_outputs(docs) == _ORIGINAL
+
+
+def _new_ids(rng, k):
+    """``k`` distinct ids in ascending order, of 1 to 12 visible ASCII
+    characters, "#" and digits included."""
+    ids = set()
+    while len(ids) < k:
+        ids.add("".join(chr(rng.randint(33, 126)) for _ in range(rng.randint(1, 12))))
+    return sorted(ids)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_mr3_renaming_doc_ids_in_order_renames_them_in_every_output(seed):
+    new_ids = _new_ids(random.Random(seed), len(_DOCS))
+    rename = dict(zip(sorted(d.doc_id for d in _DOCS), new_ids))
+    docs = [Document(rename[d.doc_id], d.lang, d.title, d.keywords, d.abstract,
+                     d.pair_id and rename[d.pair_id]) for d in _DOCS]
+    qrels = Qrels({q: {rename[d]: g for d, g in judged.items()}
+                   for q, judged in _SETUP.qrels.grades.items()})
+    got = _library_outputs(docs, qrels)
+    assert got["sweep"] == _ORIGINAL["sweep"]
+    for name in ("search", "search2"):
+        text, rankings = _ORIGINAL[name]
+        want = [RankedList(r.query_id, doc_ids=[rename[d] for d in r.doc_ids], scores=r.scores,
+                           esims=r.esims, jsims=r.jsims) for r in rankings]
+        assert got[name][1] == want
+        assert got[name][0] == "".join(
+            f"{q} Q0 {rename[d]} {rank} {score} {tag}\n"
+            for q, _, d, rank, score, tag in map(str.split, text.splitlines()))
 
 
 def _write_collection(path, docs):

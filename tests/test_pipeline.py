@@ -569,6 +569,87 @@ def test_equal_analyzer_configs_share_a_bucket():
         one.lang = "fr"
 
 
+def _shared_field_corpus():
+    # titles, keywords and abstracts that other fields hold too, beside
+    # texts that only one field holds
+    docs = [("toshokan kensaku", ["deta", "netto"], "toshokan kensaku deta"),
+            ("deta", ["toshokan kensaku", "keisanki"], "toshokan deta j1"),
+            ("keisanki netto", ["kensaku", "deta"], "toshokan kensaku deta"),
+            ("netto j3", ["keisanki netto"], "keisanki toshokan"),
+            ("kensaku deta j4", ["netto", "toshokan j4"], "toshokan deta j1"),
+            ("netto j5", [], "keisanki netto netto")]
+    return Corpus([Document(f"j{i}", "ja", title=title, keywords=keywords, abstract=abstract)
+                   for i, (title, keywords, abstract) in enumerate(docs)], ["ja"])
+
+
+def _fields(doc):
+    return {doc.title, *doc.keywords, doc.abstract} - {""}
+
+
+def _doc_table(cfg, adapter, tgt="en"):
+    return cfg.doc_memo.translator(adapter).tables[("ja", tgt)]
+
+
+def test_the_memo_keeps_only_the_shared_texts_of_stored_documents():
+    corpus = _shared_field_corpus()
+    assert {"toshokan kensaku", "deta", "toshokan kensaku deta"} <= corpus.shared_texts
+    index = build_index(corpus, JA)
+    adapter = CountingAdapter()
+    cfg = _cfg(n=3, doc_adapter=adapter)
+    for qid, text in [("q1", "library search"), ("q2", "data network"), ("q3", "computer")]:
+        run_two_stage(_query(text, qid), index, corpus, cfg, EN, JA)
+    stored = set(cfg.doc_memo.bucket(CHANNEL_MT, adapter, "en", EN)[0].docs)
+    assert stored == {"j0", "j1", "j2", "j3"}
+    fields = set().union(*(_fields(corpus.get(d)) for d in stored))
+    assert set(_doc_table(cfg, adapter)) == fields & corpus.shared_texts != fields
+    # each distinct text reached the adapter once
+    assert adapter.texts == Counter(fields)
+
+
+def test_a_failed_documents_translated_fields_are_kept_for_its_retry():
+    corpus = Corpus([Document("j1", "ja", title="toshokan kensaku", abstract="toshokan kinshi"),
+                     Document("j2", "ja", abstract="keisanki")], ["ja"])
+    index = build_index(corpus, JA)
+    adapter = _LoggedAdapter({("ja", "en"): JA_TO_EN}, refuse={"toshokan kinshi"})
+    cfg = _cfg(n=2, doc_adapter=adapter)
+    run_two_stage(_query("library search", "q1"), index, corpus, cfg, EN, JA)
+    assert _doc_table(cfg, adapter) == {"toshokan kensaku": "library search"}
+    run_two_stage(_query("library search", "q2"), index, corpus, cfg, EN, JA)
+    # the retry sent only what failed; stored, j1 forgets both its texts
+    assert [text for *_, text in adapter.calls] == ["toshokan kensaku", "toshokan kinshi",
+                                                    "toshokan kinshi"]
+    assert _doc_table(cfg, adapter) == {}
+
+
+def test_nothing_is_forgotten_where_documents_are_in_the_query_language():
+    # with no document adapter, the query's own adapter translates the
+    # documents, and a ja query reads the same ja -> ja table as they do
+    corpus = _shared_field_corpus()
+    index = build_index(corpus, JA)
+    for lang in ("ja", "en"):
+        adapter = _LoggedAdapter({("ja", "ja"): {}, ("en", "ja"): EN_TO_JA, ("ja", "en"): JA_TO_EN})
+        cfg = _cfg(n=6, translation_method=TranslationMethod(MT_SENTENCE, adapter=adapter),
+                   doc_adapter=None)
+        query = Query("q1", lang, "toshokan netto" if lang == "ja" else "library network")
+        run_two_stage(query, index, corpus, cfg, AnalyzerConfig(lang=lang), JA)
+        fields = set().union(*map(_fields, corpus))
+        kept = set(_doc_table(cfg, adapter, lang)) - {query.description}
+        assert kept == (fields if lang == "ja" else fields & corpus.shared_texts)
+
+
+def test_a_second_source_analyzer_sends_the_one_off_fields_again():
+    corpus = _shared_field_corpus()
+    index = build_index(corpus, JA)
+    adapter = CountingAdapter()
+    cfg = _cfg(n=6, doc_adapter=adapter)
+    for cfg_src in (EN, AnalyzerConfig(lang="en", stopword_list={"library"})):
+        run_two_stage(_query("library network"), index, corpus, cfg, cfg_src, JA)
+    fields = set().union(*map(_fields, corpus))
+    one_off = fields - corpus.shared_texts
+    assert adapter.texts == Counter(fields) + Counter(one_off)
+    assert (len(fields), len(one_off), sum(adapter.texts.values())) == (14, 8, 22)
+
+
 # ------------------------------------------------------------ settings file
 
 
