@@ -38,7 +38,7 @@ from clir.evaluation import (
     sweep_runs,
     wilcoxon_signed_test,
 )
-from clir.files import read_lines, replacing
+from clir.files import discard, read_lines, replacing
 from clir.index import build_index, load_index, save_index
 from clir.pipeline import TAIL_DROP, TAIL_KEEP, PipelineConfig
 from clir.rerank import CombineParams
@@ -322,11 +322,18 @@ def _default_tag(args, suffix=""):
 
 
 def _emit(texts, out_path):
-    """Write each text as it comes, to stdout or through the one writer."""
+    """Write each text as it comes, to stdout or through the one writer, and
+    return the exit status: 0, or 141 (128 + SIGPIPE, as a shell reports for
+    ``cat``) once the reader has closed the pipe, which stops the command."""
     with replacing(out_path) if out_path else contextlib.nullcontext(sys.stdout) as fh:
         for text in texts:
-            fh.write(text)
-            fh.flush()
+            try:
+                fh.write(text)
+                fh.flush()
+            except BrokenPipeError:
+                discard(fh)  # the flush at exit then has nothing to fail on
+                return 141
+    return 0
 
 
 def _load_stopwords(path):
@@ -369,8 +376,7 @@ def cmd_search(args) -> int:
     tag = _default_tag(args, "+" + cfg.doc_channel if two_stage else "")
     runs = sweep_runs(queries, index, corpus, [SweepSystem("", cfg, two_stage)],
                       _source_analyzer, index.analyzer, [cfg.n_intermediate])
-    _emit(_run_texts(runs, tag, two_stage, args.verbose), args.out)
-    return 0
+    return _emit(_run_texts(runs, tag, two_stage, args.verbose), args.out)
 
 
 def _run_texts(runs, tag, two_stage, verbose):
@@ -416,8 +422,7 @@ def cmd_eval(args) -> int:
                 f"sign_test\tn\t{s.n}\tpositive\t{s.num_positive}\tnegative\t{s.num_negative}"
                 f"\tp_value\t{p_text}\tsignificant\t{'yes' if s.significant else 'no'}"
             )
-    _emit(["\n".join(blocks) + "\n"], args.out)
-    return 0
+    return _emit(["\n".join(blocks) + "\n"], args.out)
 
 
 def cmd_sweep(args) -> int:
@@ -440,8 +445,7 @@ def cmd_sweep(args) -> int:
         queries, index, corpus, [system], _source_analyzer, index.analyzer,
         qrels, ns, strict=not args.lenient,
     )
-    _emit([format_sweep(points) + "\n"], args.out)
-    return 0
+    return _emit([format_sweep(points) + "\n"], args.out)
 
 
 def main(argv=None) -> int:

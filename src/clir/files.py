@@ -3,7 +3,8 @@
 Every input file is UTF-8 text: a leading byte-order mark is dropped, lines
 may end in ``\\n``, ``\\r\\n`` or ``\\r``, and blank lines are skipped. A byte
 that does not decode, or JSON that does not parse, is a ParseError naming the
-file and the line. Every output file is written through ``replacing``.
+file and the line. Every output file is written through ``replacing``, and
+``discard`` sends what is left for a closed pipe to ``os.devnull``.
 """
 
 import contextlib
@@ -44,10 +45,9 @@ def _parse(text, path, line_nos):
 
 
 def read_json(path):
-    """The one JSON document a file holds, and the text it was parsed from."""
+    """The one JSON document a file holds."""
     numbered = list(read_lines(path))
-    text = "\n".join(line for _, line in numbered)
-    return _parse(text, path, [n for n, _ in numbered]), text
+    return _parse("\n".join(line for _, line in numbered), path, [n for n, _ in numbered])
 
 
 def read_json_lines(path):
@@ -57,6 +57,14 @@ def read_json_lines(path):
         if not isinstance(record, dict):
             raise ParseError("record is not an object", path, line_no)
         yield line_no, record
+
+
+def discard(fh):
+    """Point the descriptor under ``fh`` at ``os.devnull``, so that what its buffer
+    holds for a closed pipe goes nowhere (Python's ``signal`` docs, "Note on SIGPIPE")."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fh.fileno())
+    os.close(devnull)
 
 
 @contextlib.contextmanager

@@ -10,10 +10,9 @@ from them when the index is made. Document norms and the weighted postings are
 derived from them by one function, once per index: ``load_index`` derives them
 before it returns, because every command that loads an index searches it, and
 a built index derives them at its first search, so ``clir index``, which only
-saves, never does. Either way the tables are bit-identical. A loaded index
-then keeps its counts as the JSON text it read, zlib-compressed at level 1
-in the compressor's chunks, not as one dict per document; only saving and
-comparing decompress it.
+saves, never does. Either way the tables are bit-identical. A loaded index is
+a search index: it keeps the tables, not the counts, so only a built index
+can be saved.
 
 In memory each document is known by its ordinal, its position in ascending
 doc_id order. Postings hold ordinals and the norms are one dense list, so
@@ -36,7 +35,6 @@ when at least ``top_n`` reach it. Otherwise all documents are.
 
 import json
 import math
-import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -118,38 +116,22 @@ class InvertedIndex:
     empty: ``search`` keeps there, for each term it has weighed at exactly
     its idf factor, an ``array('d')`` of ``idf * weight`` parallel to the
     term's postings. ``choices`` (empty at first, not saved) maps a candidate
-    list to the terms dictionary translation chose. Two indexes are
-    equal when their analyzers and term counts are; an index is not hashable.
-    A built index keeps its counts as one dict per document; a loaded one as
-    the JSON text they were read from, compressed (``documents``).
+    list to the terms dictionary translation chose. ``documents`` maps each
+    doc_id to its {term: tf} in token order, empty documents included, on a
+    built index; a loaded index keeps no counts, and its ``documents`` is
+    ``None``.
     """
 
     def __init__(self, analyzer, documents):
         self.analyzer = analyzer
-        self._counts = documents  # load_index swaps in their text's compressed chunks
+        self.documents = documents
         self.num_docs = len(documents)
         self.df = dict(Counter(chain.from_iterable(documents.values())))
         self.products, self.choices = {}, {}
 
-    def __eq__(self, other):
-        if not isinstance(other, InvertedIndex):
-            return NotImplemented
-        return self.analyzer == other.analyzer and self.documents == other.documents
-
-    @property
-    def documents(self):
-        """doc_id -> {term: tf} in token order, empty documents included: a
-        built index's own dicts, or a loaded index's decompressed and decoded
-        afresh on each access. Only saving and comparing read them; searches
-        never do."""
-        counts = self._counts
-        if isinstance(counts, list):  # a loaded index's compressed chunks
-            return json.loads(zlib.decompress(b"".join(counts)).decode("utf-8"))["documents"]
-        return counts
-
     @cached_property
     def _tables(self):
-        documents = self._counts
+        documents = self.documents
         return _derive(((d, documents[d]) for d in sorted(documents)), self.df, self.num_docs)
 
     @property
@@ -231,9 +213,9 @@ def build_index(corpus, cfg):
 
     Documents that analyze to nothing still count toward ``num_docs`` but get
     no postings. Every document's counts key a term by the same string, the
-    one from the first document in corpus order that holds it, as a loaded
-    index's do by the JSON decoder's key memo. The search tables are derived
-    at the first search, so an index that is only saved never derives them.
+    one from the first document in corpus order that holds it. The search
+    tables are derived at the first search, so an index that is only saved
+    never derives them.
     """
     if len(corpus) == 0:
         raise ConfigError("empty collection: document frequency needs at least one document")
@@ -362,8 +344,12 @@ def save_index(index, path):
     counts keep their token order, which fixes the summation order of its norm.
     The payload is encoded before it is written through ``replacing``, so an
     index holding text that is not UTF-8 (a lone surrogate) raises
-    IntegrityError naming ``path``, and any file there stays untouched.
+    IntegrityError naming ``path``, and any file there stays untouched. A
+    loaded index keeps no counts to save, and raises ConfigError.
     """
+    if index.documents is None:
+        raise ConfigError(f"{path}: a loaded index keeps no term counts to save; "
+                          "build the index with `clir index`")
     cfg = index.analyzer
     analyzer = {"lang": cfg.lang, "lowercase": True, "stopword_list": sorted(cfg.stopword_list),
                 "tokenizer_kind": cfg.tokenizer_kind, "min_token_len": cfg.min_token_len}
@@ -394,7 +380,7 @@ def load_index(path):
     (no run file could hold it) or a term count that is not a positive
     integer raises IntegrityError naming it.
     """
-    payload, text = read_json(path)
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
         raise IntegrityError(f"{path}: not a {INDEX_FORMAT} file; rebuild it with `clir index`")
     _check_types(payload, {"analyzer": dict, "documents": dict}, path)
@@ -424,21 +410,9 @@ def load_index(path):
             )
     index = InvertedIndex(cfg, documents)
     # derived now, not at the first search: every verb that loads an index
-    # searches it. Each document's counts are released as they are read, and
-    # the index keeps the text they were parsed from, compressed
+    # searches it, and only searches it. Each document's counts are released
+    # as they are read, and none is kept
     index._tables = _derive(((d, documents.pop(d)) for d in sorted(documents)),
                             index.df, index.num_docs)
-    index._counts = _compress(text)
+    index.documents = None
     return index
-
-
-def _compress(text):
-    """``text`` as zlib level-1 compressed UTF-8, in the chunks the
-    compressor gave: encoded 65,536 characters at a time and never joined,
-    so that no second full copy of the text or of its compressed form is
-    made."""
-    packer = zlib.compressobj(1)
-    chunks = [packer.compress(text[i : i + 65536].encode("utf-8"))
-              for i in range(0, len(text), 65536)]
-    chunks.append(packer.flush())
-    return chunks

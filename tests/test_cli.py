@@ -11,6 +11,7 @@ import os
 import re
 import shlex
 import stat
+import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import clir
 from clir import evaluation
 from clir.cli import SETTINGS, main
 from clir.evaluation import read_run
@@ -147,6 +149,26 @@ def test_missing_data_file_exits_two(ws, capsys):
     assert main(["index", "--corpus", str(ws.root / "absent.jsonl"),
                  "--lang", "ja", "--out", str(ws.root / "x.idx")]) == 2
     assert "clir:" in capsys.readouterr().err
+
+
+def test_a_reader_that_closes_stdout_first_gets_status_141_and_nothing_on_stderr(ws):
+    # `clir search ... | head -1`, made certain: the pipe's read end is closed
+    # before clir writes its first line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(clir.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "clir.cli", "search", "--index", str(ws.index),
+             "--query-file", str(ws.queries), "--method", "mts", "--mock-table", str(ws.table)],
+            stdout=write_end, stderr=subprocess.PIPE, encoding="utf-8", env=env,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == ""
 
 
 def test_corrupt_index_exits_two(ws, tmp_path, capsys):

@@ -17,6 +17,14 @@ links and judgments too, renames the doc ids of every ranking and changes
 nothing else, and the sweep's MAP stays the same. Only doc_id order may
 decide anything, through tie-breaks and ordinals.
 
+MR4, vocabulary renaming: renaming the target-language terms by a bijection,
+in the collection's ``ja`` texts, the dictionary's candidates and the mock
+table, leaves every output unchanged. The word analyzer with no stopwords
+keeps each new term as it is, and no two candidates of a dictionary entry
+tie on df, so the dictionary's lexicographic tie-break is never reached.
+Nothing else may read a term's spelling: a term is known by its df and its
+place in a document's or a query's token order.
+
 MR5, sweep and search2 agree: each ``sweep`` cell's MAP is the MAP that
 ``eval`` reports for the ``search2`` run at that depth with the same flags,
 though the sweep shares stage one and translated documents across its cells.
@@ -32,7 +40,7 @@ from hypothesis import strategies as st
 import synth
 from clir import cli
 from clir.cli import main
-from clir.corpus import Corpus, Document, Query
+from clir.corpus import Corpus, Document, Query, indexable_text
 from clir.evaluation import (
     Qrels,
     SweepSystem,
@@ -44,7 +52,7 @@ from clir.evaluation import (
 from clir.index import RankedList, build_index
 from clir.pipeline import TAIL_KEEP, PipelineConfig
 from clir.rerank import CombineParams
-from clir.translate import COMBINED, TableAdapter, TranslationMethod
+from clir.translate import COMBINED, BilingualDictionary, TableAdapter, TranslationMethod
 
 _SETUP = synth.build_ambiguity_setup()
 # synth's paired documents, then an empty one that counts toward N only
@@ -64,15 +72,16 @@ _TABLE = {
 }
 
 
-def _cfg(n, **kwargs):
-    method = TranslationMethod(COMBINED, TableAdapter(_TABLE), _SETUP.dictionary)
-    return PipelineConfig(n_intermediate=n, translation_method=method, **kwargs)
-
-
-def _library_outputs(docs, qrels=_SETUP.qrels):
+def _library_outputs(docs, qrels=_SETUP.qrels, table=_TABLE, dictionary=_SETUP.dictionary):
     """What ``search``, ``search2`` (with the component scores ``--verbose``
     shows) and ``sweep`` give on the collection ``docs``, through the library,
-    the sweep judged by ``qrels``."""
+    the sweep judged by ``qrels``, translating with the mock ``table`` and
+    ``dictionary``."""
+
+    def _cfg(n, **kwargs):
+        method = TranslationMethod(COMBINED, TableAdapter(table), dictionary)
+        return PipelineConfig(n_intermediate=n, translation_method=method, **kwargs)
+
     corpus = Corpus(docs, ["en", "ja"])
     index = build_index(corpus.filter_lang("ja"), synth.TGT)
     outputs = {}
@@ -135,6 +144,43 @@ def test_mr3_renaming_doc_ids_in_order_renames_them_in_every_output(seed):
         assert got[name][0] == "".join(
             f"{q} Q0 {rename[d]} {rank} {score} {tag}\n"
             for q, _, d, rank, score, tag in map(str.split, text.splitlines()))
+
+
+def _new_terms(rng, k, taken):
+    """``k`` distinct terms, none in ``taken``, of 1 to 10 characters that
+    the word analyzer keeps as they are: lowercase letters, digits and kana."""
+    terms = {}
+    while len(terms) < k:
+        term = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz0123456789éあいう")
+                       for _ in range(rng.randint(1, 10)))
+        if term not in taken:
+            terms[term] = None
+    return list(terms)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_mr4_renaming_the_target_vocabulary_leaves_every_output_unchanged(seed):
+    vocabulary = {t for d in _DOCS if d.lang == "ja" for t in indexable_text(d).split()}
+    vocabulary.update(c for cands in _SETUP.dictionary.entries.values() for c in cands)
+    taken = {t for text in (*(d.abstract for d in _DOCS), *(q.description for q in _QUERIES),
+                            *_TABLE, *_TABLE.values()) for t in text.split()}
+    rng = random.Random(seed)
+    old = sorted(vocabulary)
+    rng.shuffle(old)
+    rename = dict(zip(old, _new_terms(rng, len(old), taken | vocabulary)))
+
+    def renamed(text):
+        return " ".join(rename.get(t, t) for t in text.split())
+
+    docs = [Document(d.doc_id, d.lang, renamed(d.title), list(map(renamed, d.keywords)),
+                     renamed(d.abstract), d.pair_id) if d.lang == "ja" else d for d in _DOCS]
+    # the table's query translations end in target terms, and its
+    # back-translations of the documents start from them
+    table = {renamed(src): renamed(tgt) for src, tgt in _TABLE.items()}
+    dictionary = BilingualDictionary({" ".join(src): list(map(renamed, cands))
+                                      for src, cands in _SETUP.dictionary.entries.items()})
+    assert _library_outputs(docs, table=table, dictionary=dictionary) == _ORIGINAL
 
 
 def _write_collection(path, docs):
