@@ -1,8 +1,9 @@
 """Command-line front end: build indexes, run one- and two-stage searches,
 score runs against judgments, and sweep translation depths.
 
-Exit status: 0 on success, 1 on a usage error, 2 on a data or adapter error.
-Results go to stdout or the --out file; diagnostics and timing to stderr.
+Exit status: 0 on success, 1 on a usage error, 2 on a data or adapter error,
+141 once a reader closes stdout or stderr; ``main`` alone sets it. Results go
+to stdout or the --out file; diagnostics and timing to stderr.
 """
 
 import argparse
@@ -111,7 +112,11 @@ def read_config(path):
 
 
 class UsageError(Exception):
-    pass
+    """A rejected command line: ``main`` prints ``usage``, then ``prog: error: message``."""
+
+    def __init__(self, message, prog="clir", usage=""):
+        super().__init__(message)
+        self.prog, self.usage = prog, usage
 
 
 class _Formatter(argparse.HelpFormatter):
@@ -122,14 +127,7 @@ class _Formatter(argparse.HelpFormatter):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise UsageError(message)
-
-
-def _usage_error(message):
-    print(f"clir: error: {message}", file=sys.stderr)
-    raise UsageError(message)
+        raise UsageError(message, self.prog, self.format_usage())
 
 
 def _add_common(p):
@@ -241,8 +239,8 @@ def _merge_config(args):
         except ValueError:
             raise ConfigError(f"{path}: bad value for configuration key {key!r}: {raw!r}") from None
         if setting.choices and value not in setting.choices:
-            _usage_error(f"{path}: bad value for configuration key {key!r}: {raw!r} "
-                         f"(choose from {', '.join(setting.choices)})")
+            raise UsageError(f"{path}: bad value for configuration key {key!r}: {raw!r} "
+                             f"(choose from {', '.join(setting.choices)})")
         dest = key.replace("-", "_")
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
@@ -258,12 +256,12 @@ def _usage_errors():
     try:
         yield
     except (ConfigError, ValueError) as exc:
-        _usage_error(str(exc))
+        raise UsageError(str(exc))
 
 
 def _build_adapter(args):
     if args.adapter_cmd and args.mock_table:
-        _usage_error("--adapter-cmd and --mock-table are mutually exclusive")
+        raise UsageError("--adapter-cmd and --mock-table are mutually exclusive")
     if args.adapter_cmd:
         return CommandAdapter(args.adapter_cmd)
     if args.mock_table:
@@ -322,18 +320,11 @@ def _default_tag(args, suffix=""):
 
 
 def _emit(texts, out_path):
-    """Write each text as it comes, to stdout or through the one writer, and
-    return the exit status: 0, or 141 (128 + SIGPIPE, as a shell reports for
-    ``cat``) once the reader has closed the pipe, which stops the command."""
+    """Write each text as it comes, to stdout or through the one writer."""
     with replacing(out_path) if out_path else contextlib.nullcontext(sys.stdout) as fh:
         for text in texts:
-            try:
-                fh.write(text)
-                fh.flush()
-            except BrokenPipeError:
-                discard(fh)  # the flush at exit then has nothing to fail on
-                return 141
-    return 0
+            fh.write(text)
+            fh.flush()
 
 
 def _load_stopwords(path):
@@ -353,7 +344,7 @@ def _load_run_queries(path):
     return queries
 
 
-def cmd_index(args) -> int:
+def cmd_index(args):
     stopwords = _load_stopwords(args.stopwords) if args.stopwords else frozenset()
     kind = CHARACTER_BIGRAM if args.tokenizer == "bigram" else WHITESPACE_WORD
     with _usage_errors():
@@ -364,10 +355,9 @@ def cmd_index(args) -> int:
     save_index(index, args.out)
     print(f"indexed {index.num_docs} documents, {len(index.df)} terms -> {args.out}",
           file=sys.stderr)
-    return 0
 
 
-def cmd_search(args) -> int:
+def cmd_search(args):
     two_stage = args.verb == "search2"
     cfg = _pipeline_config(args, args.n, two_stage)
     index = load_index(args.index)
@@ -376,7 +366,7 @@ def cmd_search(args) -> int:
     tag = _default_tag(args, "+" + cfg.doc_channel if two_stage else "")
     runs = sweep_runs(queries, index, corpus, [SweepSystem("", cfg, two_stage)],
                       _source_analyzer, index.analyzer, [cfg.n_intermediate])
-    return _emit(_run_texts(runs, tag, two_stage, args.verbose), args.out)
+    _emit(_run_texts(runs, tag, two_stage, args.verbose), args.out)
 
 
 def _run_texts(runs, tag, two_stage, verbose):
@@ -397,7 +387,7 @@ def _run_texts(runs, tag, two_stage, verbose):
         yield "".join(lines)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     with _usage_errors():
         check_level(args.level)
     qrels = load_qrels(args.qrels)
@@ -422,14 +412,14 @@ def cmd_eval(args) -> int:
                 f"sign_test\tn\t{s.n}\tpositive\t{s.num_positive}\tnegative\t{s.num_negative}"
                 f"\tp_value\t{p_text}\tsignificant\t{'yes' if s.significant else 'no'}"
             )
-    return _emit(["\n".join(blocks) + "\n"], args.out)
+    _emit(["\n".join(blocks) + "\n"], args.out)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     try:
         ns = [int(x) for x in args.ns.split(",") if x.strip()]
     except ValueError:
-        _usage_error(f"--ns must be a comma-separated list of integers, got {args.ns!r}")
+        raise UsageError(f"--ns must be a comma-separated list of integers, got {args.ns!r}")
     with _usage_errors():
         check_depths(ns)
     two_stage = args.stage == 2
@@ -445,29 +435,37 @@ def cmd_sweep(args) -> int:
         queries, index, corpus, [system], _source_analyzer, index.analyzer,
         qrels, ns, strict=not args.lenient,
     )
-    return _emit([format_sweep(points) + "\n"], args.out)
+    _emit([format_sweep(points) + "\n"], args.out)
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status, the one place that prints a
+    failure and sets the status: 0; 1 on a usage error; 2 on a data or adapter
+    error; 141 (128 + SIGPIPE, as a shell reports for ``cat``) once a write to
+    stdout or stderr meets a closed pipe, which stops the command. A failure
+    whose message cannot be printed keeps its status."""
+    status, message = 0, ""
     try:
         args = build_parser().parse_args(argv)
-    except UsageError:
-        return 1
-    except SystemExit as exc:
-        return exc.code or 0
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
+        logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s",
+                            level=logging.DEBUG if args.verbose else logging.WARNING)
         _merge_config(args)
-        return args.func(args)
-    except UsageError:
-        return 1
+        args.func(args)
+    except SystemExit as exc:  # argparse's, once it has written --help
+        status = exc.code or 0
+    except UsageError as exc:
+        status, message = 1, f"{exc.usage}{exc.prog}: error: {exc}\n"
+    except BrokenPipeError:
+        status = 141
     except (ClirError, OSError, ValueError) as exc:
-        print(f"clir: {exc}", file=sys.stderr)
-        return 2
+        status, message = 2, f"clir: {exc}\n"
+    for stream, text in ((sys.stderr, message), (sys.stdout, "")):
+        try:  # on stdout, a short --help waits in the buffer until here
+            print(text, end="", file=stream, flush=True)
+        except BrokenPipeError:  # what the buffer holds goes nowhere, not to an error at exit
+            discard(stream)
+            status = status or 141
+    return status
 
 
 if __name__ == "__main__":

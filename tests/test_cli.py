@@ -151,24 +151,48 @@ def test_missing_data_file_exits_two(ws, capsys):
     assert "clir:" in capsys.readouterr().err
 
 
-def test_a_reader_that_closes_stdout_first_gets_status_141_and_nothing_on_stderr(ws):
-    # `clir search ... | head -1`, made certain: the pipe's read end is closed
-    # before clir writes its first line
+@pytest.mark.parametrize("case, closed, status", [
+    ("search", "stdout", 141),
+    ("search2-out", "stderr", 141),
+    ("index", "stderr", 141),
+    ("missing-index", "stderr", 2),
+    ("n-0", "stderr", 1),
+])
+def test_a_closed_pipe_exits_141_and_a_failure_keeps_its_status(ws, tmp_path, case, closed,
+                                                                  status):
+    # `clir ... | head -1` and `clir ... 2>&1 | head -1`, made certain: the
+    # pipe's read end is closed before clir writes its first line. The
+    # message of a failure then goes nowhere, and the failure keeps its status
+    query = ["--query-file", str(ws.queries), "--method", "mts", "--mock-table", str(ws.table)]
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "search": ["search", "--index", str(ws.index), *query],
+        "search2-out": ["search2", "--index", str(ws.index), "--corpus", str(ws.corpus),
+                        *query, "--out", str(out / "r.run")],
+        "index": ["index", "--corpus", str(ws.corpus), "--lang", "ja",
+                  "--out", str(out / "ja.idx")],
+        "missing-index": ["search", "--index", str(tmp_path / "absent.idx"), *query],
+        "n-0": ["search", "--index", str(ws.index), *query, "--n", "0"],
+    }[case]
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = os.path.dirname(os.path.dirname(clir.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "clir.cli", "search", "--index", str(ws.index),
-             "--query-file", str(ws.queries), "--method", "mts", "--mock-table", str(ws.table)],
-            stdout=write_end, stderr=subprocess.PIPE, encoding="utf-8", env=env,
-            timeout=60)
+        done = subprocess.run([sys.executable, "-m", "clir.cli", *argv], **streams,
+                              encoding="utf-8", env=env, timeout=60)
     finally:
         os.close(write_end)
-    assert done.returncode == 141
-    assert done.stderr == ""
+    assert done.returncode == status
+    assert (done.stderr if closed == "stdout" else done.stdout) == ""
+    if case == "index":  # written whole before the summary line met the pipe
+        assert [p.name for p in out.iterdir()] == ["ja.idx"]
+        assert (out / "ja.idx").read_bytes() == ws.index.read_bytes()
+    else:  # no run file, and no temporary file left behind
+        assert list(out.iterdir()) == []
 
 
 def test_corrupt_index_exits_two(ws, tmp_path, capsys):

@@ -458,3 +458,68 @@ def test_the_target_parameter_check_flags_every_other_taker():
     found = _stray_target_parameters(source)
     assert sorted(found) == [(2, "inner"), (6, "translate_query"), (10, "run"),
                              (11, "<lambda>"), (13, "positional")]
+
+
+# how a command ends has one home: clir.cli.main prints each failure and sets
+# every exit status, a closed pipe's 141 among them
+def _stray_exit_handling(source):
+    """(line, owner) of each ``except`` handler that names BrokenPipeError
+    and each ``return`` of an integer literal outside the top-level function
+    ``main``; ``owner`` is the enclosing top-level def or class, None at
+    module level."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        if owner == "main":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                stray = "BrokenPipeError" in _identifiers(ast.unparse(node.type))
+            else:
+                value = getattr(node, "value", None) if isinstance(node, ast.Return) else None
+                stray = isinstance(value, ast.Constant) and type(value.value) is int
+            if stray:
+                found.append((node.lineno, owner))
+    return sorted(found, key=lambda item: item[0])
+
+
+def test_only_main_sets_an_exit_status():
+    assert _stray_exit_handling((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_exit_check_flags_only_pipe_handlers_and_status_literals_outside_main():
+    source = (
+        "def main(argv):\n"
+        "    try:\n"
+        "        return run(argv)\n"
+        "    except BrokenPipeError:\n"
+        "        return 141\n"
+        "\n"
+        "def _emit(fh):\n"
+        "    try:\n"
+        "        fh.flush()\n"
+        "    except (ValueError, BrokenPipeError):\n"
+        "        return 141\n"
+        "    return 0\n"
+        "\n"
+        "class Verb:\n"
+        "    def run(self):\n"
+        "        return 2\n"
+        "\n"
+        "def tag(args):\n"
+        "    if args.tag:\n"
+        "        return args.tag\n"
+        "    return None\n"
+        "\n"
+        "def verbose(args):\n"
+        "    return True\n"
+        "\n"
+        "try:\n"
+        "    import fcntl\n"
+        "except ImportError:\n"
+        "    fcntl = None\n"
+        "except builtins.BrokenPipeError:\n"
+        "    pass\n"
+    )
+    assert _stray_exit_handling(source) == [(10, "_emit"), (11, "_emit"), (12, "_emit"),
+                                            (16, "Verb"), (30, None)]
