@@ -1,9 +1,9 @@
 """Command-line front end: build indexes, run one- and two-stage searches,
 score runs against judgments, and sweep translation depths.
 
-Exit status: 0 on success, 1 on a usage error, 2 on a data or adapter error,
-141 once a reader closes stdout or stderr; ``main`` alone sets it. Results go
-to stdout or the --out file; diagnostics and timing to stderr.
+Exit status: 0 on success, 1 on a usage error, 2 on a data or adapter error
+or a failed write to stdout or stderr, 141 on one into a closed pipe; ``main``
+alone sets it. Results go to stdout or the --out file; diagnostics and timing to stderr.
 """
 
 import argparse
@@ -128,6 +128,14 @@ class _Formatter(argparse.HelpFormatter):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message, self.prog, self.format_usage())
+
+    def print_help(self, file=None):  # argparse's own drops a write that fails
+        (file or sys.stdout).write(self.format_help())
+
+
+class _StderrHandler(logging.StreamHandler):
+    def handleError(self, record):  # logging's own reports a failed write and goes on
+        raise  # what emit caught: a failed write's OSError ends the command in main
 
 
 def _add_common(p):
@@ -314,9 +322,7 @@ def _source_analyzer(query):
 
 
 def _default_tag(args, suffix=""):
-    if args.tag:
-        return args.tag
-    return (args.method or "plain") + suffix
+    return args.tag or (args.method or "plain") + suffix
 
 
 def _emit(texts, out_path):
@@ -441,14 +447,16 @@ def cmd_sweep(args):
 def main(argv=None) -> int:
     """Run one command and return its exit status, the one place that prints a
     failure and sets the status: 0; 1 on a usage error; 2 on a data or adapter
-    error; 141 (128 + SIGPIPE, as a shell reports for ``cat``) once a write to
-    stdout or stderr meets a closed pipe, which stops the command. A failure
-    whose message cannot be printed keeps its status."""
+    error, a standard stream closed at start, or a failed write to stdout or
+    stderr, which stops the command; 141 (128 + SIGPIPE, as a shell reports
+    for ``cat``) if it met a closed pipe. A failure keeps its status, printed or not."""
     status, message = 0, ""
     try:
+        if sys.stdout is None or sys.stderr is None:  # a descriptor closed at start
+            raise ClirError("standard output is closed")  # printed only if stderr is not
         args = build_parser().parse_args(argv)
-        logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s",
-                            level=logging.DEBUG if args.verbose else logging.WARNING)
+        logging.basicConfig(handlers=[_StderrHandler(sys.stderr)],
+                            format="%(levelname)s %(name)s: %(message)s")
         _merge_config(args)
         args.func(args)
     except SystemExit as exc:  # argparse's, once it has written --help
@@ -460,11 +468,14 @@ def main(argv=None) -> int:
     except (ClirError, OSError, ValueError) as exc:
         status, message = 2, f"clir: {exc}\n"
     for stream, text in ((sys.stderr, message), (sys.stdout, "")):
-        try:  # on stdout, a short --help waits in the buffer until here
-            print(text, end="", file=stream, flush=True)
-        except BrokenPipeError:  # what the buffer holds goes nowhere, not to an error at exit
+        try:  # a stream closed at start is None; "" is not written, as even that can fail
+            if stream is not None and text:
+                stream.write(text)
+            if stream is not None:  # on stdout, a short --help waits in the buffer until here
+                stream.flush()
+        except OSError as exc:  # what the buffer holds goes nowhere, not to an error at exit
             discard(stream)
-            status = status or 141
+            status = status or (141 if isinstance(exc, BrokenPipeError) else 2)
     return status
 
 

@@ -34,6 +34,10 @@ class Document:
     abstract: str = ""
     pair_id: str | None = None
 
+    @property
+    def texts(self):  # title, keywords and abstract, in that order: indexed and translated
+        return (self.title, *self.keywords, self.abstract)
+
 
 @dataclass(slots=True)
 class Query:
@@ -123,8 +127,7 @@ def check_run_token(text, what="run tag"):
 
 def indexable_text(doc):
     """Title, keywords and abstract joined with single spaces; other fields are not indexed."""
-    parts = [doc.title, *doc.keywords, doc.abstract]
-    return " ".join(p for p in parts if p)
+    return " ".join(p for p in doc.texts if p)
 
 
 class Corpus:
@@ -163,7 +166,7 @@ class Corpus:
         title, keyword or abstract of one document or of several; computed
         once, on first use."""
         seen, shared = set(), set()
-        for text in chain.from_iterable((d.title, *d.keywords, d.abstract) for d in self):
+        for text in chain.from_iterable(d.texts for d in self):
             (shared if text in seen else seen).add(text)
         return frozenset(shared)
 

@@ -52,7 +52,7 @@ class _RememberingAdapter(MTAdapter):
         """Drop the translations into ``tgt`` of ``doc``'s title, keywords
         and abstract, except those in ``shared``."""
         table = self.tables.get((doc.lang, tgt), {})
-        for text in (doc.title, *doc.keywords, doc.abstract):
+        for text in doc.texts:
             if text not in shared:
                 table.pop(text, None)
 

@@ -315,16 +315,7 @@ def translate_document(doc, channel, corpus=None, adapter=None, target_lang=None
     if channel == CHANNEL_MT:
         if adapter is None or not target_lang:
             raise ConfigError("machine-translation channel needs an adapter and a target language")
-        return Document(
-            doc_id=doc.doc_id,
-            lang=target_lang,
-            title=adapter.translate(doc.title, doc.lang, target_lang) if doc.title else "",
-            keywords=[
-                adapter.translate(k, doc.lang, target_lang) if k else k for k in doc.keywords
-            ],
-            abstract=adapter.translate(doc.abstract, doc.lang, target_lang)
-            if doc.abstract
-            else "",
-            pair_id=doc.pair_id,
-        )
+        title, *keywords, abstract = [adapter.translate(text, doc.lang, target_lang) if text
+                                      else text for text in doc.texts]
+        return Document(doc.doc_id, target_lang, title, keywords, abstract, doc.pair_id)
     raise ConfigError(f"unknown document channel {channel!r}")

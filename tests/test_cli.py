@@ -151,21 +151,41 @@ def test_missing_data_file_exits_two(ws, capsys):
     assert "clir:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case, closed, status", [
-    ("search", "stdout", 141),
-    ("search2-out", "stderr", 141),
-    ("index", "stderr", 141),
-    ("missing-index", "stderr", 2),
-    ("n-0", "stderr", 1),
+# how the stream is broken: the read end of its pipe closed before clir
+# starts (`clir ... | head -1` made certain), its descriptor closed (`>&-`),
+# or open for reading only (`2</dev/null`)
+_BROKEN = {"closed": ">&-", "read-only": "</dev/null"}
+
+
+@pytest.mark.parametrize("case, stream, how, status", [
+    ("search", "stdout", "pipe", 141),
+    ("search2-out", "stderr", "pipe", 141),
+    ("index", "stderr", "pipe", 141),
+    ("missing-index", "stderr", "pipe", 2),
+    ("n-0", "stderr", "pipe", 1),
+    ("search", "stdout", "closed", 2),
+    ("help", "stdout", "closed", 2),
+    ("index", "stderr", "closed", 2),
+    ("missing-index", "stderr", "closed", 2),
+    ("warning", "stderr", "closed", 2),
+    ("missing-index", "stderr", "read-only", 2),
+    ("warning", "stderr", "read-only", 2),
+    ("help", "stdout", "pipe", 141),
+    ("warning", "stderr", "pipe", 141),
+    ("search", "stderr", "read-only", 0),  # nothing to write there, so nothing fails
 ])
-def test_a_closed_pipe_exits_141_and_a_failure_keeps_its_status(ws, tmp_path, case, closed,
-                                                                  status):
-    # `clir ... | head -1` and `clir ... 2>&1 | head -1`, made certain: the
-    # pipe's read end is closed before clir writes its first line. The
-    # message of a failure then goes nowhere, and the failure keeps its status
+def test_a_failed_write_to_stdout_or_stderr_ends_the_command_with_its_status(
+        ws, tmp_path, case, stream, how, status):
+    # a failure's message goes to stderr or nowhere, never to stdout, and a
+    # failed write stops the command: nothing is written after it
     query = ["--query-file", str(ws.queries), "--method", "mts", "--mock-table", str(ws.table)]
     out = tmp_path / "out"
     out.mkdir()
+    # the first query has a word the dictionary lacks, so its warning is the
+    # first write to stderr and comes before any run line
+    warned = tmp_path / "warned.jsonl"
+    warned.write_text(json.dumps({"id": "q0", "lang": "en", "description": "library zzzunknownword"})
+                      + "\n" + ws.queries.read_text(encoding="utf-8"), encoding="utf-8")
     argv = {
         "search": ["search", "--index", str(ws.index), *query],
         "search2-out": ["search2", "--index", str(ws.index), "--corpus", str(ws.corpus),
@@ -174,24 +194,40 @@ def test_a_closed_pipe_exits_141_and_a_failure_keeps_its_status(ws, tmp_path, ca
                   "--out", str(out / "ja.idx")],
         "missing-index": ["search", "--index", str(tmp_path / "absent.idx"), *query],
         "n-0": ["search", "--index", str(ws.index), *query, "--n", "0"],
+        "help": ["--help"],
+        "warning": ["search", "--index", str(ws.index), "--query-file", str(warned),
+                    "--method", "pbt", "--dict", str(ws.dictionary)],
     }[case]
-    read_end, write_end = os.pipe()
-    os.close(read_end)
     src = os.path.dirname(os.path.dirname(clir.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
+    if case in ("help", "warning"):  # each write reaches the stream at once
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "clir.cli", *argv]
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    if how == "pipe":
+        streams[stream] = write_end
+    else:
+        fd = "1" if stream == "stdout" else "2"
+        command = ["sh", "-c", f'"$@" {fd}{_BROKEN[how]}', "sh", *command]
     try:
-        done = subprocess.run([sys.executable, "-m", "clir.cli", *argv], **streams,
-                              encoding="utf-8", env=env, timeout=60)
+        done = subprocess.run(command, **streams, encoding="utf-8", env=env, timeout=60)
     finally:
         os.close(write_end)
     assert done.returncode == status
-    assert (done.stderr if closed == "stdout" else done.stdout) == ""
-    if case == "index":  # written whole before the summary line met the pipe
+    if stream == "stdout":  # the message of a stream closed at start, or nothing
+        assert done.stderr == ("" if how == "pipe" else "clir: standard output is closed\n")
+    else:  # run lines of a command that succeeds, and nothing else
+        assert bool(done.stdout) == (status == 0)
+        assert all(re.fullmatch(r"q\d Q0 \S+ \d+ \S+ mts", line)
+                   for line in done.stdout.splitlines())
+    assert "Traceback" not in (done.stderr or "")
+    if case == "index" and how == "pipe":  # written whole before the summary line failed
         assert [p.name for p in out.iterdir()] == ["ja.idx"]
         assert (out / "ja.idx").read_bytes() == ws.index.read_bytes()
-    else:  # no run file, and no temporary file left behind
+    else:  # no output file, and no temporary file left behind
         assert list(out.iterdir()) == []
 
 

@@ -523,3 +523,36 @@ def test_the_exit_check_flags_only_pipe_handlers_and_status_literals_outside_mai
     )
     assert _stray_exit_handling(source) == [(10, "_emit"), (11, "_emit"), (12, "_emit"),
                                             (16, "Verb"), (30, None)]
+
+
+# a document's texts have one home: clir.corpus names a document's title,
+# keywords and abstract, and every other module reads them as Document.texts
+_DOCUMENT_FIELDS = {"title", "keywords", "abstract"}
+
+
+def _stray_field_reads(source):
+    """Line of each attribute, read or set, named title, keywords or abstract."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in _DOCUMENT_FIELDS)
+
+
+def test_only_the_corpus_reads_a_documents_fields():
+    stray = {module: found for module, source in _package_sources().items()
+             if module != "clir.corpus" and (found := _stray_field_reads(source))}
+    assert stray == {}
+    assert _stray_field_reads((PACKAGE / "corpus.py").read_text(encoding="utf-8"))
+
+
+def test_the_field_check_flags_only_attributes_of_those_names():
+    source = (
+        "doc.title\n"
+        "Document(doc_id, lang, title=t, keywords=[], abstract=a)\n"
+        "' '.join(doc.texts)\n"
+        "[k for k in doc.keywords if k]\n"
+        "record['abstract']\n"
+        "doc.abstract = text\n"
+        "getattr(doc, 'title')\n"
+        "title, *keywords, abstract = doc.texts\n"
+        "f(self.title.strip())\n"
+    )
+    assert _stray_field_reads(source) == [1, 4, 6, 9]
