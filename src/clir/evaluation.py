@@ -514,8 +514,9 @@ def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
             n_values, strict: bool = True) -> list[SweepPoint]:
     """Evaluate every system at every depth in ``n_values`` from the runs of
     ``sweep_runs``, each (system, depth) cell after its last run and before
-    the next cell's first. Returns one point per cell with mean average
-    precision and per-phase time summed over the queries."""
+    the next cell's first. A cell keeps each run's doc ids, the one column
+    ``evaluate_run`` reads, not its ranking. Returns one point per cell with
+    mean average precision and per-phase time summed over the queries."""
     n_values = check_depths(n_values)
     runs = sweep_runs(queries, index, corpus, systems, cfg_src_for, cfg_tgt, n_values)
     points = []
@@ -527,7 +528,7 @@ def sweep_n(queries, index, corpus, systems, cfg_src_for, cfg_tgt, qrels,
                 translation_s += record.translation_s
                 rerank_s += record.rerank_s
                 total_s += record.total_s
-                ranked_lists.append(ranked)
+                ranked_lists.append(RankedList(ranked.query_id, doc_ids=ranked.doc_ids))
             tag = f"{system.name}-n{n}"
             report = evaluate_run(run_from_ranked(ranked_lists, tag), qrels, strict)
             points.append(SweepPoint(

@@ -68,20 +68,20 @@ def discard(fh):
 
 
 @contextlib.contextmanager
-def replacing(path, mode="w", encoding="utf-8"):
-    """Open ``path`` for writing so that the file there ends up complete or
-    untouched: the data goes to a new file beside the path's real target (a
-    symlink keeps its link, the target its permission bits), synced and
-    renamed over it if the block raises nothing, removed if it raises. A path
-    that is not a regular file (``/dev/null``, a pipe) is written in place."""
+def replacing(path):
+    """Open ``path`` to write UTF-8 text, so that the file there ends up
+    complete or untouched: the data goes to a new file beside the path's real
+    target (a symlink keeps its link, the target its permission bits), synced
+    and renamed over it if the block raises nothing, removed if it raises. A
+    path that is not a regular file (``/dev/null``, a pipe) is written in place."""
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, mode, encoding=encoding) as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
     target = os.path.realpath(path)
     temp = f"{target}.{os.urandom(4).hex()}.tmp"  # not secrets: hashlib costs 3.7 MB
     try:  # "x": created here, with the permission bits "w" would give a new file
-        fh = open(temp, mode.replace("w", "x"), encoding=encoding)
+        fh = open(temp, "x", encoding="utf-8")
     except OSError as exc:
         exc.filename = os.fspath(path)  # the user's path, not the temporary file's
         raise

@@ -39,7 +39,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import ge, mul, truediv
 
 from clir.corpus import AnalyzerConfig, analyze, check_run_token, indexable_text
@@ -47,6 +47,7 @@ from clir.errors import ConfigError, IntegrityError
 from clir.files import read_json, replacing
 
 INDEX_FORMAT = "clir-index-v2"
+_SAVE_CHUNK = 16  # documents that save_index encodes at a time
 
 
 @dataclass(slots=True)
@@ -342,25 +343,32 @@ def save_index(index, path):
 
     Keys are written in insertion order, never sorted: each document's term
     counts keep their token order, which fixes the summation order of its norm.
-    The payload is encoded before it is written through ``replacing``, so an
-    index holding text that is not UTF-8 (a lone surrogate) raises
-    IntegrityError naming ``path``, and any file there stays untouched. A
-    loaded index keeps no counts to save, and raises ConfigError.
+    Every string is checked before ``path`` is opened: text that is not
+    UTF-8 (a lone surrogate) raises IntegrityError naming the path, and
+    nothing is written. Documents are encoded ``_SAVE_CHUNK`` at a time
+    through ``replacing``. A loaded index keeps no counts: ConfigError.
     """
     if index.documents is None:
         raise ConfigError(f"{path}: a loaded index keeps no term counts to save; "
                           "build the index with `clir index`")
     cfg = index.analyzer
-    analyzer = {"lang": cfg.lang, "lowercase": True, "stopword_list": sorted(cfg.stopword_list),
-                "tokenizer_kind": cfg.tokenizer_kind, "min_token_len": cfg.min_token_len}
-    payload = {"format": INDEX_FORMAT, "analyzer": analyzer, "documents": index.documents}
     try:
-        data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        for text in chain((cfg.lang,), cfg.stopword_list, index.documents, index.df):
+            text.encode("utf-8")
     except UnicodeEncodeError as exc:
         bad = exc.object[exc.start:exc.end]
         raise IntegrityError(f"{path}: cannot write {bad!r}: it is not UTF-8 text") from None
-    with replacing(path, "wb", encoding=None) as fh:
-        fh.write(data)
+    analyzer = {"lang": cfg.lang, "lowercase": True, "stopword_list": sorted(cfg.stopword_list),
+                "tokenizer_kind": cfg.tokenizer_kind, "min_token_len": cfg.min_token_len}
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    items = iter(index.documents.items())
+    head = {"format": INDEX_FORMAT, "analyzer": analyzer,
+            "documents": dict(islice(items, _SAVE_CHUNK))}
+    with replacing(path) as fh:
+        fh.write(encode(head)[:-2])  # without the braces that close "documents" and the file
+        while chunk := dict(islice(items, _SAVE_CHUNK)):
+            fh.write(", " + encode(chunk)[1:-1])
+        fh.write("}}")
 
 
 def _check_types(record, types, path, prefix=""):

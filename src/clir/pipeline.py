@@ -197,7 +197,8 @@ def run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=None):
     The ranking at a smaller depth is an exact prefix of this one, because
     ties break on doc_id. The query's texts go to the translator through
     ``cfg.doc_memo``, so a text an earlier query sent is not sent again.
-    Query terms left untranslated are logged as a warning. ``cfg_tgt`` must
+    Query terms left untranslated are logged as a warning, and so is a
+    translated query whose terms match no document. ``cfg_tgt`` must
     equal ``index.analyzer``, which analyses the translated query.
     """
     _check_target(index, cfg_tgt)
@@ -207,7 +208,10 @@ def run_first_stage(query, index, cfg, cfg_src, cfg_tgt, depth=None):
     if translated.unresolved:
         logger.warning("query %s: untranslated terms %s", query.query_id, translated.unresolved)
     depth = first_stage_depth(cfg) if depth is None else depth
-    return search(index, translated.terms, depth, query_id=query.query_id)
+    ranked = search(index, translated.terms, depth, query_id=query.query_id)
+    if translated.terms.counts and not ranked.doc_ids:
+        logger.warning("query %s: no document matches its translated terms", query.query_id)
+    return ranked
 
 
 # run_two_stage calls stage one by this private name, so that a tracer which

@@ -502,6 +502,24 @@ def test_a_dictionary_word_that_analyses_to_nothing_is_logged_untranslated(tmp_p
     assert out.read_text(encoding="utf-8") == ""
 
 
+def test_a_translated_query_that_matches_no_document_is_logged(tmp_path, caplog):
+    # without --method the English query reaches the Japanese index as it is
+    corpus = tmp_path / "corpus.jsonl"
+    _write_jsonl(corpus, [{"id": did, "lang": "ja", "title": "", "keywords": [], "abstract": text}
+                          for did, text in (("j1", "toshokan kensaku"), ("j2", "keisanki"))])
+    index = tmp_path / "ja.idx"
+    assert main(["index", "--corpus", str(corpus), "--lang", "ja", "--out", str(index)]) == 0
+    queries = tmp_path / "queries.jsonl"
+    _write_jsonl(queries, [{"id": "q1", "lang": "en", "description": "library search"}])
+    out = tmp_path / "run.txt"
+    with caplog.at_level(logging.WARNING):
+        assert main(["search", "--index", str(index), "--query-file", str(queries),
+                     "--out", str(out)]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "query q1: no document matches its translated terms"]
+    assert out.read_text(encoding="utf-8") == ""
+
+
 def test_search2_run_and_timing(ws, tmp_path, capsys):
     out = tmp_path / "run.txt"
     assert main(["search2", "--index", str(ws.index), "--corpus", str(ws.corpus),

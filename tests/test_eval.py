@@ -690,6 +690,12 @@ def test_sweep_cells_equal_runs_with_a_fresh_config_per_cell(tail, monkeypatch):
                      lambda q: AnalyzerConfig(lang=q.lang), s.tgt_cfg, s.qrels, depths)
     assert [(p.system, p.n) for p in points] == [
         (system.name, n) for system in systems for n in depths]
+    # the rankings that one sweep_runs call over every cell yields
+    cells = {}
+    for system, n, _, ranked, _ in sweep_runs(s.queries, s.index, s.corpus, systems,
+                                              lambda q: AnalyzerConfig(lang=q.lang),
+                                              s.tgt_cfg, depths):
+        cells.setdefault((system.name, n), []).append(ranked)
     for point, (system, n) in zip(points, itertools.product(systems, depths)):
         cfg = replace(system.cfg, n_intermediate=n)
         if system.two_stage:
@@ -698,8 +704,11 @@ def test_sweep_cells_equal_runs_with_a_fresh_config_per_cell(tail, monkeypatch):
         else:
             want = [run_first_stage(q, s.index, cfg, s.src_cfg, s.tgt_cfg, depth=n)
                     for q in s.queries]
+        assert cells[system.name, n] == want
+        # sweep_n scored the same doc ids, and kept no score column
         tag = f"{system.name}-n{n}"
-        assert runs[tag].rankings == {r.query_id: r for r in want}
+        assert {q: (r.doc_ids, r.scores, r.esims, r.jsims) for q, r in runs[tag].rankings.items()} \
+            == {r.query_id: (r.doc_ids, array("d"), array("d"), array("d")) for r in want}
         # the same cell as a sweep of its own, as `clir search` and `search2` run it
         one_cell = list(sweep_runs(s.queries, s.index, s.corpus, [system],
                                    lambda q: AnalyzerConfig(lang=q.lang), s.tgt_cfg, [n]))
@@ -713,8 +722,8 @@ def test_sweep_cells_equal_runs_with_a_fresh_config_per_cell(tail, monkeypatch):
     # the cells differ, so the comparison above is not vacuous
     assert len({p.mean_ap for p in points}) > 3
     if tail == TAIL_KEEP:
-        assert max(len(r.doc_ids) for r in runs["true-n2"].rankings.values()) == 10
-        assert max(len(r.doc_ids) for r in runs["skew-n2"].rankings.values()) == 8
+        assert max(len(r.doc_ids) for r in cells["true", 2]) == 10
+        assert max(len(r.doc_ids) for r in cells["skew", 2]) == 8
 
 
 @pytest.fixture

@@ -84,9 +84,6 @@ def test_the_writer_replaces_a_file_only_when_the_block_completes(tmp_path):
         assert path.read_text(encoding="utf-8") == "old\n"
         fh.write("データ\n")
     assert path.read_bytes() == "new データ\n".encode("utf-8")
-    with replacing(path, "wb", encoding=None) as fh:
-        fh.write(b"\x00\xff")
-    assert path.read_bytes() == b"\x00\xff"
     assert os.listdir(tmp_path) == ["out.txt"]
 
 

@@ -9,6 +9,7 @@ import gc
 import json
 import math
 import random
+import tracemalloc
 from array import array
 from collections import Counter
 
@@ -333,13 +334,65 @@ _V1_PAYLOAD = {
 }
 
 
-def test_save_index_leaves_the_file_untouched_on_text_it_cannot_encode(tmp_path):
+def test_save_index_leaves_the_file_untouched_on_text_it_cannot_encode(tmp_path, monkeypatch):
     path = tmp_path / "ix.json"
     path.write_bytes(b"an earlier index")
-    index = build_index(_corpus_from_texts({"d1": "alpha \ud800"}), CFG)
-    with pytest.raises(IntegrityError, match="ix.json"):
-        save_index(index, path)
+    opened = []
+    monkeypatch.setattr(clir.index, "replacing", lambda *args: opened.append(args))
+    # a lone surrogate in a doc id, in a term, in a stopword
+    for doc_id, term, stopword in (("d\ud800", "alpha", "the"), ("d1", "alpha\ud800", "the"),
+                                   ("d1", "alpha", "the\ud800")):
+        cfg = AnalyzerConfig(lang="en", stopword_list={stopword})
+        index = clir.index.InvertedIndex(cfg, {"d0": {"beta": 1}, doc_id: {term: 2, "beta": 1}})
+        with pytest.raises(IntegrityError, match="ix.json: cannot write '\\\\ud800'"):
+            save_index(index, path)
     assert path.read_bytes() == b"an earlier index"
+    assert opened == []
+
+
+# text that JSON escapes (quote, backslash, control characters) or that
+# takes four UTF-8 bytes, and any other text save for lone surrogates
+_SAVED_TEXT = st.one_of(st.sampled_from(['"', "\\", "\x00", "\x1f\n", "\U0001d11e", "a\\\"b"]),
+                        st.text(st.characters(exclude_categories=("Cs",)), min_size=1,
+                                max_size=4))
+_CHUNK = clir.index._SAVE_CHUNK
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), num_docs=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+       stopwords=st.frozensets(_SAVED_TEXT, max_size=3), lang=_SAVED_TEXT)
+def test_save_index_writes_what_one_json_dumps_writes(tmp_path_factory, data, num_docs,
+                                                      stopwords, lang):
+    doc_ids = data.draw(st.lists(_SAVED_TEXT, min_size=num_docs, max_size=num_docs, unique=True))
+    # empty count dicts included
+    counts = st.dictionaries(_SAVED_TEXT, st.integers(1, 10**12), max_size=3)
+    documents = {doc_id: data.draw(counts) for doc_id in doc_ids}
+    cfg = AnalyzerConfig(lang=lang, stopword_list=stopwords)
+    path = tmp_path_factory.mktemp("idx") / "idx.json"
+    save_index(clir.index.InvertedIndex(cfg, documents), path)
+    analyzer = {"lang": lang, "lowercase": True, "stopword_list": sorted(stopwords),
+                "tokenizer_kind": cfg.tokenizer_kind, "min_token_len": cfg.min_token_len}
+    payload = {"format": "clir-index-v2", "analyzer": analyzer, "documents": documents}
+    assert path.read_bytes() == json.dumps(payload, ensure_ascii=False).encode("utf-8")
+
+
+def test_saving_an_index_holds_a_small_part_of_its_file_at_once(tmp_path):
+    rng = random.Random(7)
+    words = [f"w{k:04d}" for k in range(3000)]
+    documents = {f"doc{d:05d}": dict.fromkeys(rng.sample(words, 40), 3) for d in range(2000)}
+    index = clir.index.InvertedIndex(AnalyzerConfig(lang="en"), documents)
+    path = tmp_path / "idx.json"
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        save_index(index, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert 900_000 < size < 1_200_000
+    # the file encoded whole, as a string and then as bytes, peaks at several times its size
+    assert peak - held < size / 4
 
 
 def test_load_index_rejects_wrong_format(tmp_path):
