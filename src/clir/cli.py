@@ -55,33 +55,36 @@ from clir.translate import (
     TranslationMethod,
 )
 
-# stage 1: a flag of every query verb; stage 2: of the two-stage verbs only
-_Setting = namedtuple("_Setting", "stage help type choices metavar",
-                      defaults=(str, None, None))
+# the verbs that take a setting as a flag; sweep's depths come from --ns alone
+_SEARCH, _RERANK = ("search", "search2"), ("search2", "sweep")
+_QUERY = _SEARCH + ("sweep",)
+_Setting = namedtuple("_Setting", "verbs help type choices metavar", defaults=(str, None, None))
 
 # Every run setting, in --help order: a flag and the same-named --config key.
 # None has a default here: a setting left unset is not passed on, so the
 # library's default applies (--n's 1000 is in _pipeline_config).
 SETTINGS = {
-    "n": _Setting(1, "retrieval depth of the first stage (default 1000)", int, metavar="N"),
-    "method": _Setting(1, "query translation method (default mts with the identity adapter)",
+    "n": _Setting(_SEARCH, "retrieval depth of the first stage (default 1000)", int, metavar="N"),
+    "method": _Setting(_QUERY, "query translation method (default mts with the identity adapter)",
                        choices=sorted(METHOD_KINDS)),
-    "adapter-cmd": _Setting(1, "external translator command; receives source and target "
-                               "language as arguments, text on stdin, and prints the translation",
-                            metavar="CMD"),
-    "mock-table": _Setting(1, "exact-match translation table file", metavar="PATH"),
-    "dict": _Setting(1, "bilingual dictionary file", metavar="PATH"),
-    "tag": _Setting(1, "run tag (default: derived from the method)", metavar="TAG"),
-    "doc-channel": _Setting(2, "how retrieved documents come back to the query language: machine "
-                               "translation or comparable human-written pairs (default mt)",
-                            choices=(CHANNEL_MT, CHANNEL_HT)),
-    "alpha": _Setting(2, "exponent on the original-query score (default 1)", float, metavar="A"),
-    "beta": _Setting(2, "exponent on the translated-query score (default 1)", float, metavar="B"),
-    "epsilon": _Setting(2, "floor substituted for zero scores before combining (default 0.0001)",
-                        float, metavar="E"),
-    "tail": _Setting(2, "below the re-ranked block, drop first-stage results or keep them "
-                        "(default drop)", choices=(TAIL_DROP, TAIL_KEEP)),
-    "depth": _Setting(2, "output depth with --tail keep (default 1000)", int, metavar="K"),
+    "adapter-cmd": _Setting(_QUERY, "external translator command; receives source and target "
+                                    "language as arguments, text on stdin, and prints the "
+                                    "translation", metavar="CMD"),
+    "mock-table": _Setting(_QUERY, "exact-match translation table file", metavar="PATH"),
+    "dict": _Setting(_QUERY, "bilingual dictionary file", metavar="PATH"),
+    "tag": _Setting(_QUERY, "run tag (default: derived from the method)", metavar="TAG"),
+    "doc-channel": _Setting(_RERANK, "how retrieved documents come back to the query language: "
+                                     "machine translation or comparable human-written pairs "
+                                     "(default mt)", choices=(CHANNEL_MT, CHANNEL_HT)),
+    "alpha": _Setting(_RERANK, "exponent on the original-query score (default 1)", float,
+                      metavar="A"),
+    "beta": _Setting(_RERANK, "exponent on the translated-query score (default 1)", float,
+                     metavar="B"),
+    "epsilon": _Setting(_RERANK, "floor substituted for zero scores before combining "
+                                 "(default 0.0001)", float, metavar="E"),
+    "tail": _Setting(_RERANK, "below the re-ranked block, drop first-stage results or keep them "
+                              "(default drop)", choices=(TAIL_DROP, TAIL_KEEP)),
+    "depth": _Setting(_RERANK, "output depth with --tail keep (default 1000)", int, metavar="K"),
 }
 
 # "#" opens a comment at the start of a line or after whitespace only
@@ -126,6 +129,11 @@ class _Formatter(argparse.HelpFormatter):
 
 
 class _Parser(argparse.ArgumentParser):
+    # allow_abbrev=False: a flag is taken only as --help spells it, so no
+    # flag a verb lacks is read as a longer one (sweep's --n as --ns)
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message, self.prog, self.format_usage())
 
@@ -138,28 +146,25 @@ class _StderrHandler(logging.StreamHandler):
         raise  # what emit caught: a failed write's OSError ends the command in main
 
 
-def _add_common(p):
+def _add_out(p):
     p.add_argument("--out", metavar="PATH", help="write results here instead of stdout")
-    p.add_argument("--verbose", "-v", action="store_true", help="more diagnostics on stderr")
 
 
-def _add_run_flags(p, two_stage=False):
+def _add_run_flags(p, verb):
     p.add_argument("--config", metavar="PATH",
                    help="key = value file supplying defaults for the flags below")
     for key, setting in SETTINGS.items():
-        if setting.stage == 1 or two_stage:
+        if verb in setting.verbs:
             p.add_argument("--" + key, type=setting.type, choices=setting.choices,
                            metavar=setting.metavar, help=setting.help)
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="clir", formatter_class=_Formatter,
+    parser = _Parser(prog="clir",
                      description="Two-stage cross-language retrieval and its evaluation.")
-    sub = parser.add_subparsers(dest="verb", metavar="verb", required=True,
-                                parser_class=_Parser)
+    sub = parser.add_subparsers(dest="verb", metavar="verb", required=True)
 
-    p = sub.add_parser("index", formatter_class=_Formatter,
-                       help="build and save an inverted index",
+    p = sub.add_parser("index", help="build and save an inverted index",
                        description="Build an inverted index over one language of a collection.")
     p.add_argument("--corpus", required=True, metavar="PATH", help="JSON-lines collection")
     p.add_argument("--lang", required=True, metavar="LANG", help="language to index")
@@ -169,32 +174,30 @@ def build_parser() -> _Parser:
     p.add_argument("--min-token-len", type=int, default=1, metavar="L",
                    help="drop word tokens shorter than this (default 1)")
     p.add_argument("--out", required=True, metavar="PATH", help="index file to write")
-    p.add_argument("--verbose", "-v", action="store_true", help="more diagnostics on stderr")
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("search", formatter_class=_Formatter,
-                       help="first-stage search with a translated query",
+    p = sub.add_parser("search", help="first-stage search with a translated query",
                        description="Translate each query and rank documents against the index.")
     p.add_argument("--index", required=True, metavar="PATH", help="index file")
     p.add_argument("--query-file", required=True, metavar="PATH", help="JSON-lines queries")
-    _add_run_flags(p)
-    _add_common(p)
+    _add_run_flags(p, "search")
+    _add_out(p)
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("search2", formatter_class=_Formatter,
-                       help="two-stage search with re-ranking",
+    p = sub.add_parser("search2", help="two-stage search with re-ranking",
                        description="First-stage search, then translate the top N documents "
                                    "back and re-rank them against the original query.")
     p.add_argument("--index", required=True, metavar="PATH", help="index file")
     p.add_argument("--corpus", required=True, metavar="PATH",
                    help="collection holding the indexed documents and any comparable pairs")
     p.add_argument("--query-file", required=True, metavar="PATH", help="JSON-lines queries")
-    _add_run_flags(p, two_stage=True)
-    _add_common(p)
+    _add_run_flags(p, "search2")
+    _add_out(p)
+    p.add_argument("--verbose", "-v", action="store_true",
+                   help="put a '#' line with esim, jsim and sim before each re-ranked run line")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("eval", formatter_class=_Formatter,
-                       help="score a run against relevance judgments",
+    p = sub.add_parser("eval", help="score a run against relevance judgments",
                        description="Average precision per query and its mean; optionally "
                                    "compare two runs with a paired significance test.")
     p.add_argument("--run", required=True, metavar="PATH", help="run file to score")
@@ -206,11 +209,10 @@ def build_parser() -> _Parser:
                    help="significance level (default 0.05)")
     p.add_argument("--sign-test", action="store_true",
                    help="also report the plain sign test for the comparison")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", formatter_class=_Formatter,
-                       help="accuracy and timing across first-stage depths",
+    p = sub.add_parser("sweep", help="accuracy and timing across first-stage depths",
                        description="Run the pipeline at several depths N and tabulate mean "
                                    "average precision and per-phase time for each.")
     p.add_argument("--index", required=True, metavar="PATH", help="index file")
@@ -223,8 +225,8 @@ def build_parser() -> _Parser:
                    help="truncate after the first stage (1) or re-rank (2, default)")
     p.add_argument("--lenient", action="store_true",
                    help="count partially relevant documents as relevant")
-    _add_run_flags(p, two_stage=True)
-    _add_common(p)
+    _add_run_flags(p, "sweep")
+    _add_out(p)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -282,10 +284,11 @@ def _build_method(args, adapter):
 
     Without --method, queries are used as-is (sentence mode through the
     identity adapter), which makes monolingual runs work with no extras.
+    A --dict is read whatever the method, as a --mock-table is.
     """
+    dictionary = BilingualDictionary.from_file(args.dict) if args.dict else None
     if args.method is None:
         return TranslationMethod(kind=MT_SENTENCE, adapter=adapter or IdentityAdapter())
-    dictionary = BilingualDictionary.from_file(args.dict) if args.dict else None
     with _usage_errors():
         return TranslationMethod(kind=args.method, adapter=adapter, dictionary=dictionary)
 
@@ -372,7 +375,7 @@ def cmd_search(args):
     tag = _default_tag(args, "+" + cfg.doc_channel if two_stage else "")
     runs = sweep_runs(queries, index, corpus, [SweepSystem("", cfg, two_stage)],
                       _source_analyzer, index.analyzer, [cfg.n_intermediate])
-    _emit(_run_texts(runs, tag, two_stage, args.verbose), args.out)
+    _emit(_run_texts(runs, tag, two_stage, two_stage and args.verbose), args.out)
 
 
 def _run_texts(runs, tag, two_stage, verbose):

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, the five verbs end to end, settings
 files, output files and output stability."""
 
+import argparse
 import builtins
 import dataclasses
 import hashlib
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import clir
 from clir import evaluation
-from clir.cli import SETTINGS, main
+from clir.cli import SETTINGS, build_parser, main
 from clir.evaluation import read_run
 from clir.pipeline import PipelineConfig
 from clir.rerank import CombineParams
@@ -127,11 +128,11 @@ def test_unknown_verb_is_a_usage_error():
 # documented command line, so a change to one is made here on purpose.
 _HELP_SHA256 = {
     (): "079f0d690459eaf0caf26bf5ca51b441e411edd2dbc8b363eb1a831720b0cc34",
-    ("index",): "0a9a0d90cac1fa2c00b6e080f3acef2b2f7e63cf45109ac403398679e4db07ce",
-    ("search",): "b10245a157d18518e206c8e2a48a2b3bcd578be15ebe078f1f431b0d2eac01ce",
-    ("search2",): "d5d9526f3d285c4049ee238f989a17934696ef854310dd60ce8c18a1e83533e4",
-    ("eval",): "da664a7290116131db05ca1572b67da3b92b92429a67e924753e9dd818f54552",
-    ("sweep",): "941cad6a289f7b495743324f843f243133242bbea2f2bde6e6741bfaf53df696",
+    ("index",): "5c8c0f3cafbca6745014668b18d3d44e8988c0005e8bbbc6d01ab66023f68336",
+    ("search",): "0d4c13e3df72fed89cd36ab451b791345b04ac93f11fa27e4c124c9182b5f111",
+    ("search2",): "382f3dfd0a1b3b2b07c4e1b8b3d68f4c8d1d33d9ade08cf517946b25530de417",
+    ("eval",): "e1c1924f70f48e2d69151e6a2898c0ff7b06fef899157ad02b33fc1951f8ffb6",
+    ("sweep",): "689256a47b7a13b3205fbf61d587ee72a75ac0315646b7c2e963e9105bd515f3",
 }
 
 
@@ -143,6 +144,30 @@ def test_help_exits_zero_and_is_stable(capsys):
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert hashlib.sha256(texts[0].encode("utf-8")).hexdigest() == digest, verb
+
+
+# Each verb's option strings besides --help: only the flags it reads. sweep
+# takes its depths from --ns alone, and --verbose changes search2's output only.
+_RUN = {"--config", "--method", "--adapter-cmd", "--mock-table", "--dict", "--tag"}
+_RERANK = {"--doc-channel", "--alpha", "--beta", "--epsilon", "--tail", "--depth"}
+_OPTIONS = {
+    "index": {"--corpus", "--lang", "--stopwords", "--tokenizer", "--min-token-len", "--out"},
+    "search": {"--index", "--query-file", "--n", "--out", *_RUN},
+    "search2": {"--index", "--corpus", "--query-file", "--n", "--out", "--verbose", "-v",
+                *_RUN, *_RERANK},
+    "eval": {"--run", "--qrels", "--lenient", "--compare", "--level", "--sign-test", "--out"},
+    "sweep": {"--index", "--corpus", "--query-file", "--qrels", "--ns", "--stage", "--lenient",
+              "--out", *_RUN, *_RERANK},
+}
+
+
+def test_each_verb_takes_only_its_own_flags_and_none_by_abbreviation():
+    parser = build_parser()
+    verbs = next(action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert {verb: {option for action in p._actions for option in action.option_strings}
+            - {"-h", "--help"} for verb, p in verbs.items()} == _OPTIONS
+    assert not any(p.allow_abbrev for p in [parser, *verbs.values()])
 
 
 def test_missing_data_file_exits_two(ws, capsys):
@@ -365,6 +390,15 @@ def test_a_method_missing_its_prerequisite_is_named_as_the_flag_value(
     assert main(["search", "--index", str(ws.index), "--query-file", str(ws.queries),
                  "--method", method, *extra]) == 1
     assert f"method {method!r} needs a {missing}" in capsys.readouterr().err
+
+
+def test_a_dictionary_given_is_read_whatever_the_method(ws, tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "dict.tsv")
+    for method in ([], ["--method", "mts"]):
+        assert main(["search", "--index", str(ws.index), "--query-file", str(ws.queries),
+                     "--mock-table", str(ws.table), *method, "--dict", missing]) == 2
+        out, err = capsys.readouterr()
+        assert not out and missing in err
 
 
 def test_bad_depth_lists_rejected(ws):
@@ -805,6 +839,23 @@ def _fail_writes_after(monkeypatch, budget, error):
         return _FailingFile(fh, budget, error) if set(mode) & set("wax+") else fh
 
     monkeypatch.setattr(builtins, "open", failing_open)
+
+
+@pytest.mark.parametrize("verb, flags, unknown", [
+    ("index", ["-v"], "-v"),
+    ("search", ["--verbose"], "--verbose"),
+    ("eval", ["-v"], "-v"),
+    ("sweep", ["-v"], "-v"),
+    ("sweep", ["--ns", "10,20", "--n", "5"], "--n 5"),  # not --ns 5 by abbreviation
+    ("search2", ["--tail", "keep", "--dep", "50"], "--dep 50"),  # nor --dep as --depth
+])
+def test_a_flag_the_verb_does_not_take_is_a_usage_error_that_writes_nothing(
+        ws, outputs, tmp_path, capsys, verb, flags, unknown):
+    out = tmp_path / "out"
+    assert main(_verb_args(ws, verb) + flags + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"clir: error: unrecognized arguments: {unknown}\n" in captured.err
+    assert not captured.out and not out.exists()
 
 
 @pytest.mark.parametrize("verb", OUTPUT_VERBS)
